@@ -7,28 +7,34 @@ stable models agree under every added context theory.  The last condition
 quantifies over all contexts; the sampled check here enumerates a finite,
 deterministic family and is falsification-oriented only.
 
+The model tables behind the stable and strong checks keep only total models.
+A t whose <t, t> fails the theory cannot become stable when a context is
+added, since the extended theory still contains the failing one; and by
+persistence no h below such a t satisfies the theory either.
+
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
 rule unfolding, faithfulness of conditional-term elimination) on seeded
 random corpora and report the first counterexample, shrunk to a locally
-minimal instance.
+minimal instance by re-running the same law on smaller candidates.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
+from .errors import HtcError
 from .parser import pretty_print
 from .semantics import (
     Interpretation,
     Valuation,
     _Eval,
     _iter_valuations,
-    expr_value,
     ht_models,
-    subvaluations,
+    models_below,
+    total_models,
     valuation_key,
 )
 from .syntax import (
@@ -49,7 +55,6 @@ from .syntax import (
     Scaled,
     TOP,
     Theory,
-    TruthConst,
     U,
     check_budget,
     desugar_comparisons,
@@ -109,8 +114,8 @@ class EquivReport:
 # --------------------------------------------------------------------------
 # Model tables
 
-# A table maps each candidate t (in enumeration order) to the tuple of all h
-# below it with <h, t> satisfying the theory.  Stable models and stable
+# A table maps each total model t (in enumeration order) to the set of proper
+# h below it with <h, t> satisfying the theory.  Stable models and stable
 # models under added contexts are read off the table without re-evaluating
 # the base theory.
 
@@ -119,37 +124,26 @@ def _ht_table(thy: Theory, budget=None):
     thy = desugar_theory(thy)
     check_budget(thy.spec, budget)
     formulas = theory_formulas(thy)
-    table = []
-    for t in _iter_valuations(thy.spec):
-        ev_t = _Eval(t, t)
-        hs = []
-        for h in subvaluations(t):
-            ev = ev_t if h == t else _Eval(h, t, total=ev_t)
-            if all(ev.sat(f) for f in formulas):
-                hs.append(h)
-        table.append((t, tuple(hs)))
+    table = [
+        (t, frozenset(h for h, _ in models_below(t, ev_t, formulas, proper=True)))
+        for t, ev_t in total_models(thy.spec, formulas)
+    ]
     return thy.spec, table
 
 
 def _stable_under(table, extra=()):
     """Stable models of the tabled theory extended with ``extra`` formulas."""
     out = []
-    for t, hs in table:
-        if not hs or hs[-1] != t:
-            continue
+    for t, below in table:
         ev_t = _Eval(t, t)
         if not all(ev_t.sat(f) for f in extra):
             continue
-        stable = True
-        for h in hs:
-            if h == t:
-                continue
-            ev = _Eval(h, t, total=ev_t)
-            if all(ev.sat(f) for f in extra):
-                stable = False
-                break
-        if stable:
-            out.append(t)
+        if below and any(
+            h in below and all(ev.sat(f) for f in extra)
+            for h, ev in models_below(t, ev_t, (), proper=True)
+        ):
+            continue
+        out.append(t)
     return out
 
 
@@ -437,49 +431,41 @@ class SuiteReport:
         }
 
 
-def _interpretations(spec):
-    for t in _iter_valuations(spec):
-        ev_t = _Eval(t, t)
-        for h in subvaluations(t):
-            ev = ev_t if h == t else _Eval(h, t, total=ev_t)
-            yield h, t, ev, ev_t
+def _gen_core_formula(rng, spec):
+    return desugar_comparisons(gen_formula(rng, spec))
 
 
-def _check_persistence(rng, spec):
-    phi = desugar_comparisons(gen_formula(rng, spec))
-    for h, t, ev, ev_t in _interpretations(spec):
-        if ev.sat(phi) and not ev_t.sat(phi):
-            return {
-                "formula": phi,
-                "shrink": "formula",
-                "detail": {"h": h.to_json(), "t": t.to_json()},
-            }
+def _persistence_law(phi, spec):
+    for t, ev_t in total_models(spec, ()):
+        for h, ev in models_below(t, ev_t, ()):
+            if ev.sat(phi) and not ev_t.sat(phi):
+                return {"formula": phi, "detail": {"h": h.to_json(), "t": t.to_json()}}
     return None
 
 
-def _check_negation(rng, spec):
-    phi = desugar_comparisons(gen_formula(rng, spec))
+def _negation_law(phi, spec):
     neg = Not(phi)
-    for h, t, ev, ev_t in _interpretations(spec):
-        if ev.sat(neg) != (not ev_t.sat(phi)):
-            return {
-                "formula": phi,
-                "shrink": "formula",
-                "detail": {"h": h.to_json(), "t": t.to_json()},
-            }
+    for t, ev_t in total_models(spec, ()):
+        for h, ev in models_below(t, ev_t, ()):
+            if ev.sat(neg) != (not ev_t.sat(phi)):
+                return {"formula": phi, "detail": {"h": h.to_json(), "t": t.to_json()}}
     return None
 
 
-def _check_term_persistence(rng, spec):
+def _gen_core_term(rng, spec):
     tau = gen_conditional_term(rng, spec)
-    tau = ConditionalTerm(
+    return ConditionalTerm(
         tau.then_term, tau.else_term, desugar_comparisons(tau.condition)
     )
+
+
+def _term_persistence_law(tau, spec):
     e = LinearExpr((tau,))
-    for t in _iter_valuations(spec):
-        for h in subvaluations(t):
-            here = expr_value(h, t, e)
-            if here is not U and here != expr_value(t, t, e):
+    for t, ev_t in total_models(spec, ()):
+        there = ev_t._expr_value(e)
+        for h, ev in models_below(t, ev_t, ()):
+            here = ev._expr_value(e)
+            if here is not None and here != there:
                 return {
                     "term": pretty_print(e),
                     "detail": {"h": h.to_json(), "t": t.to_json()},
@@ -487,14 +473,21 @@ def _check_term_persistence(rng, spec):
     return None
 
 
-def _check_denotation_laws(rng, spec):
+def _gen_denotation_atoms(rng, spec):
+    """A core atom, an atom with a conditional term, and a linear term."""
+    atom = _gen_core_atom(rng, spec)
+    cond_atom = _gen_conditional_atom(rng, spec)
+    return atom, cond_atom, _gen_linear_term(rng, spec)
+
+
+def _denotation_law(atoms, spec):
     from .semantics import denotes, substitute_value
 
-    atom = _gen_core_atom(rng, spec)
+    atom, cond_atom, s2 = atoms
     valuations = list(_iter_valuations(spec))
     # condition 1: monotonicity
-    for v2 in valuations:
-        for v in subvaluations(v2):
+    for v2, ev2 in total_models(spec, ()):
+        for v, _ in models_below(v2, ev2, ()):
             if denotes(v, atom) and not denotes(v2, atom):
                 return {"atom": pretty_print(atom), "law": 1, "detail": v.to_json()}
     # condition 2: substituting a variable by its value
@@ -514,14 +507,12 @@ def _check_denotation_laws(rng, spec):
             return {"atom": pretty_print(atom), "law": 3, "detail": v.to_json()}
         seen[key] = d
     # condition 4: undefined positions only weaken an atom
-    cond_atom = _gen_conditional_atom(rng, spec)
     for v in valuations:
         subs = _conditional_substitutions(cond_atom)
         for with_u, with_s, with_s2 in subs:
             if denotes(v, with_u) and not (denotes(v, with_s) and denotes(v, with_s2)):
                 return {"atom": pretty_print(cond_atom), "law": 4, "detail": v.to_json()}
     # condition 5: equal subexpressions are interchangeable
-    s2 = _gen_linear_term(rng, spec)
     for v in valuations:
         for side, idx, s in _term_occurrences(atom):
             se, s2e = LinearExpr((s,)), LinearExpr((s2,))
@@ -582,18 +573,15 @@ def _replace_occurrence(atom, side, idx, new_item):
     return Comparison(lhs, atom.rel, e2)
 
 
-def _check_supportedness(rng, spec):
+def _supportedness_law(core, spec):
     from .semantics import is_supported
 
-    program = gen_program(rng, spec)
-    core = desugar_theory(program)
     _, table = _ht_table(core)
     models = _stable_under(table)
     for t in models:
         if not is_supported(t, core):
             return {
                 "theory": core,
-                "shrink": "theory",
                 "detail": {"model": t.to_json(), "law": "lc-supported"},
             }
     unfolded = []
@@ -603,13 +591,11 @@ def _check_supportedness(rng, spec):
         if not _htc_supported(t, unfolded):
             return {
                 "theory": core,
-                "shrink": "theory",
                 "detail": {"model": t.to_json(), "law": "htc-supported"},
             }
         if not _htc_supported_sharp(t, unfolded):
             return {
                 "theory": core,
-                "shrink": "theory",
                 "detail": {"model": t.to_json(), "law": "htc-supported-sharp"},
             }
     return None
@@ -641,24 +627,23 @@ def _htc_supported(t: Valuation, rules) -> bool:
     """Supportedness against rules whose heads are disjunctions of atoms."""
     ev = _Eval(t, t)
     structured = _structured_rules(rules)
-    for x in t.names():
-        if not _htc_var_supported(ev, x, structured):
-            return False
-    return True
+    return all(_htc_var_supported(ev, ev, x, structured) for x in t.names())
 
 
-def _htc_var_supported(ev, x, structured) -> bool:
+def _htc_var_supported(ev_head, ev_body, x, structured) -> bool:
+    """Some rule has a head atom mentioning x, no other head atom true at
+    ``ev_head`` and a body true at ``ev_body``."""
     for head_atoms, body_lits in structured:
         for c in head_atoms:
             if x not in free_vars(c):
                 continue
             if any(
-                ev.sat(c2)
+                ev_head.sat(c2)
                 for c2 in head_atoms
                 if x not in free_vars(c2)
             ):
                 continue
-            if all(ev.sat(b) for b in body_lits if b != TOP):
+            if all(ev_body.sat(b) for b in body_lits if b != TOP):
                 return True
     return False
 
@@ -671,44 +656,26 @@ def _htc_supported_sharp(t: Valuation, rules) -> bool:
     structured = _structured_rules(rules)
     for x in t.names():
         h = Valuation((n, v) for n, v in t.items() if n != x)
-        ev_h = _Eval(h, t, total=ev_t)
-        ok = False
-        for head_atoms, body_lits in structured:
-            for c in head_atoms:
-                if x not in free_vars(c):
-                    continue
-                if any(
-                    ev_t.sat(c2) for c2 in head_atoms if x not in free_vars(c2)
-                ):
-                    continue
-                if all(ev_h.sat(b) for b in body_lits if b != TOP):
-                    ok = True
-                    break
-            if ok:
-                break
-        if not ok:
+        if not _htc_var_supported(ev_t, _Eval(h, t, total=ev_t), x, structured):
             return False
     return True
 
 
-def _check_unfolding(rng, spec):
-    rule = gen_lc_rule(rng, spec)
-    core = desugar_theory(make_theory(spec, [rule]))
-    rule = core.rules[0]
-    base = ht_models(core)
+def _unfolding_law(core, spec):
+    base = set(ht_models(core))
     for distribute in (False, True):
-        other = make_theory(spec, unfold_rule(rule, distribute=distribute))
-        if set(ht_models(other)) != set(base):
-            return {
-                "theory": core,
-                "shrink": "theory",
-                "detail": {"distribute": distribute},
-            }
+        statements = []
+        for stmt in core.statements:
+            if isinstance(stmt, LCRule):
+                statements.extend(unfold_rule(stmt, distribute=distribute))
+            else:
+                statements.append(stmt)
+        if set(ht_models(make_theory(core.spec, statements))) != base:
+            return {"theory": core, "detail": {"distribute": distribute}}
     return None
 
 
-def _check_delta_faithfulness(rng, spec):
-    thy = desugar_theory(gen_theory_one_conditional(rng, spec))
+def _delta_law(thy, spec):
     names = thy.spec.variables()
     translated = eliminate_conditionals(thy).theory()
     _, ta = _ht_table(thy)
@@ -719,28 +686,17 @@ def _check_delta_faithfulness(rng, spec):
         if sa != sb:
             return {
                 "theory": thy,
-                "shrink": "theory",
                 "detail": {"context": [pretty_print(f) for f in ctx]},
             }
     return None
 
 
-_SUITES = {
-    "persistence": _check_persistence,
-    "negation": _check_negation,
-    "term-persistence": _check_term_persistence,
-    "denotation-laws": _check_denotation_laws,
-    "supportedness": _check_supportedness,
-    "unfolding": _check_unfolding,
-    "delta-faithfulness": _check_delta_faithfulness,
-}
-
-SUITE_NAMES = tuple(sorted(_SUITES))
+def _suite_corpus_item(suite: str, seed: int, i: int, spec: DomainSpec):
+    return _SUITES[suite].generate(random.Random(seed * 1_000_003 + i), spec)
 
 
 def _suite_item(suite: str, seed: int, i: int, spec: DomainSpec):
-    rng = random.Random(seed * 1_000_003 + i)
-    return _SUITES[suite](rng, spec)
+    return _SUITES[suite].law(_suite_corpus_item(suite, seed, i, spec), spec)
 
 
 def run_property_suite(
@@ -756,7 +712,6 @@ def run_property_suite(
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITE_NAMES)}")
     spec = spec or DEFAULT_SUITE_SPEC
-    check = _SUITES[suite]
     first = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -782,7 +737,13 @@ def run_property_suite(
     if first is None:
         return SuiteReport(suite, seed, count, count, 0)
     i, violation = first
-    violation = _shrink_violation(check, violation, spec)
+    _, law, shrink = _SUITES[suite]
+    if shrink is not None:
+        item = shrink(
+            _suite_corpus_item(suite, seed, i, spec),
+            lambda cand: _still_fails(law, cand, spec),
+        )
+        violation = law(item, spec)
     violation["item"] = i
     return SuiteReport(suite, seed, count, i + 1, 1, _render_violation(violation))
 
@@ -790,106 +751,20 @@ def run_property_suite(
 def _render_violation(v: dict) -> dict:
     out = {}
     for key, value in v.items():
-        if key == "shrink":
-            continue
-        if isinstance(value, Theory):
-            out[key] = pretty_print(value)
-        elif key == "formula":
+        if isinstance(value, Theory) or key == "formula":
             out[key] = pretty_print(value)
         else:
             out[key] = value
     return out
 
 
-def _shrink_violation(check, violation, spec):
-    """Greedy shrink: re-run the failing law on smaller candidates."""
-    if violation.get("shrink") == "theory":
-        thy = violation["theory"]
-        thy = _shrink_theory(thy, lambda cand: _still_fails_theory(check, cand))
-        violation = dict(violation, theory=thy)
-    elif violation.get("shrink") == "formula":
-        phi = violation["formula"]
-        fails = lambda cand: _still_fails_formula(check, cand, spec)
-        violation = dict(violation, formula=_shrink_formula(phi, fails))
-    return violation
-
-
-def _still_fails_theory(check, thy) -> bool:
-    if check is _check_supportedness:
-        return _supportedness_fails(thy)
-    if check is _check_unfolding:
-        return _unfolding_fails(thy)
-    if check is _check_delta_faithfulness:
-        return _delta_fails(thy)
-    return False
-
-
-def _supportedness_fails(core) -> bool:
-    from .semantics import is_supported
-
+def _still_fails(law, item, spec) -> bool:
+    """The law is still violated on a shrink candidate.  A candidate the
+    package rejects does not count; any other exception propagates."""
     try:
-        _, table = _ht_table(core)
-        models = _stable_under(table)
-        if any(not is_supported(t, core) for t in models):
-            return True
-        unfolded = []
-        for rule in core.rules:
-            unfolded.extend(unfold_rule(rule))
-        return any(
-            not _htc_supported(t, unfolded) or not _htc_supported_sharp(t, unfolded)
-            for t in models
-        )
-    except Exception:
+        return law(item, spec) is not None
+    except HtcError:
         return False
-
-
-def _unfolding_fails(core) -> bool:
-    try:
-        base = set(ht_models(core))
-        for distribute in (False, True):
-            formulas = []
-            for stmt in core.statements:
-                if isinstance(stmt, LCRule):
-                    formulas.extend(unfold_rule(stmt, distribute=distribute))
-                else:
-                    formulas.append(stmt)
-            if set(ht_models(make_theory(core.spec, formulas))) != base:
-                return True
-        return False
-    except Exception:
-        return False
-
-
-def _delta_fails(thy) -> bool:
-    try:
-        names = thy.spec.variables()
-        translated = eliminate_conditionals(thy).theory()
-        if not stable_equivalent(thy, translated, project=names).equal:
-            return True
-        family = context_family(thy.spec, names)
-        return not strong_equiv_sampled(
-            thy, translated, project=names, contexts=family
-        ).equal
-    except Exception:
-        return False
-
-
-def _still_fails_formula(check, phi, spec) -> bool:
-    try:
-        if check is _check_persistence:
-            for h, t, ev, ev_t in _interpretations(spec):
-                if ev.sat(phi) and not ev_t.sat(phi):
-                    return True
-            return False
-        if check is _check_negation:
-            neg = Not(phi)
-            for h, t, ev, ev_t in _interpretations(spec):
-                if ev.sat(neg) != (not ev_t.sat(phi)):
-                    return True
-            return False
-    except Exception:
-        return False
-    return False
 
 
 def _shrink_theory(thy: Theory, fails) -> Theory:
@@ -931,6 +806,39 @@ def _immediate_subformulas(phi):
     if isinstance(phi, (And, Or, Implies)):
         yield phi.lhs
         yield phi.rhs
+
+
+class _Suite(NamedTuple):
+    """A law over generated corpus items, and how to shrink a failing item."""
+
+    generate: Callable  # (rng, spec) -> item
+    law: Callable  # (item, spec) -> violation dict, or None when the law holds
+    shrink: Optional[Callable] = None  # (item, still_fails) -> smaller item
+
+
+_SUITES = {
+    "persistence": _Suite(_gen_core_formula, _persistence_law, _shrink_formula),
+    "negation": _Suite(_gen_core_formula, _negation_law, _shrink_formula),
+    "term-persistence": _Suite(_gen_core_term, _term_persistence_law),
+    "denotation-laws": _Suite(_gen_denotation_atoms, _denotation_law),
+    "supportedness": _Suite(
+        lambda rng, spec: desugar_theory(gen_program(rng, spec)),
+        _supportedness_law,
+        _shrink_theory,
+    ),
+    "unfolding": _Suite(
+        lambda rng, spec: desugar_theory(make_theory(spec, [gen_lc_rule(rng, spec)])),
+        _unfolding_law,
+        _shrink_theory,
+    ),
+    "delta-faithfulness": _Suite(
+        lambda rng, spec: desugar_theory(gen_theory_one_conditional(rng, spec)),
+        _delta_law,
+        _shrink_theory,
+    ),
+}
+
+SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 # --------------------------------------------------------------------------

@@ -47,9 +47,7 @@ def _build_parser() -> _ArgumentParser:
     solve = sub.add_parser("solve", help="enumerate stable models of a file")
     solve.add_argument("file")
     solve.add_argument("--ht", action="store_true", help="list HT models instead")
-    solve.add_argument("--json", action="store_true", help="JSON output (the default)")
     solve.add_argument("--models", type=int, default=None, help="print at most N models")
-    _common(solve)
 
     translate = sub.add_parser("translate", help="print a transformed program")
     translate.add_argument("file")
@@ -59,7 +57,6 @@ def _build_parser() -> _ArgumentParser:
         choices=("desugar", "unfold", "delta", "all"),
         required=True,
     )
-    _common(translate)
 
     check = sub.add_parser("check", help="compare two files")
     check.add_argument("file_a")
@@ -69,24 +66,22 @@ def _build_parser() -> _ArgumentParser:
     check.add_argument(
         "--strong", action="store_true", help="sampled projected strong equivalence"
     )
-    _common(check)
 
     props = sub.add_parser("props", help="run a property suite")
     props.add_argument("--suite", required=True, choices=SUITE_NAMES)
     props.add_argument("--seed", type=int, default=0)
     props.add_argument("--count", type=int, default=50)
-    _common(props)
+
+    for enumerating in (solve, translate, check):
+        enumerating.add_argument(
+            "--max-interps",
+            type=int,
+            default=None,
+            help="interpretation budget (also HTC_MAX_INTERPS)",
+        )
+    for command in (solve, translate, check, props):
+        command.add_argument("--jobs", type=int, default=1, help="parallel workers")
     return parser
-
-
-def _common(sub):
-    sub.add_argument(
-        "--max-interps",
-        type=int,
-        default=None,
-        help="interpretation budget (also HTC_MAX_INTERPS)",
-    )
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def _budget(args):

@@ -9,6 +9,12 @@ here-and-there: implications are checked at both worlds, and a stable
 (equilibrium) model is a total model ``<t, t>`` with no proper ``h`` below it
 that still satisfies the theory.
 
+Every model reader sits on one enumeration core: ``total_models`` yields the
+t whose ``<t, t>`` satisfies the formulas, and ``models_below`` yields the h
+below one such t with ``<h, t>`` satisfying them.  Reading only the h below
+total models loses nothing, by persistence: if ``<h, t>`` satisfies a
+formula, so does ``<t, t>``.
+
 The enumeration is exhaustive by design and refuses domain specs whose
 interpretation count exceeds a budget (default 10**7).
 """
@@ -26,7 +32,6 @@ from .syntax import (
     Comparison,
     Const,
     ConditionalTerm,
-    DEFAULT_BUDGET,
     Defined,
     DomainSpec,
     Implies,
@@ -38,15 +43,10 @@ from .syntax import (
     TRUE,
     U,
     Undefined,
-    check_budget as _check_budget_spec,
-    desugar_comparisons,
+    _desugar_expr_conditions,
+    check_budget,
     desugar_theory,
 )
-
-
-def _check_budget(spec: DomainSpec, budget):
-    _check_budget_spec(spec, budget)
-
 
 # --------------------------------------------------------------------------
 # Valuations and interpretations
@@ -142,7 +142,7 @@ def valuation_key(spec: DomainSpec, v: Valuation) -> tuple:
 
 def enumerate_valuations(spec: DomainSpec, budget=None):
     """Every valuation over the spec exactly once, in lexicographic order."""
-    _check_budget(spec, budget)
+    check_budget(spec, budget)
     return _iter_valuations(spec)
 
 
@@ -157,10 +157,8 @@ def _iter_valuations(spec: DomainSpec):
 
 def subvaluations(t: Valuation):
     """All h with h included in t, from empty to t itself (2**defined many)."""
-    pairs = t.items()
-    n = len(pairs)
-    for mask in range(1 << n):
-        yield Valuation(pairs[i] for i in range(n) if mask >> i & 1)
+    yield from proper_subvaluations(t)
+    yield t
 
 
 def proper_subvaluations(t: Valuation):
@@ -180,42 +178,39 @@ def eval_term(h: Valuation, t: Valuation, term):
     if isinstance(term, (Const, Scaled, Undefined)):
         return term
     if isinstance(term, ConditionalTerm):
-        ev = _Eval(h, t)
-        cond = desugar_comparisons(term.condition)
-        if ev.sat(cond):
-            return term.then_term
-        if not ev.total.sat(cond):
-            return term.else_term
-        return U
+        return _unfold(h, t, LinearExpr((term,)))[0].items[0]
     raise TypeError(f"not a term: {term!r}")
 
 
 def eval_atom(h: Valuation, t: Valuation, atom):
     """Replace every conditional term in the atom by its evaluation at <h, t>."""
-    ev = _Eval(h, t)
-
-    def unfold(e: LinearExpr) -> LinearExpr:
-        items = []
-        for item in e.items:
-            if isinstance(item, ConditionalTerm):
-                cond = desugar_comparisons(item.condition)
-                if ev.sat(cond):
-                    items.append(item.then_term)
-                elif not ev.total.sat(cond):
-                    items.append(item.else_term)
-                else:
-                    items.append(U)
-            else:
-                items.append(item)
-        return LinearExpr(tuple(items))
-
     if isinstance(atom, Comparison):
-        return Comparison(unfold(atom.lhs), atom.rel, unfold(atom.rhs))
+        lhs, rhs = _unfold(h, t, atom.lhs, atom.rhs)
+        return Comparison(lhs, atom.rel, rhs)
     if isinstance(atom, Defined):
-        return Defined(unfold(atom.arg))
+        return Defined(_unfold(h, t, atom.arg)[0])
     if isinstance(atom, (BoolAtom, TruthConst)):
         return atom
     raise TypeError(f"not a constraint atom: {atom!r}")
+
+
+def _unfold(h: Valuation, t: Valuation, *exprs) -> list:
+    """The expressions with each conditional term replaced by its branch.
+
+    Every condition is desugared once, before any is evaluated, and the
+    desugared expressions stay referenced until the evaluator is dropped, so
+    its memo never meets a recycled object id.
+    """
+    exprs = [_desugar_expr_conditions(e) for e in exprs]
+    ev = _Eval(h, t)
+    return [
+        LinearExpr(
+            tuple(
+                ev.branch(i) if type(i) is ConditionalTerm else i for i in e.items
+            )
+        )
+        for e in exprs
+    ]
 
 
 def eval_linear_expr(v: Valuation, e: LinearExpr):
@@ -300,7 +295,9 @@ class _Eval:
     """Memoizing satisfaction checker for one fixed pair (h, t).
 
     The evaluator for <t, t> is shared so that condition checks at the total
-    world, and implication checks there, are computed once per t.
+    world, and implication checks there, are computed once per t.  The memo
+    is keyed on object identity, so every formula handed to ``sat`` must
+    outlive the evaluator; callers pass formulas they hold themselves.
     """
 
     __slots__ = ("h", "t", "total", "_memo")
@@ -351,31 +348,34 @@ class _Eval:
             raise ValueError("satisfaction requires a desugared formula")
         raise TypeError(f"not a formula: {phi!r}")
 
+    def branch(self, term: ConditionalTerm):
+        """The branch a conditional term takes at (h, t): then, else or U."""
+        if self.sat(term.condition):
+            return term.then_term
+        if not self.total.sat(term.condition):
+            return term.else_term
+        return U
+
     def _expr_value(self, e: LinearExpr):
         """Integer value under h of e unfolded at (h, t); None when undefined."""
         acc = 0
         h = self.h
         for item in e.items:
             tp = type(item)
+            if tp is ConditionalTerm:
+                item = self.branch(item)
+                tp = type(item)
             if tp is Const:
                 acc += item.value
-                continue
-            if tp is ConditionalTerm:
-                if self.sat(item.condition):
-                    item = item.then_term
-                elif not self.total.sat(item.condition):
-                    item = item.else_term
-                else:
+            elif tp is Scaled:
+                val = h.get(item.var)
+                if not isinstance(val, int):
                     return None
-                if type(item) is Const:
-                    acc += item.value
-                    continue
-            if tp is Undefined:
+                acc += item.coeff * val
+            elif tp is Undefined:
                 return None
-            val = h.get(item.var)
-            if not isinstance(val, int):
-                return None
-            acc += item.coeff * val
+            else:
+                raise ValueError(f"expression is not desugared: {item!r}")
         return acc
 
 
@@ -388,40 +388,44 @@ def satisfies(interp: Interpretation, phi) -> bool:
 # Model enumeration
 
 
-def _prepare(theory: Theory, budget):
-    from .transforms import theory_formulas
-
-    thy = desugar_theory(theory)
-    _check_budget(thy.spec, budget)
-    return thy, theory_formulas(thy)
-
-
-def _scan_stable(spec, formulas, start, stop):
-    out = []
-    gen = itertools.islice(_iter_valuations(spec), start, stop)
-    for t in gen:
+def total_models(spec: DomainSpec, formulas, start=None, stop=None):
+    """Each t in enumeration order (candidates ``start`` to ``stop``) whose
+    <t, t> satisfies every formula, as ``(t, ev_t)`` with the evaluator of
+    <t, t> that ``models_below`` shares."""
+    for t in itertools.islice(_iter_valuations(spec), start, stop):
         ev_t = _Eval(t, t)
-        if not all(ev_t.sat(f) for f in formulas):
-            continue
-        for h in proper_subvaluations(t):
-            ev = _Eval(h, t, total=ev_t)
-            if all(ev.sat(f) for f in formulas):
-                break
-        else:
-            out.append(t)
-    return out
+        if all(ev_t.sat(f) for f in formulas):
+            yield t, ev_t
 
 
-def _scan_ht(spec, formulas, start, stop):
-    out = []
-    gen = itertools.islice(_iter_valuations(spec), start, stop)
-    for t in gen:
-        ev_t = _Eval(t, t)
-        for h in subvaluations(t):
-            ev = ev_t if h == t else _Eval(h, t, total=ev_t)
-            if all(ev.sat(f) for f in formulas):
-                out.append(Interpretation(h, t))
-    return out
+def models_below(t: Valuation, ev_t: _Eval, formulas, proper=False):
+    """Each h included in t, in ``subvaluations`` order, with <h, t>
+    satisfying every formula, as ``(h, ev)``; ``proper`` leaves out h = t.
+
+    <t, t> itself must satisfy the formulas, as ``total_models`` ensures.
+    """
+    for h in proper_subvaluations(t):
+        ev = _Eval(h, t, total=ev_t)
+        if all(ev.sat(f) for f in formulas):
+            yield h, ev
+    if not proper:
+        yield t, ev_t
+
+
+def _stable_scan(spec, formulas, start=None, stop=None):
+    return [
+        t
+        for t, ev_t in total_models(spec, formulas, start, stop)
+        if next(models_below(t, ev_t, formulas, proper=True), None) is None
+    ]
+
+
+def _ht_scan(spec, formulas, start=None, stop=None):
+    return [
+        Interpretation(h, t)
+        for t, ev_t in total_models(spec, formulas, start, stop)
+        for h, _ in models_below(t, ev_t, formulas)
+    ]
 
 
 def _parallel(scan, spec, formulas, jobs):
@@ -438,6 +442,17 @@ def _parallel(scan, spec, formulas, jobs):
     return out
 
 
+def _run(scan, theory: Theory, budget, jobs):
+    from .transforms import theory_formulas
+
+    thy = desugar_theory(theory)
+    check_budget(thy.spec, budget)
+    formulas = theory_formulas(thy)
+    if jobs > 1:
+        return _parallel(scan, thy.spec, formulas, jobs)
+    return scan(thy.spec, formulas)
+
+
 def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     """All equilibrium valuations t, in lexicographic order.
 
@@ -446,18 +461,12 @@ def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     theory is desugared first, so min/max aggregates add their auxiliary
     variables to the enumeration alphabet.
     """
-    thy, formulas = _prepare(theory, budget)
-    if jobs > 1:
-        return _parallel(_scan_stable, thy.spec, formulas, jobs)
-    return _scan_stable(thy.spec, formulas, None, None)
+    return _run(_stable_scan, theory, budget, jobs)
 
 
 def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     """All interpretations <h, t> over the spec satisfying every statement."""
-    thy, formulas = _prepare(theory, budget)
-    if jobs > 1:
-        return _parallel(_scan_ht, thy.spec, formulas, jobs)
-    return _scan_ht(thy.spec, formulas, None, None)
+    return _run(_ht_scan, theory, budget, jobs)
 
 
 # --------------------------------------------------------------------------

@@ -188,17 +188,19 @@ class TestSuites:
         # reuse the internal machinery via a tiny fake suite
         from htc import checker as chk
 
-        def broken(rng, spec):
-            phi = desugar_comparisons(gen_formula(rng, spec))
+        def generate(rng, spec):
+            return desugar_comparisons(gen_formula(rng, spec))
+
+        def broken(phi, spec):
             # claim: every formula is satisfied by the empty interpretation
             from htc.semantics import Interpretation, Valuation
 
             empty = Interpretation(Valuation(), Valuation())
             if not satisfies(empty, phi):
-                return {"formula": phi, "shrink": "formula", "detail": None}
+                return {"formula": phi, "detail": None}
             return None
 
-        chk._SUITES["broken"] = broken
+        chk._SUITES["broken"] = chk._Suite(generate, broken, chk._shrink_formula)
         try:
             report = run_property_suite("broken", seed=1, count=30)
             assert report.violations == 1
@@ -206,6 +208,23 @@ class TestSuites:
             assert isinstance(report.counterexample["formula"], str)
         finally:
             del chk._SUITES["broken"]
+
+    def test_engine_error_while_shrinking_propagates(self, monkeypatch):
+        # the unfolding law sees a violation once, then the engine crashes
+        # on the first shrink candidate; the crash must not pass as a shrink
+        from htc import checker as chk
+
+        calls = []
+
+        def crashing_ht_models(theory, budget=None, jobs=1):
+            calls.append(theory)
+            if len(calls) > 2:
+                raise ValueError("engine crash")
+            return [len(calls)]
+
+        monkeypatch.setattr(chk, "ht_models", crashing_ht_models)
+        with pytest.raises(ValueError, match="engine crash"):
+            run_property_suite("unfolding", seed=0, count=1)
 
 
 class TestTautologySchemata:

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from htc.cli import main
 from htc.parser import parse_theory
 
@@ -82,6 +84,16 @@ class TestSolve:
         monkeypatch.setenv("HTC_MAX_INTERPS", "1000")
         code, _, _ = run(capsys, "solve", str(f))
         assert code == 0
+
+    def test_removed_flags_are_usage_errors(self, capsys):
+        for argv in (
+            ["solve", str(PROGRAMS / "ysum.lc"), "--json"],
+            ["props", "--suite", "negation", "--count", "1", "--max-interps", "9"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_jobs_flag(self, capsys):
         a = run_json(capsys, "solve", str(PROGRAMS / "ysum.lc"), "--jobs", "2")

@@ -5,14 +5,25 @@ sharing, no memoization and no fused evaluation paths, so a bug in the
 engine's shortcuts cannot hide in both implementations.
 """
 
+import pathlib
 import random
 
-from htc.checker import DEFAULT_SUITE_SPEC, gen_formula, gen_program
-from htc.parser import parse_theory
+from htc.checker import (
+    DEFAULT_SUITE_SPEC,
+    _ht_table,
+    _stable_under,
+    context_family,
+    gen_formula,
+    gen_program,
+)
+from htc.parser import parse_theory, pretty_print
 from htc.semantics import (
     Interpretation,
     Valuation,
     enumerate_valuations,
+    eval_atom,
+    eval_term,
+    ht_models,
     satisfies,
     stable_models,
     subvaluations,
@@ -29,13 +40,16 @@ from htc.syntax import (
     Or,
     Scaled,
     TruthConst,
+    U,
     Undefined,
+    desugar_comparisons,
     desugar_theory,
     make_theory,
 )
 from htc.transforms import theory_formulas
 
 SPEC = DEFAULT_SUITE_SPEC
+PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
 
 def ref_term_value(v, term):
@@ -92,6 +106,29 @@ def ref_sat(h, t, phi):
     raise TypeError(phi)
 
 
+def ref_branch(h, t, term):
+    """The branch a conditional term takes at <h, t>: then, else or U."""
+    cond = desugar_comparisons(term.condition)
+    if ref_sat(h, t, cond):
+        return term.then_term
+    if not ref_sat(t, t, cond):
+        return term.else_term
+    return U
+
+
+def ref_ht_models(theory):
+    """Every pair <h, t> over the spec, h included in t, that satisfies the
+    theory, in enumeration order of t and then h."""
+    theory = desugar_theory(theory)
+    formulas = theory_formulas(theory)
+    return [
+        Interpretation(h, t)
+        for t in enumerate_valuations(theory.spec)
+        for h in subvaluations(t)
+        if all(ref_sat(h, t, f) for f in formulas)
+    ]
+
+
 def ref_stable_models(theory):
     theory = desugar_theory(theory)
     formulas = theory_formulas(theory)
@@ -130,9 +167,98 @@ class TestAgainstReference:
             assert stable_models(prog) == ref_stable_models(prog)
 
     def test_stable_models_agree_on_shipped_programs(self):
-        import pathlib
-
-        programs = pathlib.Path(__file__).resolve().parent.parent / "programs"
-        for name in ("vicious", "ysum", "ycond", "ycondp"):
-            thy = parse_theory((programs / f"{name}.lc").read_text())
+        for thy in shipped("vicious", "ysum", "ycond", "ycondp", "tax_toy"):
             assert stable_models(thy) == ref_stable_models(thy)
+
+
+# --------------------------------------------------------------------------
+# Seeded corpora
+
+# hand-written programs with every aggregate function, over small domains
+AGGREGATE_PROGRAMS = (
+    "#int x, y 0..2. #bool p. x := 1 :- p. p | not p. sum{ x ; y : p } >= 1 -> y = 2.",
+    "#int x, y 0..2. #bool p. x := 0..2. count{ x > 0 ; p } = 1.",
+    "#int x, y 0..2. #bool p. y := 1. x := 2 :- not p. min{ x ; y } <= 1 -> p.",
+    "#int x, y 0..2. #bool p. x := 1 ; y := 2. max{ x : p ; y } >= 2.",
+)
+
+
+def conditional_corpus(n=20, seed=43_000_003):
+    """Theories of one or two formulas with up to 4 conditional terms each."""
+    out = []
+    for i in range(n):
+        rng = random.Random(seed + i)
+        formulas = [
+            gen_formula(rng, SPEC, conditional_budget=[4])
+            for _ in range(rng.randint(1, 2))
+        ]
+        out.append(make_theory(SPEC, formulas))
+    return out
+
+
+def program_corpus(n=15, seed=44_000_003):
+    return [gen_program(random.Random(seed + i), SPEC) for i in range(n)]
+
+
+def shipped(*names):
+    return [parse_theory((PROGRAMS / f"{n}.lc").read_text()) for n in names]
+
+
+def aggregate_corpus():
+    return [parse_theory(text) for text in AGGREGATE_PROGRAMS]
+
+
+def small_corpus():
+    return (
+        conditional_corpus()
+        + program_corpus()
+        + aggregate_corpus()
+        + shipped("vicious", "ysum", "ycond", "ycondp")
+    )
+
+
+class TestDifferentialGate:
+    def test_stable_models_agree_with_four_conditionals(self):
+        for thy in conditional_corpus() + aggregate_corpus():
+            assert stable_models(thy) == ref_stable_models(thy)
+
+    def test_ht_models_agree(self):
+        for thy in small_corpus():
+            assert ht_models(thy) == ref_ht_models(thy)
+
+    def test_parallel_enumeration_agrees(self):
+        corpus = small_corpus()
+        for thy in corpus[::6]:
+            assert ht_models(thy, jobs=2) == ref_ht_models(thy)
+            assert stable_models(thy, jobs=2) == ref_stable_models(thy)
+
+    def test_checker_table_under_contexts(self):
+        corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
+        for thy in corpus:
+            core = desugar_theory(thy)
+            _, table = _ht_table(core)
+            assert _stable_under(table) == ref_stable_models(core)
+            for ctx in context_family(core.spec):
+                expected = ref_stable_models(core.extended(ctx))
+                assert _stable_under(table, ctx) == expected, ctx
+
+    def test_pretty_print_round_trip(self):
+        for thy in small_corpus():
+            assert parse_theory(pretty_print(thy)) == thy
+            core = desugar_theory(thy)
+            assert parse_theory(pretty_print(core)) == core
+
+
+class TestConditionalBranches:
+    def test_repeated_conditions_in_one_atom(self):
+        # equal conditions occur twice; each occurrence must get its own branch
+        thy = parse_theory(
+            "#int x 0..9. (1|100: x<5) + (1|100: x>5) + (1|100: x<5) + (1|100: x>5) <= 2."
+        )
+        atom = thy.statements[0]
+        for x in range(10):
+            t = Valuation({"x": x})
+            for h in subvaluations(t):
+                expected = [ref_branch(h, t, item) for item in atom.lhs.items]
+                assert list(eval_atom(h, t, atom).lhs.items) == expected, x
+                assert [eval_term(h, t, i) for i in atom.lhs.items] == expected, x
