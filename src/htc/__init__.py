@@ -65,6 +65,7 @@ from .syntax import (
     TRUE,
     Theory,
     U,
+    children,
     desugar_comparisons,
     desugar_count,
     desugar_minmax,
@@ -72,6 +73,8 @@ from .syntax import (
     desugar_theory,
     free_vars,
     make_theory,
+    map_exprs,
+    nodes,
 )
 from .transforms import (
     DeltaResult,

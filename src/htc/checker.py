@@ -21,6 +21,7 @@ minimal instance by re-running the same law on smaller candidates.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -57,11 +58,13 @@ from .syntax import (
     Theory,
     U,
     check_budget,
+    children,
     desugar_comparisons,
     desugar_theory,
     free_vars,
     le,
     make_theory,
+    map_exprs,
 )
 from .transforms import eliminate_conditionals, theory_formulas, unfold_rule
 
@@ -124,11 +127,10 @@ def _ht_table(thy: Theory, budget=None):
     thy = desugar_theory(thy)
     check_budget(thy.spec, budget)
     formulas = theory_formulas(thy)
-    table = [
+    return [
         (t, frozenset(h for h, _ in models_below(t, ev_t, formulas, proper=True)))
         for t, ev_t in total_models(thy.spec, formulas)
     ]
-    return thy.spec, table
 
 
 def _stable_under(table, extra=()):
@@ -195,8 +197,8 @@ def stable_equivalent(a: Theory, b: Theory, project=None, budget=None) -> EquivR
     """Same stable models, after projecting onto ``project`` when given."""
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    _, ta = _ht_table(a, budget)
-    _, tb = _ht_table(b, budget)
+    ta = _ht_table(a, budget)
+    tb = _ht_table(b, budget)
     sa = {t.project(names) for t in _stable_under(ta)}
     sb = {t.project(names) for t in _stable_under(tb)}
     projection = names if project is not None else None
@@ -227,8 +229,8 @@ def strong_equiv_sampled(
     """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    _, ta = _ht_table(a, budget)
-    _, tb = _ht_table(b, budget)
+    ta = _ht_table(a, budget)
+    tb = _ht_table(b, budget)
     for ctx in contexts:
         ctx = tuple(desugar_comparisons(f) for f in ctx)
         sa = {t.project(names) for t in _stable_under(ta, ctx)}
@@ -507,17 +509,17 @@ def _denotation_law(atoms, spec):
             return {"atom": pretty_print(atom), "law": 3, "detail": v.to_json()}
         seen[key] = d
     # condition 4: undefined positions only weaken an atom
+    subs = _conditional_substitutions(cond_atom)
     for v in valuations:
-        subs = _conditional_substitutions(cond_atom)
         for with_u, with_s, with_s2 in subs:
             if denotes(v, with_u) and not (denotes(v, with_s) and denotes(v, with_s2)):
                 return {"atom": pretty_print(cond_atom), "law": 4, "detail": v.to_json()}
     # condition 5: equal subexpressions are interchangeable
     for v in valuations:
-        for side, idx, s in _term_occurrences(atom):
+        for k, s in _term_occurrences(atom):
             se, s2e = LinearExpr((s,)), LinearExpr((s2,))
             if denotes(v, le(se, s2e)) and denotes(v, le(s2e, se)):
-                replaced = _replace_occurrence(atom, side, idx, s2)
+                replaced = _replace_occurrence(atom, k, s2)
                 if denotes(v, atom) != denotes(v, replaced):
                     return {
                         "atom": pretty_print(atom),
@@ -541,42 +543,35 @@ def _gen_conditional_atom(rng, spec):
 
 
 def _conditional_substitutions(atom):
-    out = []
-    for side, idx, item in _term_occurrences(atom, conditional=True):
-        out.append(
-            (
-                _replace_occurrence(atom, side, idx, U),
-                _replace_occurrence(atom, side, idx, item.then_term),
-                _replace_occurrence(atom, side, idx, item.else_term),
-            )
-        )
-    return out
+    """(with U, with then, with else) for each conditional term of the atom."""
+    return [
+        tuple(_replace_occurrence(atom, k, s) for s in (U, item.then_term, item.else_term))
+        for k, item in _term_occurrences(atom, conditional=True)
+    ]
 
 
 def _term_occurrences(atom, conditional=False):
-    if not isinstance(atom, Comparison):
-        return
+    """(k, term) for each linear (or conditional) term of an atom, numbered
+    across both sides of a comparison."""
     want = ConditionalTerm if conditional else (Const, Scaled)
-    for side, e in (("lhs", atom.lhs), ("rhs", atom.rhs)):
-        for idx, item in enumerate(e.items):
-            if isinstance(item, want):
-                yield side, idx, item
+    terms = [item for e in children(atom) for item in e.items]
+    return [(k, item) for k, item in enumerate(terms) if isinstance(item, want)]
 
 
-def _replace_occurrence(atom, side, idx, new_item):
-    lhs, rhs = atom.lhs, atom.rhs
-    e = lhs if side == "lhs" else rhs
-    items = e.items[:idx] + (new_item,) + e.items[idx + 1 :]
-    e2 = LinearExpr(items)
-    if side == "lhs":
-        return Comparison(e2, atom.rel, rhs)
-    return Comparison(lhs, atom.rel, e2)
+def _replace_occurrence(atom, k, new_item):
+    """The atom with its k-th term replaced by ``new_item``."""
+    position = itertools.count()
+
+    def replace(e):
+        return LinearExpr(tuple(new_item if next(position) == k else i for i in e.items))
+
+    return map_exprs(atom, replace)
 
 
 def _supportedness_law(core, spec):
     from .semantics import is_supported
 
-    _, table = _ht_table(core)
+    table = _ht_table(core)
     models = _stable_under(table)
     for t in models:
         if not is_supported(t, core):
@@ -678,8 +673,8 @@ def _unfolding_law(core, spec):
 def _delta_law(thy, spec):
     names = thy.spec.variables()
     translated = eliminate_conditionals(thy).theory()
-    _, ta = _ht_table(thy)
-    _, tb = _ht_table(translated)
+    ta = _ht_table(thy)
+    tb = _ht_table(translated)
     for ctx in [()] + context_family(thy.spec, names):
         sa = {t.project(names) for t in _stable_under(ta, ctx)}
         sb = {t.project(names) for t in _stable_under(tb, ctx)}
@@ -794,18 +789,12 @@ def _shrink_formula(phi, fails):
     changed = True
     while changed:
         changed = False
-        for sub in _immediate_subformulas(phi):
+        for sub in children(phi) if isinstance(phi, (And, Or, Implies)) else ():
             if fails(sub):
                 phi = sub
                 changed = True
                 break
     return phi
-
-
-def _immediate_subformulas(phi):
-    if isinstance(phi, (And, Or, Implies)):
-        yield phi.lhs
-        yield phi.rhs
 
 
 class _Suite(NamedTuple):

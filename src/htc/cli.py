@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .checker import (
     SUITE_NAMES,
@@ -167,12 +168,18 @@ def cmd_check(args) -> int:
         else None
     )
     if args.strong:
-        report = stable_equivalent(a, b, project=project, budget=budget)
-        if report.equal:
-            names = project or a.spec.variables()
-            family = context_family(desugar_theory(a).spec, names)
-            report = strong_equiv_sampled(
-                a, b, project=project, contexts=family, budget=budget
+        names = project or a.spec.variables()
+        family = context_family(desugar_theory(a).spec, names)
+        # the empty context comes first, so each side's model table is built
+        # once; a pair that differs without context reports as --stable does
+        report = strong_equiv_sampled(
+            a, b, project=project, contexts=[()] + family, budget=budget
+        )
+        if not report.equal and report.witness.context == ():
+            report = replace(
+                report,
+                witness=replace(report.witness, context=None),
+                projection=report.projection if project is not None else None,
             )
     elif args.stable:
         report = stable_equivalent(a, b, project=project, budget=budget)

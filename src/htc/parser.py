@@ -35,8 +35,8 @@ from .syntax import (
     Scaled,
     Theory,
     TruthConst,
-    free_vars,
     make_theory,
+    nodes,
     negated_term,
 )
 
@@ -414,35 +414,11 @@ def _parse_signed_number(run, i):
 def _used_name_families(statements) -> set:
     """Reserved-name families that desugaring or translation would draw from."""
     families = set()
-
-    def walk_expr(e):
-        for item in e.items:
-            if isinstance(item, ConditionalTerm):
-                families.add("c")
-            elif isinstance(item, Aggregate):
-                families.add("c")
-                if item.func in ("min", "max"):
-                    families.add(item.func)
-
-    def walk(phi):
-        if isinstance(phi, (Comparison,)):
-            walk_expr(phi.lhs)
-            walk_expr(phi.rhs)
-        elif isinstance(phi, Defined):
-            walk_expr(phi.arg)
-        elif isinstance(phi, (And, Or, Implies)):
-            walk(phi.lhs)
-            walk(phi.rhs)
-
-    for stmt in statements:
-        if isinstance(stmt, LCRule):
-            for a in stmt.head:
-                walk_expr(a.lower)
-                walk_expr(a.upper)
-            for b in stmt.pos_body + stmt.neg_body:
-                walk(b)
-        else:
-            walk(stmt)
+    for node in (n for stmt in statements for n in nodes(stmt)):
+        if isinstance(node, (ConditionalTerm, Aggregate)):
+            families.add("c")
+            if isinstance(node, Aggregate) and node.func in ("min", "max"):
+                families.add(node.func)
     return families
 
 

@@ -46,6 +46,7 @@ from .syntax import (
     _desugar_expr_conditions,
     check_budget,
     desugar_theory,
+    map_exprs,
 )
 
 # --------------------------------------------------------------------------
@@ -261,30 +262,24 @@ def substitute_value(atom, name: str, value):
     integer and the undefined marker otherwise (t has no arithmetic value);
     a Boolean atom becomes a fixed-truth atom.
     """
-    if isinstance(atom, BoolAtom):
-        if atom.name != name:
-            return atom
-        return TruthConst(value == TRUE)
-    if isinstance(atom, TruthConst):
-        return atom
-    if isinstance(atom, Comparison):
 
-        def sub(e: LinearExpr) -> LinearExpr:
-            items = []
-            for item in e.items:
-                if isinstance(item, Scaled) and item.var == name:
-                    if isinstance(value, int):
-                        items.append(Const(item.coeff * value))
-                    else:
-                        items.append(U)
-                elif isinstance(item, ConditionalTerm):
-                    raise ValueError("substitution expects a condition-free atom")
-                else:
-                    items.append(item)
-            return LinearExpr(tuple(items))
+    def sub(e: LinearExpr) -> LinearExpr:
+        items = []
+        for item in e.items:
+            if isinstance(item, Scaled) and item.var == name:
+                items.append(Const(item.coeff * value) if isinstance(value, int) else U)
+            elif isinstance(item, ConditionalTerm):
+                raise ValueError("substitution expects a condition-free atom")
+            else:
+                items.append(item)
+        return LinearExpr(tuple(items))
 
-        return Comparison(sub(atom.lhs), atom.rel, sub(atom.rhs))
-    raise TypeError(f"not a constraint atom: {atom!r}")
+    def sub_atom(a):
+        if isinstance(a, BoolAtom) and a.name == name:
+            return TruthConst(value == TRUE)
+        return a
+
+    return map_exprs(atom, sub, sub_atom)
 
 
 # --------------------------------------------------------------------------
@@ -480,16 +475,18 @@ def is_supported(t: Valuation, program: Theory) -> bool:
     evaluate (under t) to integers enclosing t(x), no assignment to another
     variable in the same head is satisfied by t, and t satisfies the body.
     """
+    from .transforms import assignment_formula
+
     program = desugar_theory(program)
+    # the evaluator's memo is keyed on identity: hold every formula it sees
+    rules = [(r, [assignment_formula(a) for a in r.head]) for r in program.rules]
     ev = _Eval(t, t)
-    return all(_value_supported(ev, t, x, program.rules) for x in t.names())
+    return all(_value_supported(ev, t, x, rules) for x in t.names())
 
 
 def _value_supported(ev: _Eval, t: Valuation, x: str, rules) -> bool:
-    from .transforms import assignment_formula
-
     d = t.get(x)
-    for rule in rules:
+    for rule, head_formulas in rules:
         for a in rule.head:
             if a.target != x:
                 continue
@@ -500,8 +497,8 @@ def _value_supported(ev: _Eval, t: Valuation, x: str, rules) -> bool:
             if not lo <= d <= hi:
                 continue
             if any(
-                ev.sat(assignment_formula(other))
-                for other in rule.head
+                ev.sat(f)
+                for other, f in zip(rule.head, head_formulas)
                 if other.target != x
             ):
                 continue

@@ -5,11 +5,21 @@ The surface language includes comparison relations beyond ``<=``, ``def``
 atoms and aggregate expressions; the desugaring pass removes all of them,
 leaving only ``<=`` atoms over linear expressions, Boolean atoms and the
 connectives of the core formula language.
+
+``children``, ``nodes`` and ``map_exprs`` are the one place that knows which
+node holds which subnodes; every query and rewrite over theories, rules and
+formulas goes through them.  ``map_exprs`` visits linear expressions lhs
+before rhs, lower before upper bound (a point assignment's bound once), and
+head before positive body before negative body.  Fresh names ``__c<k>``,
+``__min<k>`` and ``__max<k>`` are numbered in that order, statement by
+statement, with min/max side formulas visited after all statements, first in,
+first out.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Union
@@ -419,15 +429,25 @@ class Theory:
     statements: tuple = ()
 
     def __post_init__(self):
-        undeclared = free_vars(self) - set(self.spec.variables())
+        used, atoms, targets = set(), [], []
+        for node in nodes(self):
+            if type(node) is Scaled:
+                used.add(node.var)
+            elif type(node) is BoolAtom:
+                used.add(node.name)
+                atoms.append(node.name)
+            elif type(node) is Assignment:
+                used.add(node.target)
+                targets.append(node.target)
+        undeclared = used - set(self.spec.variables())
         if undeclared:
             raise DomainError(f"undeclared variables: {', '.join(sorted(undeclared))}")
-        for name in _bool_atom_names(self):
+        for name in atoms:
             if not self.spec.is_bool(name):
                 raise DomainError(f"{name} is used as an atom but is not Boolean")
-        for a in _assignments(self):
-            if not self.spec.is_int(a.target):
-                raise DomainError(f"assignment target {a.target} is not an integer variable")
+        for name in targets:
+            if not self.spec.is_int(name):
+                raise DomainError(f"assignment target {name} is not an integer variable")
 
     @property
     def formulas(self) -> tuple:
@@ -465,150 +485,119 @@ def make_theory(spec: DomainSpec, statements) -> Theory:
 
 
 # --------------------------------------------------------------------------
-# Variable collection and structural queries
+# Traversal: the one place that knows which node holds which children
+
+
+def _binary(node):
+    return (node.lhs, node.rhs)
+
+
+def _leaf(node):
+    return ()
+
+
+_CHILDREN = {
+    Const: _leaf,
+    Scaled: _leaf,
+    Undefined: _leaf,
+    Bot: _leaf,
+    BoolAtom: _leaf,
+    TruthConst: _leaf,
+    ConditionalTerm: lambda n: (n.then_term, n.else_term, n.condition),
+    AggregateElement: lambda n: (n.term, n.condition),
+    Aggregate: lambda n: n.elements,
+    LinearExpr: lambda n: n.items,
+    Comparison: _binary,
+    Defined: lambda n: (n.arg,),
+    And: _binary,
+    Or: _binary,
+    Implies: _binary,
+    Assignment: lambda n: (n.lower, n.upper),
+    LCRule: lambda n: n.head + n.pos_body + n.neg_body,
+    Theory: lambda n: n.statements,
+    LCProgram: lambda n: n.statements,
+}
+
+def children(node) -> tuple:
+    """The immediate subnodes of a syntax node, in source order."""
+    try:
+        shape = _CHILDREN[type(node)]
+    except KeyError:
+        raise TypeError(f"not a syntax node: {node!r}") from None
+    return shape(node)
+
+
+def nodes(obj) -> Iterator:
+    """Every node of a syntax tree, in preorder and source order."""
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        yield node
+        kids = children(node)
+        if kids:
+            stack.extend(reversed(kids))
+
+
+def map_exprs(stmt, f, atom=None):
+    """Rebuild a formula or rule with every linear expression e replaced by f(e).
+
+    Expressions are comparison sides, def arguments and assignment bounds,
+    visited lhs before rhs, lower before upper, and head before positive
+    body before negative body; a point assignment's bound is visited once.
+    With ``atom``, each rebuilt atom a is then replaced by atom(a).
+    """
+    tp = type(stmt)
+    if tp in (And, Or, Implies):
+        return tp(map_exprs(stmt.lhs, f, atom), map_exprs(stmt.rhs, f, atom))
+    if tp is LCRule:
+        return LCRule(
+            tuple(_map_bounds(a, f) for a in stmt.head),
+            tuple(map_exprs(b, f, atom) for b in stmt.pos_body),
+            tuple(map_exprs(b, f, atom) for b in stmt.neg_body),
+        )
+    if tp is Comparison:
+        stmt = Comparison(f(stmt.lhs), stmt.rel, f(stmt.rhs))
+    elif tp is Defined:
+        stmt = Defined(f(stmt.arg))
+    elif tp is Bot:
+        return stmt
+    elif tp not in (BoolAtom, TruthConst):
+        raise TypeError(f"not a formula or rule: {stmt!r}")
+    return stmt if atom is None else atom(stmt)
+
+
+def _map_bounds(a: Assignment, f) -> Assignment:
+    lower = f(a.lower)
+    return Assignment(a.target, lower, lower if a.point else f(a.upper))
 
 
 def free_vars(obj) -> set:
     """Variables occurring syntactically in a term, formula, rule or theory."""
     out: set = set()
-    _collect_vars(obj, out)
+    for node in nodes(obj):
+        if type(node) is Scaled:
+            out.add(node.var)
+        elif type(node) is BoolAtom:
+            out.add(node.name)
+        elif type(node) is Assignment:
+            out.add(node.target)
     return out
 
 
-def _collect_vars(obj, out: set):
-    if isinstance(obj, (Theory,)):
-        for s in obj.statements:
-            _collect_vars(s, out)
-    elif isinstance(obj, LCRule):
-        for a in obj.head:
-            _collect_vars(a, out)
-        for b in obj.pos_body + obj.neg_body:
-            _collect_vars(b, out)
-    elif isinstance(obj, Assignment):
-        out.add(obj.target)
-        _collect_vars(obj.lower, out)
-        _collect_vars(obj.upper, out)
-    elif isinstance(obj, LinearExpr):
-        for item in obj.items:
-            _collect_vars(item, out)
-    elif isinstance(obj, Scaled):
-        out.add(obj.var)
-    elif isinstance(obj, (Const, Undefined, Bot, TruthConst)):
-        pass
-    elif isinstance(obj, ConditionalTerm):
-        _collect_vars(obj.then_term, out)
-        _collect_vars(obj.else_term, out)
-        _collect_vars(obj.condition, out)
-    elif isinstance(obj, Aggregate):
-        for el in obj.elements:
-            _collect_vars(el.term, out)
-            _collect_vars(el.condition, out)
-    elif isinstance(obj, Comparison):
-        _collect_vars(obj.lhs, out)
-        _collect_vars(obj.rhs, out)
-    elif isinstance(obj, Defined):
-        _collect_vars(obj.arg, out)
-    elif isinstance(obj, BoolAtom):
-        out.add(obj.name)
-    elif isinstance(obj, (And, Or, Implies)):
-        _collect_vars(obj.lhs, out)
-        _collect_vars(obj.rhs, out)
-    else:
-        raise TypeError(f"cannot collect variables from {obj!r}")
-
-
-def _bool_atom_names(obj) -> set:
-    names: set = set()
-
-    def walk(o):
-        if isinstance(o, Theory):
-            for s in o.statements:
-                walk(s)
-        elif isinstance(o, LCRule):
-            for a in o.head:
-                walk(a)
-            for b in o.pos_body + o.neg_body:
-                walk(b)
-        elif isinstance(o, Assignment):
-            walk(o.lower)
-            walk(o.upper)
-        elif isinstance(o, LinearExpr):
-            for item in o.items:
-                walk(item)
-        elif isinstance(o, ConditionalTerm):
-            walk(o.condition)
-        elif isinstance(o, Aggregate):
-            for el in o.elements:
-                walk(el.condition)
-        elif isinstance(o, BoolAtom):
-            names.add(o.name)
-        elif isinstance(o, Comparison):
-            walk(o.lhs)
-            walk(o.rhs)
-        elif isinstance(o, Defined):
-            walk(o.arg)
-        elif isinstance(o, (And, Or, Implies)):
-            walk(o.lhs)
-            walk(o.rhs)
-
-    walk(obj)
-    return names
-
-
-def _assignments(obj):
-    if isinstance(obj, Theory):
-        for r in obj.rules:
-            yield from r.head
-    elif isinstance(obj, LCRule):
-        yield from obj.head
-
-
 def is_condition_free(obj) -> bool:
-    """True when no conditional term (or aggregate, which hides one) occurs."""
-    if isinstance(obj, (ConditionalTerm, Aggregate)):
-        return False
-    if isinstance(obj, LinearExpr):
-        return all(is_condition_free(i) for i in obj.items)
-    if isinstance(obj, (Const, Scaled, Undefined, Bot, BoolAtom, TruthConst)):
-        return True
-    if isinstance(obj, Comparison):
-        return is_condition_free(obj.lhs) and is_condition_free(obj.rhs)
-    if isinstance(obj, Defined):
-        return is_condition_free(obj.arg)
-    if isinstance(obj, (And, Or, Implies)):
-        return is_condition_free(obj.lhs) and is_condition_free(obj.rhs)
-    raise TypeError(f"not a formula or expression: {obj!r}")
+    """True when no conditional term (or aggregate, which hides one) occurs
+    in a formula or expression."""
+    if isinstance(obj, (Theory, LCRule, Assignment, AggregateElement)):
+        raise TypeError(f"not a formula or expression: {obj!r}")
+    return not any(isinstance(n, (ConditionalTerm, Aggregate)) for n in nodes(obj))
 
 
 def is_core(obj) -> bool:
     """True when desugared: only <= atoms, Boolean atoms and connectives remain."""
-    if isinstance(obj, Theory):
-        return all(is_core(s) for s in obj.statements)
-    if isinstance(obj, LCRule):
-        return all(
-            is_core_expr(a.lower) and is_core_expr(a.upper) for a in obj.head
-        ) and all(is_core(b) for b in obj.pos_body + obj.neg_body)
-    if isinstance(obj, (Bot, BoolAtom, TruthConst)):
-        return True
-    if isinstance(obj, Comparison):
-        return obj.rel == "<=" and is_core_expr(obj.lhs) and is_core_expr(obj.rhs)
-    if isinstance(obj, Defined):
-        return False
-    if isinstance(obj, (And, Or, Implies)):
-        return is_core(obj.lhs) and is_core(obj.rhs)
-    return False
-
-
-def is_core_expr(e: LinearExpr) -> bool:
-    for item in e.items:
-        if isinstance(item, (Const, Scaled, Undefined)):
-            continue
-        if isinstance(item, ConditionalTerm):
-            if not is_core(item.condition):
-                return False
-            continue
-        return False
-    return True
+    return not any(
+        isinstance(n, (Aggregate, Defined)) or (type(n) is Comparison and n.rel != "<=")
+        for n in nodes(obj)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -641,28 +630,21 @@ class FreshNames:
 # Desugaring: comparisons and def
 
 
-def desugar_comparisons(phi):
-    """Expand <, =, !=, >=, > and def into <= atoms, recursively.
+def desugar_comparisons(stmt):
+    """Expand <, =, !=, >=, > and def into <= atoms in a formula or rule.
 
     Conditions inside conditional terms and aggregate elements are expanded
     as well; aggregate structure itself is left alone.
     """
-    if isinstance(phi, (Bot, BoolAtom, TruthConst)):
-        return phi
-    if isinstance(phi, Defined):
-        e = _desugar_expr_conditions(phi.arg)
-        return defined(e)
-    if isinstance(phi, Comparison):
-        lhs = _desugar_expr_conditions(phi.lhs)
-        rhs = _desugar_expr_conditions(phi.rhs)
-        return _expand_relation(lhs, phi.rel, rhs)
-    if isinstance(phi, And):
-        return And(desugar_comparisons(phi.lhs), desugar_comparisons(phi.rhs))
-    if isinstance(phi, Or):
-        return Or(desugar_comparisons(phi.lhs), desugar_comparisons(phi.rhs))
-    if isinstance(phi, Implies):
-        return Implies(desugar_comparisons(phi.lhs), desugar_comparisons(phi.rhs))
-    raise TypeError(f"not a formula: {phi!r}")
+    return map_exprs(stmt, _desugar_expr_conditions, _core_atom)
+
+
+def _core_atom(atom):
+    if type(atom) is Comparison:
+        return _expand_relation(atom.lhs, atom.rel, atom.rhs)
+    if type(atom) is Defined:
+        return defined(atom.arg)
+    return atom
 
 
 def _expand_relation(lhs, rel, rhs):
@@ -685,23 +667,15 @@ def _desugar_expr_conditions(e: LinearExpr) -> LinearExpr:
     items = []
     for item in e.items:
         if isinstance(item, ConditionalTerm):
-            items.append(
-                ConditionalTerm(
-                    item.then_term, item.else_term, desugar_comparisons(item.condition)
-                )
-            )
+            cond = desugar_comparisons(item.condition)
+            item = ConditionalTerm(item.then_term, item.else_term, cond)
         elif isinstance(item, Aggregate):
-            items.append(
-                Aggregate(
-                    item.func,
-                    tuple(
-                        AggregateElement(el.term, desugar_comparisons(el.condition))
-                        for el in item.elements
-                    ),
-                )
+            elements = tuple(
+                AggregateElement(el.term, desugar_comparisons(el.condition))
+                for el in item.elements
             )
-        else:
-            items.append(item)
+            item = Aggregate(item.func, elements)
+        items.append(item)
     return LinearExpr(tuple(items))
 
 
@@ -811,35 +785,29 @@ def desugar_aggregates(thy: Theory) -> Theory:
     """
     fresh = FreshNames(thy.spec.variables())
     spec = thy.spec
-    statements = []
-    sides: list = []
-    for stmt in thy.statements:
-        if isinstance(stmt, LCRule):
-            head = []
-            for a in stmt.head:
-                lo, spec = _replace_aggregates_expr(a.lower, fresh, spec, sides)
-                if a.upper == a.lower:
-                    up = lo
-                else:
-                    up, spec = _replace_aggregates_expr(a.upper, fresh, spec, sides)
-                head.append(Assignment(a.target, lo, up))
-            pos = []
-            for b in stmt.pos_body:
-                f, spec = _replace_aggregates_formula(b, fresh, spec, sides)
-                pos.append(f)
-            neg = []
-            for b in stmt.neg_body:
-                f, spec = _replace_aggregates_formula(b, fresh, spec, sides)
-                neg.append(f)
-            statements.append(LCRule(tuple(head), tuple(pos), tuple(neg)))
-        else:
-            f, spec = _replace_aggregates_formula(stmt, fresh, spec, sides)
-            statements.append(f)
-    done: list = []
-    while sides:
-        f, spec = _replace_aggregates_formula(sides.pop(0), fresh, spec, sides)
-        done.append(f)
-    statements.extend(done)
+    sides: deque = deque()
+
+    def replace(e: LinearExpr) -> LinearExpr:
+        nonlocal spec
+        items = []
+        for item in e.items:
+            if type(item) is not Aggregate:
+                items.append(item)
+                continue
+            agg = desugar_count(item) if item.func == "count" else item
+            if agg.func == "sum":
+                items.extend(desugar_sum(agg).items)
+            else:
+                lo, hi = _aggregate_hull(agg, spec)
+                name, side = desugar_minmax(agg, fresh)
+                spec = spec.with_int_var(name, lo, hi)
+                sides.extend(side)
+                items.append(Scaled(1, name))
+        return LinearExpr(tuple(items))
+
+    statements = [map_exprs(s, replace) for s in thy.statements]
+    while sides:  # side formulas are desugared first in, first out
+        statements.append(map_exprs(sides.popleft(), replace))
     return make_theory(spec, statements)
 
 
@@ -850,57 +818,4 @@ def desugar_theory(thy: Theory) -> Theory:
     conditional terms), Boolean atoms and connectives.  Idempotent.
     """
     thy = desugar_aggregates(thy)
-    statements = []
-    for stmt in thy.statements:
-        if isinstance(stmt, LCRule):
-            head = tuple(
-                Assignment(
-                    a.target,
-                    _desugar_expr_conditions(a.lower),
-                    _desugar_expr_conditions(a.upper),
-                )
-                for a in stmt.head
-            )
-            pos = tuple(desugar_comparisons(b) for b in stmt.pos_body)
-            neg = tuple(desugar_comparisons(b) for b in stmt.neg_body)
-            statements.append(LCRule(head, pos, neg))
-        else:
-            statements.append(desugar_comparisons(stmt))
-    return make_theory(thy.spec, statements)
-
-
-def _replace_aggregates_formula(phi, fresh, spec, sides):
-    if isinstance(phi, (Bot, BoolAtom, TruthConst)):
-        return phi, spec
-    if isinstance(phi, Defined):
-        e, spec = _replace_aggregates_expr(phi.arg, fresh, spec, sides)
-        return Defined(e), spec
-    if isinstance(phi, Comparison):
-        lhs, spec = _replace_aggregates_expr(phi.lhs, fresh, spec, sides)
-        rhs, spec = _replace_aggregates_expr(phi.rhs, fresh, spec, sides)
-        return Comparison(lhs, phi.rel, rhs), spec
-    if isinstance(phi, (And, Or, Implies)):
-        lhs, spec = _replace_aggregates_formula(phi.lhs, fresh, spec, sides)
-        rhs, spec = _replace_aggregates_formula(phi.rhs, fresh, spec, sides)
-        return type(phi)(lhs, rhs), spec
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _replace_aggregates_expr(e: LinearExpr, fresh, spec, sides):
-    items = []
-    for item in e.items:
-        if isinstance(item, Aggregate):
-            agg = item
-            if agg.func == "count":
-                agg = desugar_count(agg)
-            if agg.func == "sum":
-                items.extend(desugar_sum(agg).items)
-            else:
-                lo, hi = _aggregate_hull(agg, spec)
-                name, side = desugar_minmax(agg, fresh)
-                spec = spec.with_int_var(name, lo, hi)
-                sides.extend(side)
-                items.append(Scaled(1, name))
-        else:
-            items.append(item)
-    return LinearExpr(tuple(items)), spec
+    return make_theory(thy.spec, [desugar_comparisons(s) for s in thy.statements])

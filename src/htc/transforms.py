@@ -27,7 +27,6 @@ from .syntax import (
     Comparison,
     Const,
     ConditionalTerm,
-    Defined,
     Implies,
     LCRule,
     LinearExpr,
@@ -50,6 +49,7 @@ from .syntax import (
     le,
     linear_term_range,
     make_theory,
+    map_exprs,
     negated_term,
     var_expr,
 )
@@ -57,15 +57,18 @@ from .syntax import (
 # --------------------------------------------------------------------------
 # Assignments
 
+# entries kept per cache; a rule's readings are rebuilt when evicted
+ASSIGNMENT_CACHE_SIZE = 1024
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=ASSIGNMENT_CACHE_SIZE)
 def phi(a: Assignment):
     """Non-directional version of an assignment: (lower <= x) & (x <= upper)."""
     x = var_expr(a.target)
     return And(le(a.lower, x), le(x, a.upper))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ASSIGNMENT_CACHE_SIZE)
 def def_of(a: Assignment):
     """def(lower) & def(upper), collapsing to one conjunct for x := e."""
     if a.point:
@@ -73,7 +76,7 @@ def def_of(a: Assignment):
     return And(defined(a.lower), defined(a.upper))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ASSIGNMENT_CACHE_SIZE)
 def assignment_formula(a: Assignment):
     """The directional reading: not not def(A) & (def(A) -> bounds hold)."""
     d = def_of(a)
@@ -333,20 +336,19 @@ def eliminate_conditionals(theory: Theory, budget=None) -> DeltaResult:
     """
     thy = desugar_aggregates(theory)
     fresh = FreshNames(thy.spec.variables())
-    state = {"spec": thy.spec}
+    spec = thy.spec
     mapping = []
     side = []
 
-    def walk_expr(e: LinearExpr) -> LinearExpr:
+    def replace(e: LinearExpr) -> LinearExpr:
+        nonlocal spec
         items = []
         for item in e.items:
-            if isinstance(item, ConditionalTerm):
+            if type(item) is ConditionalTerm:
                 name = fresh.fresh("c")
-                lo1, hi1 = linear_term_range(item.then_term, state["spec"])
-                lo2, hi2 = linear_term_range(item.else_term, state["spec"])
-                state["spec"] = state["spec"].with_int_var(
-                    name, min(lo1, lo2), max(hi1, hi2)
-                )
+                lo1, hi1 = linear_term_range(item.then_term, spec)
+                lo2, hi2 = linear_term_range(item.else_term, spec)
+                spec = spec.with_int_var(name, min(lo1, lo2), max(hi1, hi2))
                 mapping.append((item, name))
                 side.extend(delta(item, name))
                 items.append(Scaled(1, name))
@@ -354,30 +356,7 @@ def eliminate_conditionals(theory: Theory, budget=None) -> DeltaResult:
                 items.append(item)
         return LinearExpr(tuple(items))
 
-    def walk_formula(phi):
-        if isinstance(phi, Comparison):
-            return Comparison(walk_expr(phi.lhs), phi.rel, walk_expr(phi.rhs))
-        if isinstance(phi, Defined):
-            return Defined(walk_expr(phi.arg))
-        if isinstance(phi, (Bot, BoolAtom, TruthConst)):
-            return phi
-        if isinstance(phi, (And, Or, Implies)):
-            return type(phi)(walk_formula(phi.lhs), walk_formula(phi.rhs))
-        raise TransformError(f"cannot rewrite {phi!r}")
-
-    statements = []
-    for stmt in thy.statements:
-        if isinstance(stmt, LCRule):
-            head = []
-            for a in stmt.head:
-                lower = walk_expr(a.lower)
-                upper = lower if a.upper == a.lower else walk_expr(a.upper)
-                head.append(Assignment(a.target, lower, upper))
-            pos = tuple(walk_formula(b) for b in stmt.pos_body)
-            neg = tuple(walk_formula(b) for b in stmt.neg_body)
-            statements.append(LCRule(tuple(head), pos, neg))
-        else:
-            statements.append(walk_formula(stmt))
-    rewritten = desugar_theory(make_theory(state["spec"], statements))
-    check_budget(state["spec"], budget)
+    statements = [map_exprs(s, replace) for s in thy.statements]
+    rewritten = desugar_theory(make_theory(spec, statements))
+    check_budget(spec, budget)
     return DeltaResult(rewritten, tuple(side), tuple(mapping))

@@ -257,7 +257,7 @@ class TestTableConsistency:
             "#int x, y 0..2. #bool p. y = 2. sum{ x ; y } > 1 -> p."
         )
         core = desugar_theory(thy)
-        _, table = _ht_table(core)
+        table = _ht_table(core)
         assert _stable_under(table) == stable_models(core)
         ctx = (BoolAtom("p"),)
         extended = core.extended(ctx)

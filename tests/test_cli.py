@@ -250,3 +250,47 @@ class TestCheckSpecMismatch:
         f2.write_text("#bool q. q.\n")
         code, _, err = run(capsys, "check", str(f1), str(f2))
         assert code == 1 and "spec" in err
+
+
+class TestCheckStrongOutput:
+    """``check --strong`` stdout, pinned byte for byte."""
+
+    FILES = {
+        "p": "#bool p, q.\np.\n",
+        "q": "#bool p, q.\nq.\n",
+        "disj": "#bool p, q.\np | q.\n",
+        "impls": "#bool p, q.\nnot q -> p.\nnot p -> q.\n",
+    }
+
+    @pytest.mark.parametrize(
+        "a, b, extra, expected",
+        [
+            # differs without any context: no context key, projection only
+            # when one is asked for
+            ("p", "q", (), '{"report": {"verdict": "different", "witness": '
+             '{"side": "right-only", "valuation": {"q": true}}}}'),
+            ("p", "q", ("--project", "p,q"), '{"report": {"projection": ["p", "q"], '
+             '"verdict": "different", "witness": {"side": "right-only", '
+             '"valuation": {"q": true}}}}'),
+            ("p", "q", ("--project", "q"), '{"report": {"projection": ["q"], '
+             '"verdict": "different", "witness": {"side": "left-only", '
+             '"valuation": {}}}}'),
+            # stably equal, told apart by a context
+            ("disj", "impls", (), '{"report": {"projection": ["p", "q"], '
+             '"verdict": "different", "witness": {"context": ["p -> q", "q -> p"], '
+             '"side": "left-only", "valuation": {"p": true, "q": true}}}}'),
+            ("disj", "impls", ("--project", "p"), '{"report": {"projection": ["p"], '
+             '"verdict": "equal", "witness": null}}'),
+            ("disj", "disj", (), '{"report": {"projection": ["p", "q"], '
+             '"verdict": "equal", "witness": null}}'),
+        ],
+    )
+    def test_report_bytes(self, capsys, tmp_path, a, b, extra, expected):
+        for name, text in self.FILES.items():
+            (tmp_path / f"{name}.lc").write_text(text)
+        code, out, _ = run(
+            capsys, "check", str(tmp_path / f"{a}.lc"), str(tmp_path / f"{b}.lc"),
+            "--strong", *extra,
+        )
+        assert code == 0
+        assert out == expected + "\n"

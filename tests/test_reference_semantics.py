@@ -24,6 +24,7 @@ from htc.semantics import (
     eval_atom,
     eval_term,
     ht_models,
+    is_supported,
     satisfies,
     stable_models,
     subvaluations,
@@ -46,6 +47,7 @@ from htc.syntax import (
     desugar_theory,
     make_theory,
 )
+from htc import transforms
 from htc.transforms import theory_formulas
 
 SPEC = DEFAULT_SUITE_SPEC
@@ -148,6 +150,40 @@ def ref_stable_models(theory):
     return out
 
 
+def ref_is_supported(t, program):
+    """Every variable defined in t has a rule with an assignment to it whose
+    bounds enclose its value, no satisfied assignment to another variable in
+    the same head, and a body that t satisfies."""
+    program = desugar_theory(program)
+
+    def holds(phi):
+        return ref_sat(t, t, phi)
+
+    def supports(rule, a, x):
+        lo = ref_expr_value(t, t, t, a.lower)
+        hi = ref_expr_value(t, t, t, a.upper)
+        d = t.get(x)
+        return (
+            a.target == x
+            and isinstance(d, int)
+            and lo is not None
+            and hi is not None
+            and lo <= d <= hi
+            and not any(
+                holds(transforms.assignment_formula(o))
+                for o in rule.head
+                if o.target != x
+            )
+            and all(holds(b) for b in rule.pos_body)
+            and not any(holds(b) for b in rule.neg_body)
+        )
+
+    return all(
+        any(supports(rule, a, x) for rule in program.rules for a in rule.head)
+        for x in t.names()
+    )
+
+
 class TestAgainstReference:
     def test_satisfaction_agrees_on_random_formulas(self):
         for i in range(80):
@@ -165,6 +201,17 @@ class TestAgainstReference:
             rng = random.Random(42_000_003 + i)
             prog = gen_program(rng, SPEC)
             assert stable_models(prog) == ref_stable_models(prog)
+
+    def test_supportedness_agrees_without_formula_caches(self, monkeypatch):
+        # the engine's evaluator memoizes by object identity, so it must hold
+        # every formula it evaluates; with the assignment-formula cache gone
+        # nothing else keeps them alive
+        uncached = transforms.assignment_formula.__wrapped__
+        monkeypatch.setattr(transforms, "assignment_formula", uncached)
+        for i in range(300):
+            core = desugar_theory(gen_program(random.Random(i), SPEC, max_rules=4))
+            for t in enumerate_valuations(SPEC):
+                assert is_supported(t, core) == ref_is_supported(t, core), (i, t)
 
     def test_stable_models_agree_on_shipped_programs(self):
         for thy in shipped("vicious", "ysum", "ycond", "ycondp", "tax_toy"):
@@ -236,7 +283,7 @@ class TestDifferentialGate:
         corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
         for thy in corpus:
             core = desugar_theory(thy)
-            _, table = _ht_table(core)
+            table = _ht_table(core)
             assert _stable_under(table) == ref_stable_models(core)
             for ctx in context_family(core.spec):
                 expected = ref_stable_models(core.extended(ctx))

@@ -1,6 +1,9 @@
+import pathlib
+
 import pytest
 
 from htc.errors import DomainError, FreshNameError
+from htc.parser import parse_theory, pretty_print
 from htc.syntax import (
     TOP,
     Aggregate,
@@ -31,6 +34,9 @@ from htc.syntax import (
     make_theory,
     var_expr,
 )
+from htc.transforms import eliminate_conditionals
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 SPEC = DomainSpec.make({"x": (0, 9), "y": (0, 9)}, ["p"])
 
@@ -292,3 +298,44 @@ class TestMoreDesugarExamples:
             rng = random.Random(22_000_003 + i)
             phi = gen_formula(rng, spec)
             assert free_vars(desugar_comparisons(phi)) == free_vars(phi)
+
+
+class TestFreshNameOrder:
+    """Fresh names are numbered in visiting order, pinned on one program with
+    min, max, sum and count aggregates and conditional terms in assignment
+    bounds, positive and negative bodies and plain formulas."""
+
+    def theory(self):
+        return parse_theory((GOLDEN / "fresh_names.lc").read_text())
+
+    def test_desugar(self):
+        expected = (GOLDEN / "fresh_names.desugar.lc").read_text()
+        assert pretty_print(desugar_theory(self.theory())) == expected
+
+    def test_delta(self):
+        result = eliminate_conditionals(self.theory(), budget=10**40)
+        assert pretty_print(result.theory()) == (GOLDEN / "fresh_names.delta.lc").read_text()
+        mapping = "".join(
+            f"{name} {pretty_print(LinearExpr((term,)))}\n" for term, name in result.mapping
+        )
+        assert mapping == (GOLDEN / "fresh_names.mapping.txt").read_text()
+        assert [name for _, name in result.mapping] == [f"__c{k}" for k in range(23)]
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            LCRule((), (BoolAtom("p"),), ()),
+            Assignment("x", const_expr(1), const_expr(1)),
+            Theory(DomainSpec.make(bools=["p"]), (BoolAtom("p"),)),
+        ],
+    )
+    def test_condition_must_be_a_formula(self, condition):
+        with pytest.raises(TypeError):
+            ConditionalTerm(Const(1), Const(0), condition)
+
+    def test_undeclared_variables_reported_first(self):
+        spec = DomainSpec.make({"x": (0, 1)})
+        with pytest.raises(DomainError, match="undeclared variables: z"):
+            make_theory(spec, [le(var_expr("x"), var_expr("z")), BoolAtom("x")])
