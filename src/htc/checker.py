@@ -7,10 +7,12 @@ stable models agree under every added context theory.  The last condition
 quantifies over all contexts; the sampled check here enumerates a finite,
 deterministic family and is falsification-oriented only.
 
-The model tables behind the stable and strong checks keep only total models.
-A t whose <t, t> fails the theory cannot become stable when a context is
-added, since the extended theory still contains the failing one; and by
-persistence no h below such a t satisfies the theory either.
+The model tables behind the stable and strong checks come from the
+enumeration core's ``_run``, so they spread over ``jobs`` workers like any
+model search, and keep only total models.  A t whose <t, t> fails the
+theory cannot become stable when a context is added, since the extended
+theory still contains the failing one; and by persistence no h below such
+a t satisfies the theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .errors import HtcError
@@ -33,8 +35,11 @@ from .semantics import (
     Valuation,
     _Eval,
     _iter_valuations,
+    _pool_map,
+    _run,
     ht_models,
     models_below,
+    stable_models,
     total_models,
     valuation_key,
 )
@@ -57,7 +62,6 @@ from .syntax import (
     TOP,
     Theory,
     U,
-    check_budget,
     children,
     desugar_comparisons,
     desugar_theory,
@@ -66,7 +70,7 @@ from .syntax import (
     make_theory,
     map_exprs,
 )
-from .transforms import eliminate_conditionals, theory_formulas, unfold_rule
+from .transforms import eliminate_conditionals, unfold_rule, unfold_theory
 
 # --------------------------------------------------------------------------
 # Reports
@@ -123,27 +127,29 @@ class EquivReport:
 # the base theory.
 
 
-def _ht_table(thy: Theory, budget=None):
-    thy = desugar_theory(thy)
-    check_budget(thy.spec, budget)
-    formulas = theory_formulas(thy)
+def _table_scan(spec, formulas, start, stop):
     return [
         (t, frozenset(h for h, _ in models_below(t, ev_t, formulas, proper=True)))
-        for t, ev_t in total_models(thy.spec, formulas)
+        for t, ev_t in total_models(spec, formulas, start, stop)
     ]
 
 
+def _ht_table(thy: Theory, budget=None, jobs=1):
+    return _run(_table_scan, thy, budget, jobs)
+
+
 def _stable_under(table, extra=()):
-    """Stable models of the tabled theory extended with ``extra`` formulas."""
+    """Stable models of the tabled theory extended with ``extra`` formulas.
+
+    A tabled t stays stable unless one of its tabled h also satisfies
+    ``extra``: the h below t that the table leaves out fail the theory.
+    """
     out = []
     for t, below in table:
         ev_t = _Eval(t, t)
         if not all(ev_t.sat(f) for f in extra):
             continue
-        if below and any(
-            h in below and all(ev.sat(f) for f in extra)
-            for h, ev in models_below(t, ev_t, (), proper=True)
-        ):
+        if any(all(_Eval(h, t, ev_t).sat(f) for f in extra) for h in below):
             continue
         out.append(t)
     return out
@@ -153,13 +159,24 @@ def _stable_under(table, extra=()):
 # Equivalence checks
 
 
-def equivalent(a: Theory, b: Theory, budget=None) -> EquivReport:
+def _witness(key, sa, sb, field, context=None):
+    """The first model by ``key`` that only one side has, as a witness that
+    carries it in ``field``."""
+    left = min(sa - sb, key=key, default=None)
+    right = min(sb - sa, key=key, default=None)
+    # an empty valuation is falsy, so test for absence explicitly
+    if left is not None and (right is None or key(left) <= key(right)):
+        return Witness("left-only", context=context, **{field: left})
+    return Witness("right-only", context=context, **{field: right})
+
+
+def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
     """Same here-and-there models?  Both theories must share one spec."""
     a, b = desugar_theory(a), desugar_theory(b)
     if a.spec != b.spec:
         raise ValueError("theories must share a domain spec")
-    ma = set(ht_models(a, budget=budget))
-    mb = set(ht_models(b, budget=budget))
+    ma = set(ht_models(a, budget=budget, jobs=jobs))
+    mb = set(ht_models(b, budget=budget, jobs=jobs))
     if ma == mb:
         return EquivReport("equal")
     spec = a.spec
@@ -167,13 +184,7 @@ def equivalent(a: Theory, b: Theory, budget=None) -> EquivReport:
     def key(i):
         return (valuation_key(spec, i.t), valuation_key(spec, i.h))
 
-    only_a = sorted(ma - mb, key=key)
-    only_b = sorted(mb - ma, key=key)
-    if only_a and (not only_b or key(only_a[0]) <= key(only_b[0])):
-        w = Witness("left-only", interpretation=only_a[0])
-    else:
-        w = Witness("right-only", interpretation=only_b[0])
-    return EquivReport("different", w)
+    return EquivReport("different", _witness(key, ma, mb, "interpretation"))
 
 
 def _projection(a: Theory, b: Theory, project):
@@ -193,52 +204,52 @@ def _projection(a: Theory, b: Theory, project):
     return names
 
 
-def stable_equivalent(a: Theory, b: Theory, project=None, budget=None) -> EquivReport:
-    """Same stable models, after projecting onto ``project`` when given."""
+def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
+    """The projection, and a witness for the first context under which the
+    projected stable models of ``a`` and ``b`` differ (None if none does).
+
+    Each side's model table is built once and read under every context.
+    """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    ta = _ht_table(a, budget)
-    tb = _ht_table(b, budget)
-    sa = {t.project(names) for t in _stable_under(ta)}
-    sb = {t.project(names) for t in _stable_under(tb)}
-    projection = names if project is not None else None
-    if sa == sb:
-        return EquivReport("equal", projection=projection)
-    w = _valuation_witness(a.spec, sa, sb)
-    return EquivReport("different", w, projection=projection)
+    ta = _ht_table(a, budget, jobs)
+    tb = _ht_table(b, budget, jobs)
 
-
-def _valuation_witness(spec, sa, sb, context=None):
     def key(v):
-        return valuation_key(spec, v)
+        return valuation_key(a.spec, v)
 
-    only_a = sorted(sa - sb, key=key)
-    only_b = sorted(sb - sa, key=key)
-    if only_a and (not only_b or key(only_a[0]) <= key(only_b[0])):
-        return Witness("left-only", valuation=only_a[0], context=context)
-    return Witness("right-only", valuation=only_b[0], context=context)
+    for ctx in contexts:
+        ctx = tuple(desugar_comparisons(f) for f in ctx)
+        sa = {t.project(names) for t in _stable_under(ta, ctx)}
+        sb = {t.project(names) for t in _stable_under(tb, ctx)}
+        if sa != sb:
+            return names, _witness(key, sa, sb, "valuation", ctx)
+    return names, None
+
+
+def stable_equivalent(
+    a: Theory, b: Theory, project=None, budget=None, jobs=1
+) -> EquivReport:
+    """Same stable models, after projecting onto ``project`` when given."""
+    names, w = _stable_difference(a, b, project, [()], budget, jobs)
+    projection = names if project is not None else None
+    if w is None:
+        return EquivReport("equal", projection=projection)
+    return EquivReport("different", replace(w, context=None), projection=projection)
 
 
 def strong_equiv_sampled(
-    a: Theory, b: Theory, project=None, contexts=(), budget=None
+    a: Theory, b: Theory, project=None, contexts=(), budget=None, jobs=1
 ) -> EquivReport:
     """Projected stable-model equality under every context in the family.
 
     Contexts are tuples of formulas over the projection variables.  A pass
     means no counterexample was found within the family, nothing more.
     """
-    a, b = desugar_theory(a), desugar_theory(b)
-    names = _projection(a, b, project)
-    ta = _ht_table(a, budget)
-    tb = _ht_table(b, budget)
-    for ctx in contexts:
-        ctx = tuple(desugar_comparisons(f) for f in ctx)
-        sa = {t.project(names) for t in _stable_under(ta, ctx)}
-        sb = {t.project(names) for t in _stable_under(tb, ctx)}
-        if sa != sb:
-            w = _valuation_witness(a.spec, sa, sb, context=ctx)
-            return EquivReport("different", w, projection=tuple(names))
-    return EquivReport("equal", projection=tuple(names))
+    names, w = _stable_difference(a, b, project, contexts, budget, jobs)
+    if w is None:
+        return EquivReport("equal", projection=names)
+    return EquivReport("different", w, projection=names)
 
 
 def context_family(spec: DomainSpec, names=None, max_contexts=48):
@@ -571,8 +582,7 @@ def _replace_occurrence(atom, k, new_item):
 def _supportedness_law(core, spec):
     from .semantics import is_supported
 
-    table = _ht_table(core)
-    models = _stable_under(table)
+    models = stable_models(core)
     for t in models:
         if not is_supported(t, core):
             return {
@@ -659,13 +669,7 @@ def _htc_supported_sharp(t: Valuation, rules) -> bool:
 def _unfolding_law(core, spec):
     base = set(ht_models(core))
     for distribute in (False, True):
-        statements = []
-        for stmt in core.statements:
-            if isinstance(stmt, LCRule):
-                statements.extend(unfold_rule(stmt, distribute=distribute))
-            else:
-                statements.append(stmt)
-        if set(ht_models(make_theory(core.spec, statements))) != base:
+        if set(ht_models(unfold_theory(core, distribute))) != base:
             return {"theory": core, "detail": {"distribute": distribute}}
     return None
 
@@ -673,17 +677,11 @@ def _unfolding_law(core, spec):
 def _delta_law(thy, spec):
     names = thy.spec.variables()
     translated = eliminate_conditionals(thy).theory()
-    ta = _ht_table(thy)
-    tb = _ht_table(translated)
-    for ctx in [()] + context_family(thy.spec, names):
-        sa = {t.project(names) for t in _stable_under(ta, ctx)}
-        sb = {t.project(names) for t in _stable_under(tb, ctx)}
-        if sa != sb:
-            return {
-                "theory": thy,
-                "detail": {"context": [pretty_print(f) for f in ctx]},
-            }
-    return None
+    contexts = [()] + context_family(thy.spec, names)
+    _, w = _stable_difference(thy, translated, names, contexts)
+    if w is None:
+        return None
+    return {"theory": thy, "detail": {"context": [pretty_print(f) for f in w.context]}}
 
 
 def _suite_corpus_item(suite: str, seed: int, i: int, spec: DomainSpec):
@@ -707,28 +705,9 @@ def run_property_suite(
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITE_NAMES)}")
     spec = spec or DEFAULT_SUITE_SPEC
-    first = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _suite_item,
-                [suite] * count,
-                [seed] * count,
-                range(count),
-                [spec] * count,
-            )
-            for i, violation in enumerate(results):
-                if violation is not None:
-                    first = (i, violation)
-                    break
-    else:
-        for i in range(count):
-            violation = _suite_item(suite, seed, i, spec)
-            if violation is not None:
-                first = (i, violation)
-                break
+    items = [(suite, seed, i, spec) for i in range(count)]
+    violations = _pool_map(_suite_item, items, jobs)
+    first = next(((i, v) for i, v in enumerate(violations) if v is not None), None)
     if first is None:
         return SuiteReport(suite, seed, count, count, 0)
     i, violation = first

@@ -25,8 +25,8 @@ from .checker import (
 from .errors import BudgetError, HtcError, ParseError
 from .parser import parse_theory, pretty_print
 from .semantics import ht_models, stable_models, valuation_key
-from .syntax import LCRule, desugar_aggregates, desugar_theory, make_theory
-from .transforms import eliminate_conditionals, unfold_rule
+from .syntax import desugar_aggregates, desugar_theory
+from .transforms import eliminate_conditionals, unfold_theory
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,6 +39,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+
+def _int_at_least(minimum):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
 
 
 def _build_parser() -> _ArgumentParser:
@@ -71,7 +84,7 @@ def _build_parser() -> _ArgumentParser:
     props = sub.add_parser("props", help="run a property suite")
     props.add_argument("--suite", required=True, choices=SUITE_NAMES)
     props.add_argument("--seed", type=int, default=0)
-    props.add_argument("--count", type=int, default=50)
+    props.add_argument("--count", type=_int_at_least(0), default=50)
 
     for enumerating in (solve, translate, check):
         enumerating.add_argument(
@@ -81,7 +94,9 @@ def _build_parser() -> _ArgumentParser:
             help="interpretation budget (also HTC_MAX_INTERPS)",
         )
     for command in (solve, translate, check, props):
-        command.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        command.add_argument(
+            "--jobs", type=_int_at_least(1), default=1, help="parallel workers"
+        )
     return parser
 
 
@@ -142,14 +157,7 @@ def cmd_translate(args) -> int:
     else:
         # unfold first on the aggregate-free surface, so a later delta still
         # sees each conditional occurrence before comparison expansion
-        surface = desugar_aggregates(thy)
-        statements = []
-        for stmt in surface.statements:
-            if isinstance(stmt, LCRule):
-                statements.extend(unfold_rule(stmt, distribute=False))
-            else:
-                statements.append(stmt)
-        result = make_theory(surface.spec, statements)
+        result = unfold_theory(desugar_aggregates(thy), distribute=False)
         if args.pass_name == "all":
             result = eliminate_conditionals(result, budget=budget).theory()
         else:
@@ -173,7 +181,12 @@ def cmd_check(args) -> int:
         # the empty context comes first, so each side's model table is built
         # once; a pair that differs without context reports as --stable does
         report = strong_equiv_sampled(
-            a, b, project=project, contexts=[()] + family, budget=budget
+            a,
+            b,
+            project=project,
+            contexts=[()] + family,
+            budget=budget,
+            jobs=args.jobs,
         )
         if not report.equal and report.witness.context == ():
             report = replace(
@@ -182,9 +195,11 @@ def cmd_check(args) -> int:
                 projection=report.projection if project is not None else None,
             )
     elif args.stable:
-        report = stable_equivalent(a, b, project=project, budget=budget)
+        report = stable_equivalent(
+            a, b, project=project, budget=budget, jobs=args.jobs
+        )
     else:
-        report = equivalent(a, b, budget=budget)
+        report = equivalent(a, b, budget=budget, jobs=args.jobs)
     _emit({"report": report.to_json()})
     return EXIT_OK
 

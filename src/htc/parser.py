@@ -207,17 +207,7 @@ class _Parser:
             return TOP
         if self.accept("#false"):
             return BOT
-        if self.at("("):
-            save = self.pos
-            try:
-                return self.parse_atom()
-            except ParseError:
-                self.pos = save
-            self.expect("(")
-            f = self.parse_formula()
-            self.expect(")")
-            return f
-        return self.parse_atom()
+        return self.parse_body_atom()
 
     def parse_body_atom(self):
         if self.at("("):

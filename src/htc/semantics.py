@@ -22,6 +22,7 @@ interpretation count exceeds a budget (default 10**7).
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -407,7 +408,7 @@ def models_below(t: Valuation, ev_t: _Eval, formulas, proper=False):
         yield t, ev_t
 
 
-def _stable_scan(spec, formulas, start=None, stop=None):
+def _stable_scan(spec, formulas, start, stop):
     return [
         t
         for t, ev_t in total_models(spec, formulas, start, stop)
@@ -415,7 +416,7 @@ def _stable_scan(spec, formulas, start=None, stop=None):
     ]
 
 
-def _ht_scan(spec, formulas, start=None, stop=None):
+def _ht_scan(spec, formulas, start, stop):
     return [
         Interpretation(h, t)
         for t, ev_t in total_models(spec, formulas, start, stop)
@@ -423,29 +424,31 @@ def _ht_scan(spec, formulas, start=None, stop=None):
     ]
 
 
-def _parallel(scan, spec, formulas, jobs):
-    total = 1
-    for n in spec.variables():
-        total *= len(spec.domain_values(n)) + 1
-    chunk = max(1, -(-total // jobs))
-    ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
+def _pool_map(fn, args, jobs):
+    """``fn(*a)`` for each tuple ``a`` of ``args``, in order.
+
+    With one job the calls run lazily in this process; otherwise on a pool of
+    ``jobs`` workers, all of whose tasks have finished when this returns.
+    """
+    if jobs <= 1:
+        return itertools.starmap(fn, args)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(scan, *zip(*[(spec, formulas, a, b) for a, b in ranges]))
-        out = []
-        for part in parts:
-            out.extend(part)
-    return out
+        return pool.map(fn, *zip(*args))
 
 
 def _run(scan, theory: Theory, budget, jobs):
+    """``scan(spec, formulas, start, stop)`` over ``jobs`` slices of the
+    candidates of the desugared theory, concatenated in candidate order."""
     from .transforms import theory_formulas
 
     thy = desugar_theory(theory)
     check_budget(thy.spec, budget)
     formulas = theory_formulas(thy)
-    if jobs > 1:
-        return _parallel(scan, thy.spec, formulas, jobs)
-    return scan(thy.spec, formulas)
+    spec = thy.spec
+    total = math.prod(len(spec.domain_values(n)) + 1 for n in spec.variables())
+    chunk = -(-total // max(jobs, 1))
+    chunks = [(spec, formulas, a, a + chunk) for a in range(0, total, chunk)]
+    return list(itertools.chain.from_iterable(_pool_map(scan, chunks, jobs)))
 
 
 def stable_models(theory: Theory, budget=None, jobs=1) -> list:

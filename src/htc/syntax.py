@@ -351,10 +351,6 @@ def Not(phi) -> Implies:
     return Implies(phi, BOT)
 
 
-def is_negation(phi) -> bool:
-    return isinstance(phi, Implies) and phi.rhs == BOT
-
-
 def conj(parts) -> Formula:
     """Left-nested conjunction; empty becomes #true."""
     parts = list(parts)

@@ -135,6 +135,18 @@ def unfold_rule(r: LCRule, distribute: bool = True, max_head: int = UNFOLD_HEAD_
     return out
 
 
+def unfold_theory(thy: Theory, distribute: bool) -> Theory:
+    """The theory with every rule unfolded by ``unfold_rule`` and every other
+    statement kept, in statement order."""
+    statements = []
+    for stmt in thy.statements:
+        if isinstance(stmt, LCRule):
+            statements.extend(unfold_rule(stmt, distribute=distribute))
+        else:
+            statements.append(stmt)
+    return make_theory(thy.spec, statements)
+
+
 def distribute_implication(psi):
     """Split one implication into rules: atom-disjunction heads, literal bodies."""
     if isinstance(psi, Implies):
@@ -164,20 +176,25 @@ def _head_cnf(phi):
     raise TransformError(f"cannot distribute head {phi!r}")
 
 
-def _body_dnf(phi):
+def _body_dnf(phi, wrap=lambda atom: atom):
+    """Disjunctive normal form of a body, each atom ``a`` as ``wrap(a)``."""
     if phi == TOP:
         return [[]]
     if isinstance(phi, Bot):
         return []
     if _is_atom(phi):
-        return [[phi]]
+        return [[wrap(phi)]]
     if isinstance(phi, And):
-        return [a + b for a in _body_dnf(phi.lhs) for b in _body_dnf(phi.rhs)]
+        return [a + b for a in _body_dnf(phi.lhs, wrap) for b in _body_dnf(phi.rhs, wrap)]
     if isinstance(phi, Or):
-        return _body_dnf(phi.lhs) + _body_dnf(phi.rhs)
+        return _body_dnf(phi.lhs, wrap) + _body_dnf(phi.rhs, wrap)
     if isinstance(phi, Implies) and phi.rhs == BOT:
         return _negated_dnf(phi.lhs)
     raise TransformError(f"cannot distribute body part {phi!r}")
+
+
+def _doubly_negated(atom):
+    return Not(Not(atom))
 
 
 def _negated_dnf(phi):
@@ -185,7 +202,8 @@ def _negated_dnf(phi):
 
     Uses the equivalences valid in here-and-there: both De Morgan laws,
     distribution of double negation over & and |, collapse of triple
-    negation, and not (a -> b) == not not a & not b.
+    negation, and not (a -> b) == not not a & not b.  The form of
+    ``not not a`` is the body form of ``a`` with each atom doubly negated.
     """
     if phi == TOP:
         return []
@@ -199,34 +217,13 @@ def _negated_dnf(phi):
         return [a + b for a in _negated_dnf(phi.lhs) for b in _negated_dnf(phi.rhs)]
     if isinstance(phi, Implies):
         if phi.rhs == BOT:
-            return _doubly_negated_dnf(phi.lhs)
+            return _body_dnf(phi.lhs, _doubly_negated)
         return [
             a + b
-            for a in _doubly_negated_dnf(phi.lhs)
+            for a in _body_dnf(phi.lhs, _doubly_negated)
             for b in _negated_dnf(phi.rhs)
         ]
     raise TransformError(f"cannot negate body part {phi!r}")
-
-
-def _doubly_negated_dnf(phi):
-    """Disjunctive normal form of ``not not phi``."""
-    if phi == TOP:
-        return [[]]
-    if isinstance(phi, Bot):
-        return []
-    if _is_atom(phi):
-        return [[Not(Not(phi))]]
-    if isinstance(phi, And):
-        return [
-            a + b
-            for a in _doubly_negated_dnf(phi.lhs)
-            for b in _doubly_negated_dnf(phi.rhs)
-        ]
-    if isinstance(phi, Or):
-        return _doubly_negated_dnf(phi.lhs) + _doubly_negated_dnf(phi.rhs)
-    if isinstance(phi, Implies) and phi.rhs == BOT:
-        return _negated_dnf(phi.lhs)
-    raise TransformError(f"cannot doubly negate body part {phi!r}")
 
 
 # --------------------------------------------------------------------------

@@ -206,6 +206,8 @@ class TestSuites:
             assert report.violations == 1
             assert report.counterexample["item"] == report.checked - 1
             assert isinstance(report.counterexample["formula"], str)
+            # the lowest failing item wins on a pool too
+            assert run_property_suite("broken", seed=1, count=30, jobs=2) == report
         finally:
             del chk._SUITES["broken"]
 

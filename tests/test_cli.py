@@ -95,6 +95,24 @@ class TestSolve:
             assert exc.value.code == 1
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["props", "--suite", "negation", "--count", "-3"],
+            ["props", "--suite", "negation", "--jobs", "0"],
+            ["solve", str(PROGRAMS / "ysum.lc"), "--jobs", "0"],
+            ["translate", str(PROGRAMS / "ysum.lc"), "--pass", "desugar", "--jobs", "-4"],
+            ["check", str(PROGRAMS / "ysum.lc"), str(PROGRAMS / "ysum.lc"), "--jobs", "-4"],
+        ],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least" in captured.err
+
     def test_jobs_flag(self, capsys):
         a = run_json(capsys, "solve", str(PROGRAMS / "ysum.lc"), "--jobs", "2")
         b = run_json(capsys, "solve", str(PROGRAMS / "ysum.lc"))
@@ -294,3 +312,58 @@ class TestCheckStrongOutput:
         )
         assert code == 0
         assert out == expected + "\n"
+
+
+class TestCheckJobs:
+    """``check`` spreads its model tables over ``--jobs`` workers and prints
+    the same bytes for every worker count."""
+
+    FILES = {
+        "disj": "#bool p, q.\np | q.\n",
+        "impls": "#bool p, q.\nnot q -> p.\nnot p -> q.\n",
+    }
+
+    def files(self, capsys, tmp_path, names):
+        for name, text in self.FILES.items():
+            (tmp_path / f"{name}.lc").write_text(text)
+        _, delta, _ = run(capsys, "translate", str(PROGRAMS / "ycond.lc"), "--pass", "delta")
+        (tmp_path / "ycond.delta.lc").write_text(delta)
+        (tmp_path / "ycond.lc").write_text((PROGRAMS / "ycond.lc").read_text())
+        return [str(tmp_path / f"{name}.lc") for name in names]
+
+    def test_tables_are_built_on_a_pool(self, capsys, tmp_path, monkeypatch):
+        import htc.semantics
+
+        built = []
+
+        class CountingPool(htc.semantics.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(htc.semantics, "ProcessPoolExecutor", CountingPool)
+        files = self.files(capsys, tmp_path, ("disj", "impls"))
+        run_json(capsys, "check", *files, "--strong", "--jobs", "2")
+        assert built == [2, 2]  # one table per side
+        run_json(capsys, "check", *files, "--jobs", "1")
+        assert built == [2, 2]
+
+    @pytest.mark.parametrize(
+        "names, extra",
+        [
+            (("disj", "impls"), ()),
+            (("ycond", "ycond.delta"), ("--stable", "--project", "y")),
+            # stably equal, told apart only by a non-empty context
+            (("disj", "impls"), ("--strong",)),
+        ],
+    )
+    def test_output_does_not_depend_on_jobs(self, capsys, tmp_path, names, extra):
+        files = self.files(capsys, tmp_path, names)
+        outputs = set()
+        for jobs in ("1", "2", "3"):
+            code, out, _ = run(capsys, "check", *files, *extra, "--jobs", jobs)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+        if "--strong" in extra:
+            assert json.loads(outputs.pop())["report"]["witness"]["context"]
