@@ -18,7 +18,10 @@ The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
 rule unfolding, faithfulness of conditional-term elimination) on seeded
 random corpora and report the first counterexample, shrunk to a locally
-minimal instance by re-running the same law on smaller candidates.
+minimal instance by re-running the same law on smaller candidates.  The
+supportedness laws read rules as (head items, body) pairs: assignment rules
+directly, unfolded rules as the clauses ``transforms.clauses`` distributes
+them into, never by parsing a formula back into a rule.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from .semantics import (
     _iter_valuations,
     _pool_map,
     _run,
+    _supported,
     ht_models,
+    is_supported,
     models_below,
     stable_models,
     total_models,
@@ -46,9 +51,7 @@ from .semantics import (
 from .syntax import (
     And,
     Assignment,
-    BOT,
     BoolAtom,
-    Bot,
     Comparison,
     Const,
     ConditionalTerm,
@@ -70,7 +73,7 @@ from .syntax import (
     make_theory,
     map_exprs,
 )
-from .transforms import eliminate_conditionals, unfold_rule, unfold_theory
+from .transforms import clauses, eliminate_conditionals, unfold_rule, unfold_theory
 
 # --------------------------------------------------------------------------
 # Reports
@@ -318,13 +321,7 @@ def _gen_expr(rng, spec, conditional_budget, max_terms=2):
             and rng.random() < 0.35
         ):
             conditional_budget[0] -= 1
-            items.append(
-                ConditionalTerm(
-                    _gen_linear_term(rng, spec),
-                    _gen_linear_term(rng, spec),
-                    _gen_condition(rng, spec),
-                )
-            )
+            items.append(gen_conditional_term(rng, spec))
         else:
             items.append(_gen_linear_term(rng, spec))
     return LinearExpr(tuple(items))
@@ -580,90 +577,34 @@ def _replace_occurrence(atom, k, new_item):
 
 
 def _supportedness_law(core, spec):
-    from .semantics import is_supported
-
     models = stable_models(core)
     for t in models:
         if not is_supported(t, core):
-            return {
-                "theory": core,
-                "detail": {"model": t.to_json(), "law": "lc-supported"},
-            }
-    unfolded = []
-    for rule in core.rules:
-        unfolded.extend(unfold_rule(rule))
+            return _unsupported(core, t, "lc-supported")
+    if not models:
+        return None
+    # the unfolded rules as clauses; a head atom names its free variables
+    rules = [
+        ([(free_vars(c), TOP, c) for c in atoms], lits)
+        for rule in core.rules
+        for psi in unfold_rule(rule, distribute=False)
+        for atoms, lits in clauses(psi)
+    ]
     for t in models:
-        if not _htc_supported(t, unfolded):
-            return {
-                "theory": core,
-                "detail": {"model": t.to_json(), "law": "htc-supported"},
-            }
-        if not _htc_supported_sharp(t, unfolded):
-            return {
-                "theory": core,
-                "detail": {"model": t.to_json(), "law": "htc-supported-sharp"},
-            }
+        ev_t = _Eval(t, t)
+        for x in t.names():
+            if not _supported(x, rules, ev_t, ev_t):
+                return _unsupported(core, t, "htc-supported")
+        # undefining x must leave a rule for x whose body still holds
+        for x in t.names():
+            h = Valuation(p for p in t.items() if p[0] != x)
+            if not _supported(x, rules, ev_t, _Eval(h, t, total=ev_t)):
+                return _unsupported(core, t, "htc-supported-sharp")
     return None
 
 
-def _flatten(phi, cls):
-    if isinstance(phi, cls):
-        yield from _flatten(phi.lhs, cls)
-        yield from _flatten(phi.rhs, cls)
-    else:
-        yield phi
-
-
-def _structured_rules(rules):
-    """Split implication-form rules into (head atoms, body literals)."""
-    structured = []
-    for r in rules:
-        if isinstance(r, Implies) and r.rhs != BOT:
-            body, head = r.lhs, r.rhs
-        else:
-            body, head = TOP, r
-        head_atoms = () if isinstance(head, Bot) else tuple(_flatten(head, Or))
-        body_lits = tuple(_flatten(body, And))
-        structured.append((head_atoms, body_lits))
-    return structured
-
-
-def _htc_supported(t: Valuation, rules) -> bool:
-    """Supportedness against rules whose heads are disjunctions of atoms."""
-    ev = _Eval(t, t)
-    structured = _structured_rules(rules)
-    return all(_htc_var_supported(ev, ev, x, structured) for x in t.names())
-
-
-def _htc_var_supported(ev_head, ev_body, x, structured) -> bool:
-    """Some rule has a head atom mentioning x, no other head atom true at
-    ``ev_head`` and a body true at ``ev_body``."""
-    for head_atoms, body_lits in structured:
-        for c in head_atoms:
-            if x not in free_vars(c):
-                continue
-            if any(
-                ev_head.sat(c2)
-                for c2 in head_atoms
-                if x not in free_vars(c2)
-            ):
-                continue
-            if all(ev_body.sat(b) for b in body_lits if b != TOP):
-                return True
-    return False
-
-
-def _htc_supported_sharp(t: Valuation, rules) -> bool:
-    """Interpretation-level supportedness: undefining one variable leaves a
-    rule whose head mentions it, whose other head atoms fail at the total
-    world, and whose body still holds at the weakened pair."""
-    ev_t = _Eval(t, t)
-    structured = _structured_rules(rules)
-    for x in t.names():
-        h = Valuation((n, v) for n, v in t.items() if n != x)
-        if not _htc_var_supported(ev_t, _Eval(h, t, total=ev_t), x, structured):
-            return False
-    return True
+def _unsupported(core, t, law):
+    return {"theory": core, "detail": {"model": t.to_json(), "law": law}}
 
 
 def _unfolding_law(core, spec):

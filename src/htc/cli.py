@@ -61,7 +61,9 @@ def _build_parser() -> _ArgumentParser:
     solve = sub.add_parser("solve", help="enumerate stable models of a file")
     solve.add_argument("file")
     solve.add_argument("--ht", action="store_true", help="list HT models instead")
-    solve.add_argument("--models", type=int, default=None, help="print at most N models")
+    solve.add_argument(
+        "--models", type=_int_at_least(0), default=None, help="print at most N models"
+    )
 
     translate = sub.add_parser("translate", help="print a transformed program")
     translate.add_argument("file")
@@ -129,7 +131,7 @@ def cmd_solve(args) -> int:
                 seen.add(pair)
                 out.append({"h": pair[0].to_json(), "t": pair[1].to_json()})
         if args.models is not None:
-            out = out[: max(args.models, 0)]
+            out = out[: args.models]
         _emit({"ht_models": out})
         return EXIT_OK
     models = stable_models(thy, budget=budget, jobs=args.jobs)
@@ -142,7 +144,7 @@ def cmd_solve(args) -> int:
             projected.append(p)
     projected.sort(key=lambda v: valuation_key(thy.spec, v))
     if args.models is not None:
-        projected = projected[: max(args.models, 0)]
+        projected = projected[: args.models]
     _emit({"stable_models": [v.to_json() for v in projected]})
     return EXIT_OK
 

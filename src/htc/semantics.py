@@ -37,6 +37,7 @@ from .syntax import (
     DomainSpec,
     Implies,
     LinearExpr,
+    Not,
     Or,
     Scaled,
     Theory,
@@ -73,9 +74,6 @@ class Valuation:
         """The value of ``name``, or None when undefined."""
         return self._map.get(name)
 
-    def defined(self, name) -> bool:
-        return name in self._map
-
     def names(self) -> tuple:
         return tuple(n for n, _ in self._pairs)
 
@@ -99,9 +97,6 @@ class Valuation:
         omap = other._map
         return all(omap.get(n) == v for n, v in self._pairs)
 
-    def proper_subset_of(self, other: "Valuation") -> bool:
-        return len(self._pairs) < len(other._pairs) and self.subset_of(other)
-
     def project(self, names) -> "Valuation":
         keep = set(names)
         return Valuation((n, v) for n, v in self._pairs if n in keep)
@@ -118,10 +113,6 @@ class Interpretation:
     def __post_init__(self):
         if not self.h.subset_of(self.t):
             raise ValueError("h must be a subset of t")
-
-    @property
-    def total(self) -> bool:
-        return self.h == self.t
 
     def to_json(self) -> dict:
         return {"h": self.h.to_json(), "t": self.t.to_json()}
@@ -478,35 +469,32 @@ def is_supported(t: Valuation, program: Theory) -> bool:
     evaluate (under t) to integers enclosing t(x), no assignment to another
     variable in the same head is satisfied by t, and t satisfies the body.
     """
-    from .transforms import assignment_formula
+    from .transforms import assignment_formula, phi
 
     program = desugar_theory(program)
     # the evaluator's memo is keyed on identity: hold every formula it sees
-    rules = [(r, [assignment_formula(a) for a in r.head]) for r in program.rules]
+    rules = [
+        (
+            [((a.target,), phi(a), assignment_formula(a)) for a in r.head],
+            list(r.pos_body) + [Not(b) for b in r.neg_body],
+        )
+        for r in program.rules
+    ]
     ev = _Eval(t, t)
-    return all(_value_supported(ev, t, x, rules) for x in t.names())
+    return all(_supported(x, rules, ev, ev) for x in t.names())
 
 
-def _value_supported(ev: _Eval, t: Valuation, x: str, rules) -> bool:
-    d = t.get(x)
-    for rule, head_formulas in rules:
-        for a in rule.head:
-            if a.target != x:
-                continue
-            lo = ev._expr_value(a.lower)
-            hi = ev._expr_value(a.upper)
-            if lo is None or hi is None or not isinstance(d, int):
-                continue
-            if not lo <= d <= hi:
-                continue
-            if any(
-                ev.sat(f)
-                for other, f in zip(rule.head, head_formulas)
-                if other.target != x
-            ):
-                continue
-            if all(ev.sat(b) for b in rule.pos_body) and not any(
-                ev.sat(b) for b in rule.neg_body
-            ):
-                return True
-    return False
+def _supported(x: str, rules, ev_head: _Eval, ev_body: _Eval) -> bool:
+    """Some rule supports x.
+
+    A rule is ``(items, body)`` and an item ``(names, condition, formula)``.
+    The rule supports x when an item naming x has its condition true at
+    ``ev_head``, no item leaving x out has its formula true there, and every
+    body formula holds at ``ev_body``.
+    """
+    return any(
+        any(x in names and ev_head.sat(cond) for names, cond, _ in items)
+        and not any(x not in names and ev_head.sat(f) for names, _, f in items)
+        and all(ev_body.sat(b) for b in body)
+        for items, body in rules
+    )

@@ -132,18 +132,6 @@ class DomainSpec:
             tuple(sorted(self.int_vars + ((name, lo, hi),))), self.bool_vars
         )
 
-    def merged(self, other: "DomainSpec") -> "DomainSpec":
-        """Union of two specs; shared names must agree."""
-        ints = {n: (lo, hi) for n, lo, hi in self.int_vars}
-        for n, lo, hi in other.int_vars:
-            if n in ints and ints[n] != (lo, hi):
-                raise DomainError(f"conflicting intervals for {n}")
-            ints[n] = (lo, hi)
-        bools = set(self.bool_vars) | set(other.bool_vars)
-        if set(ints) & bools:
-            raise DomainError("a name is both integer and Boolean")
-        return DomainSpec.make(ints, bools)
-
     def interpretation_count(self) -> int:
         """Number of here-and-there pairs over this spec: prod(2*|D_x| + 1)."""
         n = 1

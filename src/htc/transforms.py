@@ -105,7 +105,7 @@ def theory_formulas(thy: Theory) -> tuple:
 UNFOLD_HEAD_LIMIT = 10
 
 
-def unfold_rule(r: LCRule, distribute: bool = True, max_head: int = UNFOLD_HEAD_LIMIT):
+def unfold_rule(r: LCRule, distribute: bool = True):
     """Unfold a rule into implications free of assignment heads.
 
     One implication is produced per subset D of the head: the non-directional
@@ -115,7 +115,7 @@ def unfold_rule(r: LCRule, distribute: bool = True, max_head: int = UNFOLD_HEAD_
     bodies conjunctions of literals.
     """
     heads = r.head
-    if len(heads) > max_head:
+    if len(heads) > UNFOLD_HEAD_LIMIT:
         raise TransformError(
             f"refusing to unfold a rule with {len(heads)} head assignments"
         )
@@ -147,17 +147,25 @@ def unfold_theory(thy: Theory, distribute: bool) -> Theory:
     return make_theory(thy.spec, statements)
 
 
-def distribute_implication(psi):
-    """Split one implication into rules: atom-disjunction heads, literal bodies."""
+def clauses(psi) -> list:
+    """The rules one implication distributes into, as (head atoms, body
+    literals) pairs: the head's atoms are read disjunctively, the body's
+    literals conjunctively.  A constraint has no head atoms."""
     if isinstance(psi, Implies):
         body, head = psi.lhs, psi.rhs
     else:
         body, head = TOP, psi
-    rules = []
-    for clause in _head_cnf(head):
-        for lits in _body_dnf(body):
-            rules.append(Implies(conj(lits), disj(clause)) if lits else disj(clause))
-    return rules
+    heads = _head_cnf(head)
+    bodies = _body_dnf(body)
+    return [(atoms, lits) for atoms in heads for lits in bodies]
+
+
+def distribute_implication(psi):
+    """Split one implication into rules: atom-disjunction heads, literal bodies."""
+    return [
+        Implies(conj(lits), disj(atoms)) if lits else disj(atoms)
+        for atoms, lits in clauses(psi)
+    ]
 
 
 def _is_atom(phi):

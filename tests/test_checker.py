@@ -17,7 +17,7 @@ from htc.checker import (
     strong_equiv_sampled,
 )
 from htc.parser import parse_theory
-from htc.semantics import satisfies, stable_models
+from htc.semantics import Valuation, satisfies, stable_models
 from htc.syntax import (
     BOT,
     BoolAtom,
@@ -227,6 +227,34 @@ class TestSuites:
         monkeypatch.setattr(chk, "ht_models", crashing_ht_models)
         with pytest.raises(ValueError, match="engine crash"):
             run_property_suite("unfolding", seed=0, count=1)
+
+
+
+class TestSupportednessLaw:
+    @pytest.mark.parametrize(
+        "text, models",
+        [
+            # the only rule for x has a false body at {x=2, y=3}
+            (
+                "#int x, y 0..3. x := 1 :- y <= 2. y := 3.",
+                [{"y": 3}, {"x": 2, "y": 3}],
+            ),
+            # a constraint supports nothing
+            ("#int x 0..3. :- x <= 1.", [{"x": 2}]),
+        ],
+    )
+    def test_htc_law_fails_on_an_unsupported_model(self, monkeypatch, text, models):
+        from htc import checker as chk
+
+        models = [Valuation(m) for m in models]
+        monkeypatch.setattr(chk, "stable_models", lambda core: models)
+        monkeypatch.setattr(chk, "is_supported", lambda t, core: True)
+        core = desugar_theory(parse_theory(text))
+        violation = chk._supportedness_law(core, core.spec)
+        assert violation["detail"] == {
+            "model": models[-1].to_json(),
+            "law": "htc-supported",
+        }
 
 
 class TestTautologySchemata:

@@ -99,6 +99,7 @@ class TestSolve:
         "argv",
         [
             ["props", "--suite", "negation", "--count", "-3"],
+            ["solve", str(PROGRAMS / "ysum.lc"), "--models", "-1"],
             ["props", "--suite", "negation", "--jobs", "0"],
             ["solve", str(PROGRAMS / "ysum.lc"), "--jobs", "0"],
             ["translate", str(PROGRAMS / "ysum.lc"), "--pass", "desugar", "--jobs", "-4"],

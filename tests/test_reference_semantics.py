@@ -204,10 +204,11 @@ class TestAgainstReference:
 
     def test_supportedness_agrees_without_formula_caches(self, monkeypatch):
         # the engine's evaluator memoizes by object identity, so it must hold
-        # every formula it evaluates; with the assignment-formula cache gone
-        # nothing else keeps them alive
-        uncached = transforms.assignment_formula.__wrapped__
-        monkeypatch.setattr(transforms, "assignment_formula", uncached)
+        # every formula it evaluates; with the assignment caches gone nothing
+        # else keeps them alive
+        for name in ("assignment_formula", "phi"):
+            uncached = getattr(transforms, name).__wrapped__
+            monkeypatch.setattr(transforms, name, uncached)
         for i in range(300):
             core = desugar_theory(gen_program(random.Random(i), SPEC, max_rules=4))
             for t in enumerate_valuations(SPEC):

@@ -52,6 +52,7 @@ from htc.transforms import (
     phi,
     rule_formula,
     theory_formulas,
+    UNFOLD_HEAD_LIMIT,
     unfold_rule,
 )
 
@@ -190,7 +191,9 @@ class TestUnfold:
         assert unfold_rule(rule, distribute=False) == [BOT]
 
     def test_head_limit(self):
-        heads = tuple(point("x", const_expr(i % 3)) for i in range(11))
+        heads = tuple(
+            point("x", const_expr(i % 3)) for i in range(UNFOLD_HEAD_LIMIT + 1)
+        )
         with pytest.raises(TransformError):
             unfold_rule(LCRule(heads))
 
