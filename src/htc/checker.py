@@ -7,12 +7,12 @@ stable models agree under every added context theory.  The last condition
 quantifies over all contexts; the sampled check here enumerates a finite,
 deterministic family and is falsification-oriented only.
 
-The model tables behind the stable and strong checks come from the
-enumeration core's ``_run``, so they spread over ``jobs`` workers like any
-model search, and keep only total models.  A t whose <t, t> fails the
-theory cannot become stable when a context is added, since the extended
-theory still contains the failing one; and by persistence no h below such
-a t satisfies the theory either.
+The HT models behind ``equivalent`` and the model tables behind the stable
+and strong checks come from the enumeration core's ``_run``, which builds
+both sides on one pool of ``jobs`` workers; the tables keep only total
+models.  A t whose <t, t> fails the theory cannot become stable when a
+context is added, since the extended theory still contains the failing one;
+and by persistence no h below such a t satisfies the theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import HtcError
@@ -36,14 +37,20 @@ from .parser import pretty_print
 from .semantics import (
     Interpretation,
     Valuation,
-    _Eval,
+    _compile,
+    _compile_sum,
+    _core,
+    _holds,
+    _ht_scan,
     _iter_valuations,
     _pool_map,
     _run,
     _supported,
+    _valuation,
     ht_models,
     is_supported,
     models_below,
+    satisfies,
     stable_models,
     total_models,
     valuation_key,
@@ -124,21 +131,22 @@ class EquivReport:
 # --------------------------------------------------------------------------
 # Model tables
 
-# A table maps each total model t (in enumeration order) to the set of proper
-# h below it with <h, t> satisfying the theory.  Stable models and stable
-# models under added contexts are read off the table without re-evaluating
-# the base theory.
+# A table is a spec and, for each total model t (a value tuple, in
+# enumeration order), the set of proper h below it with <h, t> satisfying the
+# theory.  Stable models and stable models under added contexts are read off
+# the table without re-evaluating the base theory.
 
 
-def _table_scan(spec, formulas, start, stop):
+def _table_scan(spec, formulas, prefix):
+    core = _core(spec, formulas)
     return [
-        (t, frozenset(h for h, _ in models_below(t, ev_t, formulas, proper=True)))
-        for t, ev_t in total_models(spec, formulas, start, stop)
+        (t, frozenset(models_below(core, t, proper=True)))
+        for t in total_models(core, prefix)
     ]
 
 
 def _ht_table(thy: Theory, budget=None, jobs=1):
-    return _run(_table_scan, thy, budget, jobs)
+    return _run(_table_scan, [thy], budget, jobs)[0]
 
 
 def _stable_under(table, extra=()):
@@ -147,15 +155,13 @@ def _stable_under(table, extra=()):
     A tabled t stays stable unless one of its tabled h also satisfies
     ``extra``: the h below t that the table leaves out fail the theory.
     """
-    out = []
-    for t, below in table:
-        ev_t = _Eval(t, t)
-        if not all(ev_t.sat(f) for f in extra):
-            continue
-        if any(all(_Eval(h, t, ev_t).sat(f) for f in extra) for h in below):
-            continue
-        out.append(t)
-    return out
+    spec, rows = table
+    core = _core(spec, extra)
+    return [
+        _valuation(core.names, t)
+        for t, below in rows
+        if _holds(core, t, t) and not any(_holds(core, h, t) for h in below)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -178,16 +184,21 @@ def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
     a, b = desugar_theory(a), desugar_theory(b)
     if a.spec != b.spec:
         raise ValueError("theories must share a domain spec")
-    ma = set(ht_models(a, budget=budget, jobs=jobs))
-    mb = set(ht_models(b, budget=budget, jobs=jobs))
+    (spec, rows_a), (_, rows_b) = _run(_ht_scan, [a, b], budget, jobs)
+    ma = {(h, t) for t, below in rows_a for h in below}
+    mb = {(h, t) for t, below in rows_b for h in below}
     if ma == mb:
         return EquivReport("equal")
-    spec = a.spec
+    names = spec.variables()
+
+    def interpretations(pairs):
+        return {Interpretation(_valuation(names, h), _valuation(names, t)) for h, t in pairs}
 
     def key(i):
         return (valuation_key(spec, i.t), valuation_key(spec, i.h))
 
-    return EquivReport("different", _witness(key, ma, mb, "interpretation"))
+    only_a, only_b = interpretations(ma - mb), interpretations(mb - ma)
+    return EquivReport("different", _witness(key, only_a, only_b, "interpretation"))
 
 
 def _projection(a: Theory, b: Theory, project):
@@ -215,8 +226,7 @@ def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
     """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    ta = _ht_table(a, budget, jobs)
-    tb = _ht_table(b, budget, jobs)
+    ta, tb = _run(_table_scan, [a, b], budget, jobs)
 
     def key(v):
         return valuation_key(a.spec, v)
@@ -445,20 +455,34 @@ def _gen_core_formula(rng, spec):
     return desugar_comparisons(gen_formula(rng, spec))
 
 
+def _pairs(core):
+    """Every pair (h, t) of value tuples over the core's spec, h below t."""
+    return ((h, t) for t in total_models(core) for h in models_below(core, t))
+
+
+def _ht_detail(core, h, t) -> dict:
+    return {
+        "h": _valuation(core.names, h).to_json(),
+        "t": _valuation(core.names, t).to_json(),
+    }
+
+
 def _persistence_law(phi, spec):
-    for t, ev_t in total_models(spec, ()):
-        for h, ev in models_below(t, ev_t, ()):
-            if ev.sat(phi) and not ev_t.sat(phi):
-                return {"formula": phi, "detail": {"h": h.to_json(), "t": t.to_json()}}
+    core = _core(spec, ())
+    there, here = _compile(phi, core.index)
+    for h, t in _pairs(core):
+        if here(h, t) and not there(t):
+            return {"formula": phi, "detail": _ht_detail(core, h, t)}
     return None
 
 
 def _negation_law(phi, spec):
-    neg = Not(phi)
-    for t, ev_t in total_models(spec, ()):
-        for h, ev in models_below(t, ev_t, ()):
-            if ev.sat(neg) != (not ev_t.sat(phi)):
-                return {"formula": phi, "detail": {"h": h.to_json(), "t": t.to_json()}}
+    core = _core(spec, ())
+    there, _ = _compile(phi, core.index)
+    _, neg_here = _compile(Not(phi), core.index)
+    for h, t in _pairs(core):
+        if neg_here(h, t) != (not there(t)):
+            return {"formula": phi, "detail": _ht_detail(core, h, t)}
     return None
 
 
@@ -470,16 +494,15 @@ def _gen_core_term(rng, spec):
 
 
 def _term_persistence_law(tau, spec):
-    e = LinearExpr((tau,))
-    for t, ev_t in total_models(spec, ()):
-        there = ev_t._expr_value(e)
-        for h, ev in models_below(t, ev_t, ()):
-            here = ev._expr_value(e)
-            if here is not None and here != there:
-                return {
-                    "term": pretty_print(e),
-                    "detail": {"h": h.to_json(), "t": t.to_json()},
-                }
+    core = _core(spec, ())
+    value_there, value_here = _compile_sum([(1, tau)], core.index)
+    for h, t in _pairs(core):
+        here = value_here(h, t)
+        if here is not None and here != value_there(t):
+            return {
+                "term": pretty_print(LinearExpr((tau,))),
+                "detail": _ht_detail(core, h, t),
+            }
     return None
 
 
@@ -495,11 +518,14 @@ def _denotation_law(atoms, spec):
 
     atom, cond_atom, s2 = atoms
     valuations = list(_iter_valuations(spec))
-    # condition 1: monotonicity
-    for v2, ev2 in total_models(spec, ()):
-        for v, _ in models_below(v2, ev2, ()):
-            if denotes(v, atom) and not denotes(v2, atom):
-                return {"atom": pretty_print(atom), "law": 1, "detail": v.to_json()}
+    # condition 1: monotonicity; <v, v> |= atom is membership of v in its
+    # denotation
+    core = _core(spec, ())
+    member, _ = _compile(atom, core.index)
+    for v, v2 in _pairs(core):
+        if member(v) and not member(v2):
+            detail = _valuation(core.names, v).to_json()
+            return {"atom": pretty_print(atom), "law": 1, "detail": detail}
     # condition 2: substituting a variable by its value
     for v in valuations:
         if not denotes(v, atom):
@@ -591,14 +617,14 @@ def _supportedness_law(core, spec):
         for atoms, lits in clauses(psi)
     ]
     for t in models:
-        ev_t = _Eval(t, t)
+        at_t = partial(satisfies, Interpretation(t, t))
         for x in t.names():
-            if not _supported(x, rules, ev_t, ev_t):
+            if not _supported(x, rules, at_t, at_t):
                 return _unsupported(core, t, "htc-supported")
         # undefining x must leave a rule for x whose body still holds
         for x in t.names():
             h = Valuation(p for p in t.items() if p[0] != x)
-            if not _supported(x, rules, ev_t, _Eval(h, t, total=ev_t)):
+            if not _supported(x, rules, at_t, partial(satisfies, Interpretation(h, t))):
                 return _unsupported(core, t, "htc-supported-sharp")
     return None
 

@@ -2,18 +2,23 @@
 
 The benchmark patches functions by name and reads their arguments and cache
 statistics, so renaming one of them breaks it without breaking any other
-test.  These checks load ``perfbench/spans.py`` by path and change nothing
-under ``perfbench/``.
+test; and it fails an operation whose stdout differs from the digest frozen
+in ``perfbench/digests.json``.  These checks load the benchmark's modules by
+path and change nothing under ``perfbench/``.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
-from htc import cli, transforms
+import pytest
+
+from htc import cli, semantics, transforms
 from htc.checker import EquivReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_spans():
@@ -25,6 +30,16 @@ def load_spans():
     return module
 
 
+def load_registered(monkeypatch, name):
+    """Load ``perfbench/<name>.py`` as module ``name``, registered while the
+    test runs (its dataclasses and its importers look it up there)."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_functions_exist():
     for module_name, attr, _ in load_spans().TRACED:
         module = importlib.import_module(module_name)
@@ -32,8 +47,10 @@ def test_traced_functions_exist():
 
 
 def test_assignment_caches_are_bounded_and_report_their_size():
-    for name in ("phi", "def_of", "assignment_formula"):
-        info = getattr(transforms, name).cache_info()
+    caches = [(transforms, n) for n in ("phi", "def_of", "assignment_formula")]
+    caches.append((semantics, "_compiled_formula"))
+    for module, name in caches:
+        info = getattr(module, name).cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, name
 
 
@@ -50,3 +67,18 @@ def test_strong_check_passes_contexts_by_keyword(monkeypatch, tmp_path, capsys):
     assert cli.main(["check", str(f), str(f), "--strong"]) == 0
     capsys.readouterr()
     assert calls and all("contexts" in kwargs for kwargs in calls)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_small_operations_print_their_frozen_stdout(monkeypatch, tmp_path, jobs):
+    # passrun and workloads import their siblings by plain module name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = load_registered(monkeypatch, "workloads")
+    passrun = load_registered(monkeypatch, "passrun")
+    digests = passrun.load_digests()
+    for workload in workloads.WORKLOADS:
+        inputs, ops = workloads.build(workload, 1, str(ROOT), small=True)
+        work = tmp_path / f"{workload}-{jobs}"
+        contents = passrun.write_inputs(inputs, work)
+        _, failures, _, _, _ = passrun.run_ops(ops, inputs, contents, work, jobs, digests)
+        assert ops and failures == [], (workload, failures)

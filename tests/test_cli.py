@@ -345,9 +345,9 @@ class TestCheckJobs:
         monkeypatch.setattr(htc.semantics, "ProcessPoolExecutor", CountingPool)
         files = self.files(capsys, tmp_path, ("disj", "impls"))
         run_json(capsys, "check", *files, "--strong", "--jobs", "2")
-        assert built == [2, 2]  # one table per side
+        assert built == [2]  # both sides' tables on one pool
         run_json(capsys, "check", *files, "--jobs", "1")
-        assert built == [2, 2]
+        assert built == [2]
 
     @pytest.mark.parametrize(
         "names, extra",

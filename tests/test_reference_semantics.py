@@ -20,6 +20,9 @@ from htc.parser import parse_theory, pretty_print
 from htc.semantics import (
     Interpretation,
     Valuation,
+    _core,
+    _prefixes,
+    _valuation,
     enumerate_valuations,
     eval_atom,
     eval_term,
@@ -28,8 +31,10 @@ from htc.semantics import (
     satisfies,
     stable_models,
     subvaluations,
+    total_models,
 )
 from htc.syntax import (
+    BOT,
     TRUE,
     And,
     BoolAtom,
@@ -37,15 +42,19 @@ from htc.syntax import (
     Comparison,
     Const,
     ConditionalTerm,
+    DomainSpec,
     Implies,
     Or,
     Scaled,
     TruthConst,
     U,
     Undefined,
+    const_expr,
     desugar_comparisons,
     desugar_theory,
+    le,
     make_theory,
+    var_expr,
 )
 from htc import transforms
 from htc.transforms import theory_formulas
@@ -203,9 +212,8 @@ class TestAgainstReference:
             assert stable_models(prog) == ref_stable_models(prog)
 
     def test_supportedness_agrees_without_formula_caches(self, monkeypatch):
-        # the engine's evaluator memoizes by object identity, so it must hold
-        # every formula it evaluates; with the assignment caches gone nothing
-        # else keeps them alive
+        # without the assignment caches every call builds fresh but equal
+        # formula objects, which the compiled-formula cache must match by value
         for name in ("assignment_formula", "phi"):
             uncached = getattr(transforms, name).__wrapped__
             monkeypatch.setattr(transforms, name, uncached)
@@ -310,3 +318,67 @@ class TestConditionalBranches:
                 expected = [ref_branch(h, t, item) for item in atom.lhs.items]
                 assert list(eval_atom(h, t, atom).lhs.items) == expected, x
                 assert [eval_term(h, t, i) for i in atom.lhs.items] == expected, x
+
+
+# --------------------------------------------------------------------------
+# Pruned search and prefix chunks
+
+# the Boolean first variable has two values, so at two jobs the prefixes that
+# make eight chunks span all three variables
+PRUNE_SPEC = DomainSpec.make({"x": (0, 1), "y": (0, 2)}, ["a"])
+
+
+def prune_corpus(n=6, seed=45_000_003):
+    """A ground false formula, a ground true one beside one over only the
+    last variable, and seeded formulas with conditional terms."""
+    y = var_expr("y")
+    shapes = [
+        [BOT],
+        [le(const_expr(0), const_expr(1)), le(y, const_expr(1))],
+        [Implies(BoolAtom("a"), le(const_expr(1), y))],
+    ]
+    for i in range(n):
+        rng = random.Random(seed + i)
+        shapes.append(
+            [gen_formula(rng, PRUNE_SPEC, conditional_budget=[2]) for _ in range(rng.randint(1, 3))]
+        )
+    return [make_theory(PRUNE_SPEC, formulas) for formulas in shapes]
+
+
+def ref_table(theory):
+    """Each total t over the whole product, with the proper h below it."""
+    theory = desugar_theory(theory)
+    formulas = theory_formulas(theory)
+
+    def holds(h, t):
+        return all(ref_sat(h, t, f) for f in formulas)
+
+    return [
+        (t, {h for h in subvaluations(t) if h != t and holds(h, t)})
+        for t in enumerate_valuations(theory.spec)
+        if holds(t, t)
+    ]
+
+
+class TestPrunedSearch:
+    def test_prefixes_span_the_boolean_first_variable(self):
+        assert _prefixes(PRUNE_SPEC, 1) == [()]
+        assert {len(p) for p in _prefixes(PRUNE_SPEC, 2)} == {3}
+
+    def test_pruned_search_equals_the_unpruned_filter(self):
+        for thy in prune_corpus():
+            core_thy = desugar_theory(thy)
+            spec, names = core_thy.spec, core_thy.spec.variables()
+            expected = ref_table(thy)
+            core = _core(spec, theory_formulas(core_thy))
+            for jobs in (1, 2, 3):
+                found = [t for p in _prefixes(spec, jobs) for t in total_models(core, p)]
+                assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
+                _, rows = _ht_table(thy, jobs=jobs)
+                table = [
+                    (_valuation(names, t), {_valuation(names, h) for h in below})
+                    for t, below in rows
+                ]
+                assert table == expected, jobs
+                assert stable_models(thy, jobs=jobs) == ref_stable_models(thy)
+                assert ht_models(thy, jobs=jobs) == ref_ht_models(thy)
