@@ -29,10 +29,8 @@ from .parser import parse_theory, pretty_print
 from .semantics import (
     Interpretation,
     Valuation,
-    denotes,
     enumerate_valuations,
     eval_atom,
-    eval_linear_expr,
     eval_term,
     expr_value,
     ht_models,

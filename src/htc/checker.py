@@ -7,21 +7,25 @@ stable models agree under every added context theory.  The last condition
 quantifies over all contexts; the sampled check here enumerates a finite,
 deterministic family and is falsification-oriented only.
 
-The HT models behind ``equivalent`` and the model tables behind the stable
-and strong checks come from the enumeration core's ``_run``, which builds
-both sides on one pool of ``jobs`` workers; the tables keep only total
-models.  A t whose <t, t> fails the theory cannot become stable when a
-context is added, since the extended theory still contains the failing one;
-and by persistence no h below such a t satisfies the theory either.
+Every check reads model tables from one scan of the enumeration core,
+``_run(_ht_scan, ...)``, which builds both sides on one pool of ``jobs``
+workers: ``equivalent`` and the unfolding law compare their (h, t) pairs,
+and the stable and strong checks read stable models off them.  The tables
+keep only total models.  A t whose <t, t> fails the theory cannot become
+stable when a context is added, since the extended theory still contains
+the failing one; and by persistence no h below such a t satisfies the
+theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
 rule unfolding, faithfulness of conditional-term elimination) on seeded
 random corpora and report the first counterexample, shrunk to a locally
 minimal instance by re-running the same law on smaller candidates.  The
-supportedness laws read rules as (head items, body) pairs: assignment rules
-directly, unfolded rules as the clauses ``transforms.clauses`` distributes
-them into, never by parsing a formula back into a rule.
+denotation conditions are checked on the compiled evaluator that every
+model reader runs.  The supportedness laws read rules as (head items, body)
+pairs: assignment rules directly, unfolded rules as the clauses
+``transforms.clauses`` distributes them into, never by parsing a formula
+back into a rule.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .semantics import (
     _core,
     _holds,
     _ht_scan,
-    _iter_valuations,
     _pool_map,
     _run,
     _supported,
@@ -52,6 +55,7 @@ from .semantics import (
     models_below,
     satisfies,
     stable_models,
+    substitute_value,
     total_models,
     valuation_key,
 )
@@ -131,22 +135,16 @@ class EquivReport:
 # --------------------------------------------------------------------------
 # Model tables
 
-# A table is a spec and, for each total model t (a value tuple, in
-# enumeration order), the set of proper h below it with <h, t> satisfying the
-# theory.  Stable models and stable models under added contexts are read off
-# the table without re-evaluating the base theory.
+# A table is one theory's entry of ``_run(_ht_scan, ...)``: a spec and, for
+# each total model t (a value tuple, in enumeration order), the list of
+# proper h below it with <h, t> satisfying the theory.  HT models, stable
+# models and stable models under added contexts are all read off tables
+# without re-evaluating the base theory.
 
 
-def _table_scan(spec, formulas, prefix):
-    core = _core(spec, formulas)
-    return [
-        (t, frozenset(models_below(core, t, proper=True)))
-        for t in total_models(core, prefix)
-    ]
-
-
-def _ht_table(thy: Theory, budget=None, jobs=1):
-    return _run(_table_scan, [thy], budget, jobs)[0]
+def _ht_pairs(rows) -> set:
+    """The (h, t) pairs of a table's rows, each <t, t> included."""
+    return {(h, t) for t, below in rows for h in (*below, t)}
 
 
 def _stable_under(table, extra=()):
@@ -185,8 +183,7 @@ def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
     if a.spec != b.spec:
         raise ValueError("theories must share a domain spec")
     (spec, rows_a), (_, rows_b) = _run(_ht_scan, [a, b], budget, jobs)
-    ma = {(h, t) for t, below in rows_a for h in below}
-    mb = {(h, t) for t, below in rows_b for h in below}
+    ma, mb = _ht_pairs(rows_a), _ht_pairs(rows_b)
     if ma == mb:
         return EquivReport("equal")
     names = spec.variables()
@@ -226,7 +223,7 @@ def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
     """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    ta, tb = _run(_table_scan, [a, b], budget, jobs)
+    ta, tb = _run(_ht_scan, [a, b], budget, jobs)
 
     def key(v):
         return valuation_key(a.spec, v)
@@ -514,52 +511,54 @@ def _gen_denotation_atoms(rng, spec):
 
 
 def _denotation_law(atoms, spec):
-    from .semantics import denotes, substitute_value
-
+    """The five HT_C denotation conditions, on the compiled evaluator: v is
+    in the denotation of a condition-free atom when <v, v> satisfies it."""
     atom, cond_atom, s2 = atoms
-    valuations = list(_iter_valuations(spec))
-    # condition 1: monotonicity; <v, v> |= atom is membership of v in its
-    # denotation
     core = _core(spec, ())
-    member, _ = _compile(atom, core.index)
+    index, worlds = core.index, list(total_models(core))
+
+    def member(a):
+        return _compile(a, index)[0]
+
+    def violation(a, law, v):
+        detail = _valuation(core.names, v).to_json()
+        return {"atom": pretty_print(a), "law": law, "detail": detail}
+
+    holds = member(atom)
+    # condition 1: monotonicity
     for v, v2 in _pairs(core):
-        if member(v) and not member(v2):
-            detail = _valuation(core.names, v).to_json()
-            return {"atom": pretty_print(atom), "law": 1, "detail": detail}
+        if holds(v) and not holds(v2):
+            return violation(atom, 1, v)
     # condition 2: substituting a variable by its value
-    for v in valuations:
-        if not denotes(v, atom):
-            continue
-        for x in sorted(free_vars(atom)):
-            if not denotes(v, substitute_value(atom, x, v.get(x))):
-                return {"atom": pretty_print(atom), "law": 2, "detail": v.to_json()}
-    # condition 3: only vars(c) matters
     relevant = sorted(free_vars(atom))
+    substituted = {
+        (x, value): member(substitute_value(atom, x, value))
+        for x in relevant
+        for value in core.choices[index[x]]
+    }
+    for v in worlds:
+        if holds(v) and not all(substituted[x, v[index[x]]](v) for x in relevant):
+            return violation(atom, 2, v)
+    # condition 3: only vars(c) matters
     seen = {}
-    for v in valuations:
-        key = tuple((x, v.get(x)) for x in relevant)
-        d = denotes(v, atom)
-        if key in seen and seen[key] != d:
-            return {"atom": pretty_print(atom), "law": 3, "detail": v.to_json()}
-        seen[key] = d
+    for v in worlds:
+        key = tuple(v[index[x]] for x in relevant)
+        if seen.setdefault(key, holds(v)) != holds(v):
+            return violation(atom, 3, v)
     # condition 4: undefined positions only weaken an atom
-    subs = _conditional_substitutions(cond_atom)
-    for v in valuations:
-        for with_u, with_s, with_s2 in subs:
-            if denotes(v, with_u) and not (denotes(v, with_s) and denotes(v, with_s2)):
-                return {"atom": pretty_print(cond_atom), "law": 4, "detail": v.to_json()}
+    subs = [tuple(map(member, triple)) for triple in _conditional_substitutions(cond_atom)]
+    for v in worlds:
+        if any(u(v) and not (then_(v) and else_(v)) for u, then_, else_ in subs):
+            return violation(cond_atom, 4, v)
     # condition 5: equal subexpressions are interchangeable
-    for v in valuations:
-        for k, s in _term_occurrences(atom):
-            se, s2e = LinearExpr((s,)), LinearExpr((s2,))
-            if denotes(v, le(se, s2e)) and denotes(v, le(s2e, se)):
-                replaced = _replace_occurrence(atom, k, s2)
-                if denotes(v, atom) != denotes(v, replaced):
-                    return {
-                        "atom": pretty_print(atom),
-                        "law": 5,
-                        "detail": v.to_json(),
-                    }
+    swaps = []  # per occurrence s: s <= s2, s2 <= s, and the atom with s2 for s
+    for k, s in _term_occurrences(atom):
+        se, s2e = LinearExpr((s,)), LinearExpr((s2,))
+        swapped = _replace_occurrence(atom, k, s2)
+        swaps.append(tuple(map(member, (le(se, s2e), le(s2e, se), swapped))))
+    for v in worlds:
+        if any(le1(v) and le2(v) and holds(v) != other(v) for le1, le2, other in swaps):
+            return violation(atom, 5, v)
     return None
 
 
@@ -634,9 +633,10 @@ def _unsupported(core, t, law):
 
 
 def _unfolding_law(core, spec):
-    base = set(ht_models(core))
-    for distribute in (False, True):
-        if set(ht_models(unfold_theory(core, distribute))) != base:
+    theories = [core] + [unfold_theory(core, d) for d in (False, True)]
+    base, *unfolded = (_ht_pairs(rows) for _, rows in _run(_ht_scan, theories, None, 1))
+    for distribute, pairs in zip((False, True), unfolded):
+        if pairs != base:
             return {"theory": core, "detail": {"distribute": distribute}}
     return None
 

@@ -12,8 +12,9 @@ that still satisfies the theory.
 Inside the engine a world is a tuple of values indexed by the position of
 each variable in ``spec.variables()``, with None for undefined.  Each
 desugared formula is compiled once per scan into two closures: ``there(t)``
-decides ``<t, t>`` and ``here(h, t)`` decides ``<h, t>``.  The then/else/U
-rule of conditional terms lives in one place, ``_compile_branch``.
+decides ``<t, t>`` and ``here(h, t)`` decides ``<h, t>``.  This is the
+package's only evaluator; the then/else/U rule of conditional terms lives
+in one place, ``_compile_branch``.
 
 Every model reader sits on one enumeration core over a compiled theory:
 ``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, and
@@ -31,12 +32,15 @@ walks the h below t in ``proper_subvaluations`` order.  With several jobs,
 ``_run`` splits the search into subtrees, one per value prefix of the
 leading variables, runs them on one process pool and concatenates the
 results in prefix order; the workers compile the formulas themselves.
+One scan, ``_ht_scan``, feeds ``ht_models`` and every checker table.
 
 ``Valuation`` and ``Interpretation`` objects are built only where models
 leave the core: the results of ``stable_models`` and ``ht_models``, the
 checker's witnesses, and the Valuation-level helpers ``satisfies``,
-``eval_term``, ``eval_atom`` and ``expr_value``, which compile their input
-(``satisfies`` through a cache keyed by formula value) and evaluate it once.
+``eval_term``, ``eval_atom`` and ``expr_value``: views of the compiled
+evaluator that compile their input (``satisfies`` through a cache keyed by
+formula value) and evaluate it once.  v is in the denotation of a
+condition-free atom when ``satisfies(Interpretation(v, v), atom)``.
 
 The enumeration is exhaustive by design and refuses domain specs whose
 interpretation count exceeds a budget (default 10**7).
@@ -162,16 +166,9 @@ def valuation_key(spec: DomainSpec, v: Valuation) -> tuple:
 def enumerate_valuations(spec: DomainSpec, budget=None):
     """Every valuation over the spec exactly once, in lexicographic order."""
     check_budget(spec, budget)
-    return _iter_valuations(spec)
-
-
-def _iter_valuations(spec: DomainSpec):
     names = spec.variables()
     choices = [(None,) + spec.domain_values(n) for n in names]
-    for combo in itertools.product(*choices):
-        yield Valuation(
-            (n, v) for n, v in zip(names, combo) if v is not None
-        )
+    return (_valuation(names, combo) for combo in itertools.product(*choices))
 
 
 def subvaluations(t: Valuation):
@@ -237,40 +234,6 @@ def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
                 item = U
         items.append(item)
     return LinearExpr(tuple(items))
-
-
-def eval_linear_expr(v: Valuation, e: LinearExpr):
-    """Value of a condition-free expression: the integer sum, or U when any
-    subterm is undefined (including t in an arithmetic position)."""
-    total = 0
-    for item in e.items:
-        if isinstance(item, Const):
-            total += item.value
-        elif isinstance(item, Scaled):
-            val = v.get(item.var)
-            if not isinstance(val, int):
-                return U
-            total += item.coeff * val
-        elif isinstance(item, Undefined):
-            return U
-        else:
-            raise ValueError(f"expression is not condition-free: {item!r}")
-    return total
-
-
-def denotes(v: Valuation, atom) -> bool:
-    """Membership of v in the denotation of a condition-free core atom."""
-    if isinstance(atom, Comparison):
-        if atom.rel != "<=":
-            raise ValueError("denotation is defined on <= atoms; desugar first")
-        a = eval_linear_expr(v, atom.lhs)
-        b = eval_linear_expr(v, atom.rhs)
-        return isinstance(a, int) and isinstance(b, int) and a <= b
-    if isinstance(atom, BoolAtom):
-        return v.get(atom.name) == TRUE
-    if isinstance(atom, TruthConst):
-        return atom.value
-    raise TypeError(f"not a core constraint atom: {atom!r}")
 
 
 def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
@@ -543,8 +506,12 @@ def _stable_scan(spec, formulas, prefix):
 
 
 def _ht_scan(spec, formulas, prefix):
+    """Table rows: each total model t, with the proper h below it as a list."""
     core = _core(spec, formulas)
-    return [(t, list(models_below(core, t))) for t in total_models(core, prefix)]
+    return [
+        (t, list(models_below(core, t, proper=True)))
+        for t in total_models(core, prefix)
+    ]
 
 
 def _pool_map(fn, args, jobs):
@@ -619,6 +586,7 @@ def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     for t, below in rows:
         tv = _valuation(names, t)
         out.extend(Interpretation(_valuation(names, h), tv) for h in below)
+        out.append(Interpretation(tv, tv))
     return out
 
 

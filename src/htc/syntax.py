@@ -826,7 +826,10 @@ def desugar_theory(thy: Theory) -> Theory:
     """Remove aggregates, then extended relations and def, from every statement.
 
     The result is core: only <= atoms over linear expressions (possibly with
-    conditional terms), Boolean atoms and connectives.  Idempotent.
+    conditional terms), Boolean atoms and connectives.  Idempotent: a core
+    theory of the class ``make_theory`` picks comes back as it is.
     """
+    if type(thy) is (LCProgram if thy.is_lc_program else Theory) and is_core(thy):
+        return thy
     thy = desugar_aggregates(thy)
     return make_theory(thy.spec, [desugar_comparisons(s) for s in thy.statements])

@@ -218,16 +218,38 @@ class TestSuites:
 
         calls = []
 
-        def crashing_ht_models(theory, budget=None, jobs=1):
-            calls.append(theory)
-            if len(calls) > 2:
+        def crashing_run(scan, theories, budget, jobs):
+            calls.append(theories)
+            if len(calls) > 1:
                 raise ValueError("engine crash")
-            return [len(calls)]
+            # three different tables: the unfoldings differ from the core
+            return [(None, [((k,), [])]) for k in range(len(theories))]
 
-        monkeypatch.setattr(chk, "ht_models", crashing_ht_models)
+        monkeypatch.setattr(chk, "_run", crashing_run)
         with pytest.raises(ValueError, match="engine crash"):
             run_property_suite("unfolding", seed=0, count=1)
 
+
+
+class TestDenotationLaws:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_suite_checks_the_compiled_evaluator(self, monkeypatch, seed):
+        # an evaluator that reads 0*x as 0 when x is undefined breaks
+        # condition 2: substituting the undefined x by its value gives U
+        from htc import semantics
+        from htc.syntax import Scaled
+
+        term_code = semantics._term_code
+
+        def zero_times_anything(sign, term, index):
+            if type(term) is Scaled and term.coeff == 0:
+                return None, 0
+            return term_code(sign, term, index)
+
+        monkeypatch.setattr(semantics, "_term_code", zero_times_anything)
+        report = run_property_suite("denotation-laws", seed=seed, count=50)
+        assert report.violations == 1
+        assert report.counterexample["law"] == 2
 
 
 class TestSupportednessLaw:
@@ -281,13 +303,14 @@ class TestTautologySchemata:
 
 class TestTableConsistency:
     def test_table_backed_stable_matches_direct(self):
-        from htc.checker import _ht_table, _stable_under
+        from htc.checker import _stable_under
+        from htc.semantics import _ht_scan, _run
 
         thy = parse_theory(
             "#int x, y 0..2. #bool p. y = 2. sum{ x ; y } > 1 -> p."
         )
         core = desugar_theory(thy)
-        table = _ht_table(core)
+        [table] = _run(_ht_scan, [core], None, 1)
         assert _stable_under(table) == stable_models(core)
         ctx = (BoolAtom("p"),)
         extended = core.extended(ctx)

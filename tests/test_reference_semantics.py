@@ -10,7 +10,6 @@ import random
 
 from htc.checker import (
     DEFAULT_SUITE_SPEC,
-    _ht_table,
     _stable_under,
     context_family,
     gen_formula,
@@ -21,7 +20,9 @@ from htc.semantics import (
     Interpretation,
     Valuation,
     _core,
+    _ht_scan,
     _prefixes,
+    _run,
     _valuation,
     enumerate_valuations,
     eval_atom,
@@ -292,7 +293,7 @@ class TestDifferentialGate:
         corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
         for thy in corpus:
             core = desugar_theory(thy)
-            table = _ht_table(core)
+            [table] = _run(_ht_scan, [core], None, 1)
             assert _stable_under(table) == ref_stable_models(core)
             for ctx in context_family(core.spec):
                 expected = ref_stable_models(core.extended(ctx))
@@ -374,7 +375,7 @@ class TestPrunedSearch:
             for jobs in (1, 2, 3):
                 found = [t for p in _prefixes(spec, jobs) for t in total_models(core, p)]
                 assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
-                _, rows = _ht_table(thy, jobs=jobs)
+                [(_, rows)] = _run(_ht_scan, [thy], None, jobs)
                 table = [
                     (_valuation(names, t), {_valuation(names, h) for h in below})
                     for t, below in rows

@@ -5,10 +5,8 @@ from htc.parser import parse_theory
 from htc.semantics import (
     Interpretation,
     Valuation,
-    denotes,
     enumerate_valuations,
     eval_atom,
-    eval_linear_expr,
     eval_term,
     expr_value,
     ht_models,
@@ -88,7 +86,7 @@ class TestEvalAtom:
         t = val(y=5)
         out = eval_atom(t, t, atom)
         assert out.rhs == LinearExpr((Const(0), Scaled(1, "y")))
-        assert denotes(t, out)
+        assert satisfies(total(t), out)
 
     def test_condition_free_atom_unchanged(self):
         atom = le(var_expr("x"), const_expr(4))
@@ -101,39 +99,42 @@ def desugar_comparisons_def(name):
 
 
 class TestEvalLinearExpr:
+    # the value of a condition-free expression under v is expr_value(v, v, e)
     def test_plain_sum(self):
         v = val(x=1, y=1)
-        assert eval_linear_expr(v, LinearExpr((Scaled(1, "x"), Scaled(1, "y")))) == 2
+        assert expr_value(v, v, LinearExpr((Scaled(1, "x"), Scaled(1, "y")))) == 2
 
     def test_undefined_variable_poisons(self):
         v = val(y=5)
-        assert eval_linear_expr(v, LinearExpr((Scaled(1, "x"), Scaled(1, "y")))) is U
+        assert expr_value(v, v, LinearExpr((Scaled(1, "x"), Scaled(1, "y")))) is U
 
     def test_zero_coefficient_still_needs_a_value(self):
-        assert eval_linear_expr(Valuation(), LinearExpr((Scaled(0, "x"),))) is U
+        assert expr_value(Valuation(), Valuation(), LinearExpr((Scaled(0, "x"),))) is U
 
     def test_boolean_value_has_no_arithmetic_meaning(self):
         v = val(p=True)
-        assert eval_linear_expr(v, LinearExpr((Scaled(1, "p"),))) is U
+        assert expr_value(v, v, LinearExpr((Scaled(1, "p"),))) is U
 
     def test_u_marker_poisons(self):
-        assert eval_linear_expr(val(x=1), LinearExpr((Scaled(1, "x"), U))) is U
+        v = val(x=1)
+        assert expr_value(v, v, LinearExpr((Scaled(1, "x"), U))) is U
 
 
 class TestDenotes:
+    # v is in the denotation of a condition-free atom when <v, v> satisfies it
     def test_running_example_after_eval(self):
         t = val(x=7)
-        assert denotes(t, le(LinearExpr((Scaled(1, "x"), Const(-3))), const_expr(4)))
+        assert satisfies(total(t), le(LinearExpr((Scaled(1, "x"), Const(-3))), const_expr(4)))
 
     def test_constants_only(self):
-        assert denotes(Valuation(), le(const_expr(1), const_expr(2)))
+        assert satisfies(total(Valuation()), le(const_expr(1), const_expr(2)))
 
     def test_boolean_atom(self):
-        assert denotes(val(p=True), BoolAtom("p"))
-        assert not denotes(val(x=1), BoolAtom("p"))
+        assert satisfies(total(val(p=True)), BoolAtom("p"))
+        assert not satisfies(total(val(x=1)), BoolAtom("p"))
 
     def test_undefined_side_fails(self):
-        assert not denotes(Valuation(), le(var_expr("x"), var_expr("x")))
+        assert not satisfies(total(Valuation()), le(var_expr("x"), var_expr("x")))
 
 
 class TestSubstituteValue:
@@ -181,12 +182,13 @@ class TestSatisfies:
             for t in enumerate_valuations(spec):
                 for h in subvaluations(t):
                     i_ht = Interpretation(h, t)
-                    assert satisfies(i_ht, atom) == denotes(h, eval_atom(h, t, atom))
+                    assert satisfies(i_ht, atom) == satisfies(total(h), eval_atom(h, t, atom))
 
     def test_total_interpretation_collapses_to_denotation(self):
         atom = le(var_expr("x"), const_expr(4))
         for t in enumerate_valuations(SPEC):
-            assert satisfies(total(t), atom) == denotes(t, atom)
+            x = t.get("x")
+            assert satisfies(total(t), atom) == (x is not None and x <= 4)
 
 
 class TestEnumeration:

@@ -8,7 +8,6 @@ from htc.parser import parse_theory
 from htc.semantics import (
     Interpretation,
     Valuation,
-    denotes,
     enumerate_valuations,
     expr_value,
     ht_models,
@@ -39,6 +38,7 @@ from htc.syntax import (
     desugar_theory,
     le,
     make_theory,
+    map_exprs,
     var_expr,
 )
 from htc.transforms import (
@@ -258,7 +258,8 @@ class TestNormalize:
             atom = le(LinearExpr(items_l), LinearExpr(items_r))
             out = normalize_constraint(atom)
             for v in enumerate_valuations(SPEC):
-                assert denotes(v, atom) == denotes(v, out)
+                vv = Interpretation(v, v)
+                assert satisfies(vv, atom) == satisfies(vv, out)
 
     def test_conditional_atom_preserves_models(self):
         tau = ConditionalTerm(Scaled(1, "y"), Const(-1), BoolAtom("p"))
@@ -400,6 +401,44 @@ class TestDelta:
         names = ("p", "x", "y")
         projected = {m.project(names) for m in stable_models(result.theory())}
         assert projected == {val(p=True, y=5)}
+
+
+def _rename_fresh(stmt, shift):
+    """The statement with every __c<k> renamed to __c<k + shift>."""
+
+    def rename(e):
+        return LinearExpr(tuple(
+            Scaled(i.coeff, f"__c{int(i.var[3:]) + shift}")
+            if type(i) is Scaled and i.var.startswith("__c") else i
+            for i in e.items
+        ))
+
+    return map_exprs(stmt, rename)
+
+
+class TestEliminateModularAndLinear:
+    # the translation of G1 u G2 is that of G1 followed by that of G2, whose
+    # fresh names continue the count; five side formulas per occurrence
+    def test_union_translates_piecewise_at_five_formulas_per_occurrence(self):
+        from htc.checker import DEFAULT_SUITE_SPEC, gen_formula
+
+        spec, wide = DEFAULT_SUITE_SPEC, 10**100  # translated specs pass 10**7
+        for i in range(200):
+            rng = random.Random(703_000_003 + i)
+            g1, g2 = (
+                [gen_formula(rng, spec, conditional_budget=[2]) for _ in range(rng.randint(1, 2))]
+                for _ in range(2)
+            )
+            r1, r2, both = (
+                eliminate_conditionals(make_theory(spec, g), budget=wide)
+                for g in (g1, g2, g1 + g2)
+            )
+            n1 = len(r1.mapping)
+            assert both.rewritten.statements == r1.rewritten.statements + tuple(
+                _rename_fresh(f, n1) for f in r2.rewritten.statements
+            ), i
+            assert both.side == r1.side + tuple(_rename_fresh(f, n1) for f in r2.side), i
+            assert len(both.side) == 5 * len(both.mapping), i
 
 
 class TestEliminateBudget:
