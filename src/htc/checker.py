@@ -10,8 +10,10 @@ deterministic family and is falsification-oriented only.
 Every check reads model tables from one scan of the enumeration core,
 ``_run(_ht_scan, ...)``, which builds both sides on one pool of ``jobs``
 workers: ``equivalent`` and the unfolding law compare their (h, t) pairs,
-and the stable and strong checks read stable models off them.  The tables
-keep only total models.  A t whose <t, t> fails the theory cannot become
+and the strong checks read stable models off them under each context.  The
+stable check, whose only context is the empty one, reads both sides'
+stable models from ``_run(_stable_scan, ...)`` instead.  The tables keep
+only total models.  A t whose <t, t> fails the theory cannot become
 stable when a context is added, since the extended theory still contains
 the failing one; and by persistence no h below such a t satisfies the
 theory either.
@@ -44,15 +46,19 @@ from .semantics import (
     _compile,
     _compile_sum,
     _core,
-    _holds,
+    _full,
     _ht_scan,
     _pool_map,
+    _reduct,
+    _restrict,
     _run,
+    _satisfied,
+    _stable_scan,
+    _submasks,
     _supported,
     _valuation,
     ht_models,
     is_supported,
-    models_below,
     satisfies,
     stable_models,
     substitute_value,
@@ -137,14 +143,15 @@ class EquivReport:
 
 # A table is one theory's entry of ``_run(_ht_scan, ...)``: a spec and, for
 # each total model t (a value tuple, in enumeration order), the list of
-# proper h below it with <h, t> satisfying the theory.  HT models, stable
-# models and stable models under added contexts are all read off tables
-# without re-evaluating the base theory.
+# proper h below it with <h, t> satisfying the theory, each h as the mask of
+# the positions of t it defines.  HT models, stable models and stable models
+# under added contexts are all read off tables without re-evaluating the
+# base theory.
 
 
 def _ht_pairs(rows) -> set:
-    """The (h, t) pairs of a table's rows, each <t, t> included."""
-    return {(h, t) for t, below in rows for h in (*below, t)}
+    """The (mask, t) pairs of a table's rows, each <t, t> included."""
+    return {(m, t) for t, below in rows for m in (*below, _full(t))}
 
 
 def _stable_under(table, extra=()):
@@ -155,11 +162,12 @@ def _stable_under(table, extra=()):
     """
     spec, rows = table
     core = _core(spec, extra)
-    return [
-        _valuation(core.names, t)
-        for t, below in rows
-        if _holds(core, t, t) and not any(_holds(core, h, t) for h in below)
-    ]
+    out = []
+    for t, below in rows:
+        reduct = _reduct(core, t)
+        if reduct is not False and not any(_satisfied(reduct, m) for m in below):
+            out.append(_valuation(core.names, t))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +197,10 @@ def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
     names = spec.variables()
 
     def interpretations(pairs):
-        return {Interpretation(_valuation(names, h), _valuation(names, t)) for h, t in pairs}
+        return {
+            Interpretation(_valuation(names, _restrict(t, m)), _valuation(names, t))
+            for m, t in pairs
+        }
 
     def key(i):
         return (valuation_key(spec, i.t), valuation_key(spec, i.h))
@@ -220,10 +231,17 @@ def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
     projected stable models of ``a`` and ``b`` differ (None if none does).
 
     Each side's model table is built once and read under every context.
+    With only the empty context, a table of the stable models will do: the
+    stable scan settles each t at the first proper h below it, and a stable
+    t has no proper h.
     """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    ta, tb = _run(_ht_scan, [a, b], budget, jobs)
+    if contexts == [()]:
+        tables = _run(_stable_scan, [a, b], budget, jobs)
+        ta, tb = ((spec, [(t, ()) for t in found]) for spec, found in tables)
+    else:
+        ta, tb = _run(_ht_scan, [a, b], budget, jobs)
 
     def key(v):
         return valuation_key(a.spec, v)
@@ -453,33 +471,34 @@ def _gen_core_formula(rng, spec):
 
 
 def _pairs(core):
-    """Every pair (h, t) of value tuples over the core's spec, h below t."""
-    return ((h, t) for t in total_models(core) for h in models_below(core, t))
+    """Every pair (m, t) over the core's spec: a value tuple t and the mask
+    of the positions of t that an h below it defines."""
+    return ((m, t) for t in total_models(core) for m in _submasks(_full(t)))
 
 
-def _ht_detail(core, h, t) -> dict:
+def _ht_detail(core, m, t) -> dict:
     return {
-        "h": _valuation(core.names, h).to_json(),
+        "h": _valuation(core.names, _restrict(t, m)).to_json(),
         "t": _valuation(core.names, t).to_json(),
     }
 
 
 def _persistence_law(phi, spec):
     core = _core(spec, ())
-    there, here = _compile(phi, core.index)
-    for h, t in _pairs(core):
-        if here(h, t) and not there(t):
-            return {"formula": phi, "detail": _ht_detail(core, h, t)}
+    there, at = _compile(phi, core.index)
+    for m, t in _pairs(core):
+        if _satisfied(at(t), m) and not there(t):
+            return {"formula": phi, "detail": _ht_detail(core, m, t)}
     return None
 
 
 def _negation_law(phi, spec):
     core = _core(spec, ())
     there, _ = _compile(phi, core.index)
-    _, neg_here = _compile(Not(phi), core.index)
-    for h, t in _pairs(core):
-        if neg_here(h, t) != (not there(t)):
-            return {"formula": phi, "detail": _ht_detail(core, h, t)}
+    _, neg_at = _compile(Not(phi), core.index)
+    for m, t in _pairs(core):
+        if _satisfied(neg_at(t), m) != (not there(t)):
+            return {"formula": phi, "detail": _ht_detail(core, m, t)}
     return None
 
 
@@ -492,13 +511,13 @@ def _gen_core_term(rng, spec):
 
 def _term_persistence_law(tau, spec):
     core = _core(spec, ())
-    value_there, value_here = _compile_sum([(1, tau)], core.index)
-    for h, t in _pairs(core):
-        here = value_here(h, t)
-        if here is not None and here != value_there(t):
+    value_there, value_at = _compile_sum([(1, tau)], core.index)
+    for m, t in _pairs(core):
+        r = value_at(t)
+        if r is not None and _satisfied(r[1], m) and r[0] != value_there(t):
             return {
                 "term": pretty_print(LinearExpr((tau,))),
-                "detail": _ht_detail(core, h, t),
+                "detail": _ht_detail(core, m, t),
             }
     return None
 
@@ -526,8 +545,9 @@ def _denotation_law(atoms, spec):
 
     holds = member(atom)
     # condition 1: monotonicity
-    for v, v2 in _pairs(core):
-        if holds(v) and not holds(v2):
+    for m, t in _pairs(core):
+        v = _restrict(t, m)
+        if holds(v) and not holds(t):
             return violation(atom, 1, v)
     # condition 2: substituting a variable by its value
     relevant = sorted(free_vars(atom))

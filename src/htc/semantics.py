@@ -10,29 +10,57 @@ here-and-there: implications are checked at both worlds, and a stable
 that still satisfies the theory.
 
 Inside the engine a world is a tuple of values indexed by the position of
-each variable in ``spec.variables()``, with None for undefined.  Each
-desugared formula is compiled once per scan into two closures: ``there(t)``
-decides ``<t, t>`` and ``here(h, t)`` decides ``<h, t>``.  This is the
-package's only evaluator; the then/else/U rule of conditional terms lives
-in one place, ``_compile_branch``.
+each variable in ``spec.variables()``, with None for undefined, and an h
+below t is the bitmask m of the positions of t it defines (bit i for
+position i; h is t restricted to m).  Each desugared formula is compiled
+once per scan into two closures: ``there(t)`` decides ``<t, t>``, and
+``at(t)`` returns the reduct of the formula at t, a condition on m that
+holds exactly when ``<h, t>`` satisfies the formula (Ferraris, LPNMR 2005,
+carried to HT_C as in Cabalar, Kaminski, Ostrowski and Schaub, IJCAI 2016).
+At a fixed t each piece of the formula becomes:
+
+- False, when ``<t, t>`` fails it; by persistence so does every ``<h, t>``;
+- for a comparison: every position it reads, counting the branch each
+  conditional term takes at t, is in m, and for each conditional whose
+  condition holds at t, the reduct of that condition holds at m.  The value
+  under h is then the value at t, so no arithmetic is done per h;
+- for a Boolean atom: its bit is in m;
+- for ``and``, ``or``: the conjunction, disjunction of the two reducts;
+- for an implication that holds at t: the classical implication between
+  the reducts (an antecedent false at t makes it true);
+- for a negation: the constant ``not there(t)``.
+
+A reduct is kept as clauses ``(body, heads)``: when m has every bit of
+``body`` it has every bit of some mask in ``heads`` (no heads: never).
+This is the package's only evaluator; the then/else/U rule of conditional
+terms lives in one place, ``_compile_branch``.
 
 Every model reader sits on one enumeration core over a compiled theory:
 ``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, and
-``models_below`` yields the h below one such t with ``<h, t>`` satisfying
-them.  Reading only the h below total models loses nothing, by persistence:
-if ``<h, t>`` satisfies a formula, so does ``<t, t>``.
+the reduct at each such t gives the h below it.  Reading only the h below
+total models loses nothing, by persistence: if ``<h, t>`` satisfies a
+formula, so does ``<t, t>``.
 
 ``total_models`` is a depth-first search that assigns the variables in spec
 order, each first undefined and then through its domain in order, so it
 yields the t in the order of ``enumerate_valuations``.  A formula is checked
 at ``<t, t>`` as soon as its last free variable (condition variables
 included) is assigned, and a ground formula before any assignment, so a
-failing prefix cuts off every candidate that extends it.  ``models_below``
-walks the h below t in ``proper_subvaluations`` order.  With several jobs,
-``_run`` splits the search into subtrees, one per value prefix of the
-leading variables, runs them on one process pool and concatenates the
-results in prefix order; the workers compile the formulas themselves.
-One scan, ``_ht_scan``, feeds ``ht_models`` and every checker table.
+failing prefix cuts off every candidate that extends it.
+
+Below t, every model of the reduct contains the least fixpoint of its
+clauses with one head.  ``_stable_scan`` calls t stable when that fixpoint
+is t's full mask.  Otherwise, when every clause has at most one head (the
+reduct is Horn), the fixpoint is itself a proper model and t is not stable;
+only a reduct with disjunctive heads (as in ``a := 1 ; b := 1``) makes the
+scan walk the proper submasks above the fixpoint, stopping at the first
+that satisfies it.  ``_ht_scan`` lists every satisfying proper submask.
+Masks are walked in increasing order (``m = (m - full) & full``), which is
+the order of ``proper_subvaluations``.  With several jobs, ``_run`` splits
+the search into subtrees, one per value prefix of the leading variables,
+runs them on one process pool and concatenates the results in prefix order;
+the workers compile the formulas themselves.  ``_ht_scan`` feeds
+``ht_models`` and every checker table.
 
 ``Valuation`` and ``Interpretation`` objects are built only where models
 leave the core: the results of ``stable_models`` and ``ht_models``, the
@@ -195,6 +223,26 @@ def _values(v: Valuation, names) -> list:
     return [get(n) for n in names]
 
 
+def _full(t) -> int:
+    """The positions a value tuple defines, as a bitmask."""
+    return sum(1 << i for i, v in enumerate(t) if v is not None)
+
+
+def _restrict(t, m: int) -> tuple:
+    """The value tuple t restricted to the positions of mask m."""
+    return tuple(v if m >> i & 1 else None for i, v in enumerate(t))
+
+
+def _submasks(full: int):
+    """Every submask of ``full``, in increasing order, ``full`` last: the
+    order of ``subvaluations`` over the positions."""
+    m = 0
+    while m != full:
+        yield m
+        m = (m - full) & full
+    yield full
+
+
 # --------------------------------------------------------------------------
 # Term and atom evaluation
 
@@ -228,10 +276,9 @@ def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
     for item in _desugar_expr_conditions(e).items:
         if type(item) is ConditionalTerm:
             names = tuple(sorted(free_vars(item.condition)))
-            _, here = _compile_branch(item, _index(names), item.then_term, item.else_term)
-            item = here(_values(h, names), _values(t, names))
-            if item is None:
-                item = U
+            _, at = _compile_branch(item, _index(names), item.then_term, item.else_term)
+            branch, reduct = at(_values(t, names))
+            item = branch if _satisfied(reduct, _full(_values(h, names))) else U
         items.append(item)
     return LinearExpr(tuple(items))
 
@@ -239,9 +286,9 @@ def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
 def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
     """Value under h of the expression unfolded at <h, t>; U when undefined."""
     names = tuple(sorted(free_vars(e)))
-    _, here = _compile_sum([(1, item) for item in e.items], _index(names))
-    val = here(_values(h, names), _values(t, names))
-    return U if val is None else val
+    _, at = _compile_sum([(1, item) for item in e.items], _index(names))
+    r = at(_values(t, names))
+    return r[0] if r is not None and _satisfied(r[1], _full(_values(h, names))) else U
 
 
 def substitute_value(atom, name: str, value):
@@ -273,24 +320,63 @@ def substitute_value(atom, name: str, value):
 
 
 # --------------------------------------------------------------------------
-# Compiled satisfaction
+# Compiled satisfaction and the reduct
 
 # A world is a sequence of values indexed by variable position, None where
-# undefined.  ``there(t)`` decides <t, t>; ``here(h, t)`` decides <h, t>.
+# undefined, and h is t restricted to a bitmask m of positions (bit i for
+# position i).  A reduct is a tuple of clauses (body, heads) over m: when m
+# has every bit of ``body``, it has every bit of some mask in ``heads``;
+# no heads is a constraint.  ``at(t)`` is False when <t, t> fails.
 
 
 def _index(names) -> dict:
     return {n: i for i, n in enumerate(names)}
 
 
+def _need(mask: int) -> tuple:
+    """The reduct that asks for every bit of ``mask``."""
+    return ((0, (mask,)),) if mask else ()
+
+
+def _or(a: tuple, b: tuple) -> tuple:
+    """a or b, clause by clause: (b1 -> H1) or (b2 -> H2) is (b1 | b2) -> H1 or
+    H2.  A head inside the body makes the clause hold, so it goes."""
+    out = []
+    for b1, h1 in a:
+        for b2, h2 in b:
+            body = b1 | b2
+            heads = tuple(dict.fromkeys(h & ~body for h in h1 + h2))
+            if 0 not in heads:
+                out.append((body, heads))
+    return tuple(dict.fromkeys(out))
+
+
+def _implies(a: tuple, b: tuple) -> tuple:
+    """a -> b as (not a) or b, where not (body -> H) is body and no mask of H."""
+    for body, heads in a:
+        b = _or(_need(body) + tuple((h, ()) for h in heads), b)
+    return b
+
+
+def _satisfied(reduct, m: int) -> bool:
+    """m satisfies the reduct; never when the reduct is False."""
+    if reduct is False:
+        return False
+    for body, heads in reduct:
+        if body & m == body and not any(h & m == h for h in heads):
+            return False
+    return True
+
+
 def _compile(phi, index: dict):
-    """(there, here) for a desugared formula over worlds indexed by ``index``."""
+    """(there, at) for a desugared formula over worlds indexed by ``index``:
+    ``there(t)`` decides <t, t> and ``at(t)`` is the reduct at t."""
     tp = type(phi)
     if tp is Comparison:
         if phi.rel != "<=":
             raise ValueError("satisfaction requires a desugared formula")
         # lhs <= rhs holds when lhs - rhs is defined and at most 0
-        sum_there, sum_here = _compile_sum(
+        sum_there, sum_at = _compile_sum(
             [(1, i) for i in phi.lhs.items] + [(-1, i) for i in phi.rhs.items], index
         )
 
@@ -298,41 +384,58 @@ def _compile(phi, index: dict):
             v = sum_there(t)
             return v is not None and v <= 0
 
-        def here(h, t):
-            v = sum_here(h, t)
-            return v is not None and v <= 0
+        def at(t):
+            r = sum_at(t)
+            return False if r is None or r[0] > 0 else r[1]
 
-        return there, here
+        return there, at
     if tp is BoolAtom:
         i = index[phi.name]
-        return (lambda t: t[i].__class__ is Truth), (lambda h, t: h[i].__class__ is Truth)
-    if tp is And or tp is Or or tp is Implies:
-        l_there, l_here = _compile(phi.lhs, index)
-        r_there, r_here = _compile(phi.rhs, index)
-        if tp is And:
-            return (
-                lambda t: l_there(t) and r_there(t),
-                lambda h, t: l_here(h, t) and r_here(h, t),
-            )
-        if tp is Or:
-            return (
-                lambda t: l_there(t) or r_there(t),
-                lambda h, t: l_here(h, t) or r_here(h, t),
-            )
-        if type(phi.rhs) is Bot:  # a negation: both worlds must fail the lhs
-            return (
-                lambda t: not l_there(t),
-                lambda h, t: not l_there(t) and not l_here(h, t),
-            )
-        # the total world first, then the here world
+        need = _need(1 << i)
         return (
-            lambda t: not l_there(t) or r_there(t),
-            lambda h, t: not (l_there(t) and not r_there(t))
-            and (not l_here(h, t) or r_here(h, t)),
+            lambda t: t[i].__class__ is Truth,
+            lambda t: need if t[i].__class__ is Truth else False,
         )
+    if tp is And or tp is Or or tp is Implies:
+        l_there, l_at = _compile(phi.lhs, index)
+        r_there, r_at = _compile(phi.rhs, index)
+        if tp is And:
+
+            def at(t):
+                a = l_at(t)
+                if a is False:
+                    return False
+                b = r_at(t)
+                return False if b is False else a + b
+
+            return (lambda t: l_there(t) and r_there(t)), at
+        if tp is Or:
+
+            def at(t):
+                a = l_at(t)
+                if a is False:
+                    return r_at(t)
+                if not a:  # true at every m
+                    return a
+                b = r_at(t)
+                return a if b is False else _or(a, b)
+
+            return (lambda t: l_there(t) or r_there(t)), at
+        if type(phi.rhs) is Bot:  # a negation: a constant at t
+            return (lambda t: not l_there(t)), (lambda t: False if l_there(t) else ())
+
+        def at(t):
+            a = l_at(t)
+            if a is False:  # the lhs fails at t, so at every h below it
+                return ()
+            b = r_at(t)
+            return False if b is False else _implies(a, b)
+
+        return (lambda t: not l_there(t) or r_there(t)), at
     if tp is Bot or tp is TruthConst:
         value = tp is TruthConst and phi.value
-        return (lambda t: value), (lambda h, t: value)
+        reduct = () if value else False
+        return (lambda t: value), (lambda t: reduct)
     if tp is Defined:
         raise ValueError("satisfaction requires a desugared formula")
     raise TypeError(f"not a formula: {phi!r}")
@@ -350,27 +453,40 @@ def _term_code(sign: int, term, index: dict):
     raise ValueError(f"expression is not desugared: {term!r}")
 
 
+def _code_mask(codes) -> int:
+    """The positions the term codes read, as a mask."""
+    mask = 0
+    for code in codes:
+        if code is not None and code[0] is not None:
+            mask |= 1 << code[0]
+    return mask
+
+
 def _compile_branch(term: ConditionalTerm, index: dict, then_, else_):
-    """The branch rule of a conditional term as (there, here): ``then_`` when
-    the condition holds at the world, ``else_`` when it fails at <t, t>, and
-    None (undefined) otherwise."""
-    cond_there, cond_here = _compile(term.condition, index)
+    """The branch rule of a conditional term as (there, at).  ``there(t)``
+    is ``then_`` when the condition holds at <t, t> and ``else_`` otherwise.
+    ``at(t)`` is (``then_``, the condition's reduct at t) or (``else_``, ()):
+    at <h, t> the term takes ``then_`` when m satisfies that reduct, else it
+    is undefined, and ``else_`` when the condition fails at t."""
+    cond_there, cond_at = _compile(term.condition, index)
 
     def there(t):
         return then_ if cond_there(t) else else_
 
-    def here(h, t):
-        if cond_here(h, t):
-            return then_
-        return None if cond_there(t) else else_
+    def at(t):
+        reduct = cond_at(t)
+        return (else_, ()) if reduct is False else (then_, reduct)
 
-    return there, here
+    return there, at
 
 
 def _compile_sum(signed_items, index: dict):
-    """(there, here) for the sum of ``sign * item`` over the (sign, item)
-    pairs: its integer value at <t, t>, and under h with each conditional
-    term's branch picked at <h, t>; None when some term is undefined."""
+    """(there, at) for the sum of ``sign * item`` over the (sign, item)
+    pairs.  ``there(t)`` is its integer value at <t, t>, None when some term
+    is undefined.  ``at(t)`` is None when undefined at t, else (value,
+    reduct): under h the sum is that value when m satisfies the reduct (the
+    positions it reads, and the condition of every then-branch taken at t),
+    and undefined otherwise."""
     fixed, branches = [], []
     for sign, item in signed_items:
         if type(item) is ConditionalTerm:
@@ -379,6 +495,7 @@ def _compile_sum(signed_items, index: dict):
         else:
             fixed.append(_term_code(sign, item, index))
     fixed = tuple(fixed)
+    fixed_mask = _code_mask(fixed)
 
     def value(w, codes=fixed):
         acc = 0
@@ -395,11 +512,26 @@ def _compile_sum(signed_items, index: dict):
         return acc
 
     if not branches:
-        return value, (lambda h, t: value(h))
-    return (
-        lambda t: value(t, fixed + tuple(there(t) for there, _ in branches)),
-        lambda h, t: value(h, fixed + tuple(here(h, t) for _, here in branches)),
-    )
+        need = _need(fixed_mask)
+
+        def at(t):
+            v = value(t)
+            return None if v is None else (v, need)
+
+        return value, at
+
+    def at(t):
+        picks = [b_at(t) for _, b_at in branches]
+        codes = tuple(code for code, _ in picks)
+        v = value(t, fixed + codes)
+        if v is None:
+            return None
+        reduct = _need(fixed_mask | _code_mask(codes))
+        for _, cond in picks:
+            reduct += cond
+        return v, reduct
+
+    return (lambda t: value(t, fixed + tuple(there(t) for there, _ in branches))), at
 
 
 # compiled formulas kept for ``satisfies``, keyed by formula value
@@ -408,15 +540,18 @@ FORMULA_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=FORMULA_CACHE_SIZE)
 def _compiled_formula(phi) -> tuple:
-    """(names, there, here) for a formula over its own variables, in name order."""
+    """(names, there, at) for a formula over its own variables, in name order."""
     names = tuple(sorted(free_vars(phi)))
     return (names,) + _compile(phi, _index(names))
 
 
 def satisfies(interp: Interpretation, phi) -> bool:
     """<h, t> |= phi for a desugared formula."""
-    names, _, here = _compiled_formula(phi)
-    return here(_values(interp.h, names), _values(interp.t, names))
+    names, there, at = _compiled_formula(phi)
+    t = _values(interp.t, names)
+    if len(interp.h) == len(interp.t):  # h is t
+        return there(t)
+    return _satisfied(at(t), _full(_values(interp.h, names)))
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +559,7 @@ def satisfies(interp: Interpretation, phi) -> bool:
 
 
 class _Core(NamedTuple):
-    """Formulas compiled over a spec, each as (level, there, here), where
+    """Formulas compiled over a spec, each as (level, there, at), where
     ``level`` is the position of its last free variable (-1 when ground)."""
 
     names: tuple
@@ -444,9 +579,16 @@ def _core(spec: DomainSpec, formulas) -> _Core:
     return _Core(names, index, choices, compiled)
 
 
-def _holds(core: _Core, h, t) -> bool:
-    """<h, t> satisfies every formula of the core."""
-    return all(here(h, t) for _, _, here in core.formulas)
+def _reduct(core: _Core, t):
+    """The reduct of all the core's formulas at t, as a list of clauses;
+    False when <t, t> fails one of them."""
+    clauses = []
+    for _, _, at in core.formulas:
+        reduct = at(t)
+        if reduct is False:
+            return False
+        clauses += reduct
+    return clauses
 
 
 def total_models(core: _Core, prefix=()):
@@ -475,43 +617,52 @@ def total_models(core: _Core, prefix=()):
         yield from extend(len(prefix))
 
 
-def models_below(core: _Core, t: tuple, proper=False):
-    """Each h included in t, in ``subvaluations`` order, with <h, t>
-    satisfying every formula; ``proper`` leaves out h = t.
+def _least_model(reduct) -> int:
+    """The least mask closed under the reduct's clauses with one head."""
+    rules = [(body, heads[0]) for body, heads in reduct if len(heads) == 1]
+    low, grew = 0, True
+    while grew:
+        grew = False
+        for body, head in rules:
+            if body & low == body and head & low != head:
+                low |= head
+                grew = True
+    return low
 
-    <t, t> itself must satisfy the formulas, as ``total_models`` ensures.
-    """
-    here = [f for _, _, f in core.formulas]
-    # the product varies its last factor fastest: reversed, the lowest position
-    spans = [(None,) if v is None else (None, v) for v in reversed(t)]
-    count = 1 << sum(v is not None for v in t)
-    for backwards in itertools.islice(itertools.product(*spans), count - 1):
-        h = backwards[::-1]
-        for f in here:
-            if not f(h, t):
-                break
-        else:
-            yield h
-    if not proper:
-        yield t
+
+def _submodels(reduct, full: int, low: int):
+    """The proper submasks of ``full`` that contain ``low`` and satisfy the
+    reduct, in increasing order."""
+    free = full & ~low
+    return (low | s for s in _submasks(free) if s != free and _satisfied(reduct, low | s))
+
+
+def _minimal(reduct, full: int) -> bool:
+    """No proper submask of ``full`` satisfies the reduct, which ``full``
+    satisfies."""
+    low = _least_model(reduct)
+    if low == full:
+        return True
+    if all(len(heads) < 2 for _, heads in reduct):
+        return False  # Horn: low is its least model
+    return next(_submodels(reduct, full, low), None) is None
 
 
 def _stable_scan(spec, formulas, prefix):
+    """The total models t below which no proper h satisfies the formulas."""
     core = _core(spec, formulas)
-    return [
-        t
-        for t in total_models(core, prefix)
-        if next(models_below(core, t, proper=True), None) is None
-    ]
+    return [t for t in total_models(core, prefix) if _minimal(_reduct(core, t), _full(t))]
 
 
 def _ht_scan(spec, formulas, prefix):
-    """Table rows: each total model t, with the proper h below it as a list."""
+    """Table rows: each total model t, with the masks of the proper h below
+    it that satisfy the formulas, as a list in increasing order."""
     core = _core(spec, formulas)
-    return [
-        (t, list(models_below(core, t, proper=True)))
-        for t in total_models(core, prefix)
-    ]
+    rows = []
+    for t in total_models(core, prefix):
+        reduct = _reduct(core, t)
+        rows.append((t, list(_submodels(reduct, _full(t), _least_model(reduct)))))
+    return rows
 
 
 def _pool_map(fn, args, jobs):
@@ -585,7 +736,7 @@ def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     out = []
     for t, below in rows:
         tv = _valuation(names, t)
-        out.extend(Interpretation(_valuation(names, h), tv) for h in below)
+        out.extend(Interpretation(_valuation(names, _restrict(t, m)), tv) for m in below)
         out.append(Interpretation(tv, tv))
     return out
 

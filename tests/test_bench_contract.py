@@ -9,6 +9,7 @@ path and change nothing under ``perfbench/``.
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -82,3 +83,24 @@ def test_small_operations_print_their_frozen_stdout(monkeypatch, tmp_path, jobs)
         contents = passrun.write_inputs(inputs, work)
         _, failures, _, _, _ = passrun.run_ops(ops, inputs, contents, work, jobs, digests)
         assert ops and failures == [], (workload, failures)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("family, size", [("choice", (4,)), ("intchoice", (3, 2)), ("dhead", (3,))])
+def test_mid_sized_families_print_their_closed_forms(
+    monkeypatch, tmp_path, capsys, family, size, jobs
+):
+    # larger than the small inputs above: choice and intchoice have Horn
+    # reducts, dhead's disjunctive heads take the mask walk
+    inp = getattr(load_registered(monkeypatch, "inputs"), family)(*size, 0)
+    path = tmp_path / f"{inp.name}.lc"
+    path.write_text(inp.text, encoding="utf-8")
+    argv = ["solve", str(path), "--jobs", str(jobs)]
+    assert cli.main(argv) == 0
+    stable = json.loads(capsys.readouterr().out)["stable_models"]
+    assert sorted(tuple(sorted(m.items())) for m in stable) == sorted(inp.expect)
+    assert cli.main(argv + ["--ht"]) == 0
+    ht = json.loads(capsys.readouterr().out)["ht_models"]
+    assert len(ht) == inp.ht_count
+    totals = {tuple(sorted(m["t"].items())) for m in ht if m["h"] == m["t"]}
+    assert inp.expect <= totals

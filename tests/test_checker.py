@@ -95,6 +95,24 @@ class TestStableEquivalent:
         other_models = stable_models(b if report.witness.side == "left-only" else a)
         assert (v in side_models) and (v not in other_models)
 
+    def test_reads_the_stable_scan(self, monkeypatch):
+        # with only the empty context no HT table is needed; a context
+        # family still needs one per side
+        from htc import checker as chk
+        from htc import semantics
+
+        scans = []
+
+        def recording_run(scan, theories, budget, jobs):
+            scans.append(scan)
+            return semantics._run(scan, theories, budget, jobs)
+
+        monkeypatch.setattr(chk, "_run", recording_run)
+        a, b = bool_theory(Or(BoolAtom("p"), Not(BoolAtom("p")))), bool_theory()
+        assert stable_equivalent(a, b).verdict == "different"
+        strong_equiv_sampled(a, b, contexts=context_family(BOOLS))
+        assert scans == [semantics._stable_scan, semantics._ht_scan]
+
 
 class TestStrongEquivalence:
     def test_classic_pair_equal_stably_but_not_strongly(self):

@@ -5,15 +5,19 @@ sharing, no memoization and no fused evaluation paths, so a bug in the
 engine's shortcuts cannot hide in both implementations.
 """
 
+import importlib.util
 import pathlib
 import random
+import sys
 
+from htc import semantics
 from htc.checker import (
     DEFAULT_SUITE_SPEC,
     _stable_under,
     context_family,
     gen_formula,
     gen_program,
+    gen_theory_one_conditional,
 )
 from htc.parser import parse_theory, pretty_print
 from htc.semantics import (
@@ -22,7 +26,9 @@ from htc.semantics import (
     _core,
     _ht_scan,
     _prefixes,
+    _restrict,
     _run,
+    _stable_scan,
     _valuation,
     enumerate_valuations,
     eval_atom,
@@ -61,7 +67,8 @@ from htc import transforms
 from htc.transforms import theory_formulas
 
 SPEC = DEFAULT_SUITE_SPEC
-PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "programs"
 
 
 def ref_term_value(v, term):
@@ -361,6 +368,15 @@ def ref_table(theory):
     ]
 
 
+def valuation_table(names, rows):
+    """``_ht_scan`` rows as ``ref_table`` gives them: each t with the set of
+    the h whose masks its row lists."""
+    return [
+        (_valuation(names, t), {_valuation(names, _restrict(t, m)) for m in below})
+        for t, below in rows
+    ]
+
+
 class TestPrunedSearch:
     def test_prefixes_span_the_boolean_first_variable(self):
         assert _prefixes(PRUNE_SPEC, 1) == [()]
@@ -376,10 +392,131 @@ class TestPrunedSearch:
                 found = [t for p in _prefixes(spec, jobs) for t in total_models(core, p)]
                 assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
                 [(_, rows)] = _run(_ht_scan, [thy], None, jobs)
-                table = [
-                    (_valuation(names, t), {_valuation(names, h) for h in below})
-                    for t, below in rows
-                ]
-                assert table == expected, jobs
+                assert valuation_table(names, rows) == expected, jobs
                 assert stable_models(thy, jobs=jobs) == ref_stable_models(thy)
                 assert ht_models(thy, jobs=jobs) == ref_ht_models(thy)
+
+
+# --------------------------------------------------------------------------
+# The reduct: the Horn fixpoint and the mask walk
+
+
+def reduct_corpus(n=600, seed=46_000_003):
+    """A third each: programs, theories of formulas with up to two
+    conditional terms, and theories with one conditional term."""
+    out = []
+    for i in range(n):
+        rng = random.Random(seed + i)
+        if i % 3 == 0:
+            out.append(gen_program(rng, SPEC))
+        elif i % 3 == 1:
+            formulas = [
+                gen_formula(rng, SPEC, conditional_budget=[2])
+                for _ in range(rng.randint(1, 2))
+            ]
+            out.append(make_theory(SPEC, formulas))
+        else:
+            out.append(gen_theory_one_conditional(rng, SPEC))
+    return out
+
+
+def reduct_mismatches(corpus, jobs=1):
+    """Positions of the theories whose stable scan or HT scan differs from
+    the reference; the masks below each t must also come in increasing order."""
+    stable = _run(_stable_scan, corpus, None, jobs)
+    tables = _run(_ht_scan, corpus, None, jobs)
+    bad = []
+    for i, (thy, (spec, found), (_, rows)) in enumerate(zip(corpus, stable, tables)):
+        names = spec.variables()
+        if (
+            [_valuation(names, t) for t in found] != ref_stable_models(thy)
+            or valuation_table(names, rows) != ref_table(thy)
+            or any(below != sorted(below) for _, below in rows)
+        ):
+            bad.append(i)
+    return bad
+
+
+def load_bench_inputs():
+    """``perfbench/inputs.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestReductGate:
+    def test_scans_agree_with_the_reference(self):
+        assert reduct_mismatches(reduct_corpus()) == []
+
+    def test_scans_agree_with_the_reference_on_a_pool(self):
+        assert reduct_mismatches(reduct_corpus()[::6], jobs=2) == []
+
+    def test_fixpoint_and_walk_each_decide_items(self, monkeypatch):
+        # an item counts for the walk when some t needs it, and for the
+        # fixpoint when the fixpoint alone settles some t; most reducts are
+        # Horn, so the walk runs on about one item in 25
+        calls = {"minimal": 0, "walk": 0}
+        minimal, submodels = semantics._minimal, semantics._submodels
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(semantics, "_minimal", counted("minimal", minimal))
+        monkeypatch.setattr(semantics, "_submodels", counted("walk", submodels))
+        fixpoint = walk = 0
+        for thy in reduct_corpus():
+            calls.update(minimal=0, walk=0)
+            _run(_stable_scan, [thy], None, 1)
+            fixpoint += calls["minimal"] > calls["walk"]
+            walk += calls["walk"] > 0
+        assert fixpoint >= 20 and walk >= 20, (fixpoint, walk)
+
+    def test_gate_fails_when_a_then_branch_drops_its_condition(self, monkeypatch):
+        # at <h, t> a then-branch taken at t also needs its condition at h
+        branch = semantics._compile_branch
+
+        def unconditional(term, index, then_, else_):
+            there, at = branch(term, index, then_, else_)
+            return there, lambda t: (at(t)[0], ())
+
+        item = reduct_corpus(n=1, seed=46_000_003)
+        assert reduct_mismatches(item) == []
+        monkeypatch.setattr(semantics, "_compile_branch", unconditional)
+        assert reduct_mismatches(item) == [0]
+
+    def test_fixpoint_must_not_read_disjunctive_heads_as_horn(self, monkeypatch):
+        # dhead(2): each pair a_i := lo ; b_i := lo, so a t defining both
+        # of a pair has the disjunctive clause a_i or b_i in its reduct
+        dhead = load_bench_inputs().dhead(2, 0)
+        thy = parse_theory(dhead.text)
+        reduct = semantics._reduct
+
+        def stable():
+            return {tuple(sorted(v.to_json().items())) for v in stable_models(thy)}
+
+        assert stable() == dhead.expect and len(ht_models(thy)) == dhead.ht_count
+
+        def horn(join):
+            def read(core, t):
+                clauses = reduct(core, t)
+                return clauses if clauses is False else [(b, join(h)) for b, h in clauses]
+
+            return read
+
+        # keeping the first disjunct still leaves a model of the clause, and
+        # every stable t of dhead has a Horn reduct, so only the HT listing,
+        # which walks up from the fixpoint, loses the h that define b_i alone
+        monkeypatch.setattr(semantics, "_reduct", horn(lambda heads: heads[:1]))
+        assert len(ht_models(thy)) < dhead.ht_count
+        # joining the disjuncts into one head makes every t stable
+        monkeypatch.setattr(semantics, "_reduct", horn(lambda heads: (sum(heads),) if heads else ()))
+        assert stable() != dhead.expect
