@@ -22,12 +22,14 @@ The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
 rule unfolding, faithfulness of conditional-term elimination) on seeded
 random corpora and report the first counterexample, shrunk to a locally
-minimal instance by re-running the same law on smaller candidates.  The
-denotation conditions are checked on the compiled evaluator that every
-model reader runs.  The supportedness laws read rules as (head items, body)
-pairs: assignment rules directly, unfolded rules as the clauses
-``transforms.clauses`` distributes them into, never by parsing a formula
-back into a rule.
+minimal instance by re-running the same law on smaller candidates.  Each
+law runs the compiled evaluator of the model readers.  Persistence,
+negation and term persistence check the reduct at t against t's full mask,
+which stands for <t, t>: a reduct that some h below t satisfies holds there
+too, and the reduct of ``not phi`` holds at h iff phi's fails there.
+The supportedness laws read rules as (head items, body) pairs: assignment
+rules directly, unfolded rules as the clauses ``transforms.clauses``
+distributes them into, never by parsing a formula back into a rule.
 """
 
 from __future__ import annotations
@@ -470,12 +472,6 @@ def _gen_core_formula(rng, spec):
     return desugar_comparisons(gen_formula(rng, spec))
 
 
-def _pairs(core):
-    """Every pair (m, t) over the core's spec: a value tuple t and the mask
-    of the positions of t that an h below it defines."""
-    return ((m, t) for t in total_models(core) for m in _submasks(_full(t)))
-
-
 def _ht_detail(core, m, t) -> dict:
     return {
         "h": _valuation(core.names, _restrict(t, m)).to_json(),
@@ -483,22 +479,33 @@ def _ht_detail(core, m, t) -> dict:
     }
 
 
+def _unpersistent(core, reduct_at):
+    """The detail of the first pair (m, t) over the core's spec whose m
+    satisfies the reduct ``reduct_at(t)`` while t's full mask does not;
+    None when there is none."""
+    for t, _ in total_models(core):
+        reduct, full = reduct_at(t), _full(t)
+        if reduct is not False and not _satisfied(reduct, full):
+            for m in _submasks(full):
+                if _satisfied(reduct, m):
+                    return _ht_detail(core, m, t)
+    return None
+
+
 def _persistence_law(phi, spec):
     core = _core(spec, ())
-    there, at = _compile(phi, core.index)
-    for m, t in _pairs(core):
-        if _satisfied(at(t), m) and not there(t):
-            return {"formula": phi, "detail": _ht_detail(core, m, t)}
-    return None
+    detail = _unpersistent(core, _compile(phi, core.index))
+    return detail and {"formula": phi, "detail": detail}
 
 
 def _negation_law(phi, spec):
     core = _core(spec, ())
-    there, _ = _compile(phi, core.index)
-    _, neg_at = _compile(Not(phi), core.index)
-    for m, t in _pairs(core):
-        if _satisfied(neg_at(t), m) != (not there(t)):
-            return {"formula": phi, "detail": _ht_detail(core, m, t)}
+    at, neg_at = _compile(phi, core.index), _compile(Not(phi), core.index)
+    for t, _ in total_models(core):
+        neg, fails = neg_at(t), not _satisfied(at(t), _full(t))
+        for m in _submasks(_full(t)):
+            if _satisfied(neg, m) != fails:
+                return {"formula": phi, "detail": _ht_detail(core, m, t)}
     return None
 
 
@@ -511,15 +518,14 @@ def _gen_core_term(rng, spec):
 
 def _term_persistence_law(tau, spec):
     core = _core(spec, ())
-    value_there, value_at = _compile_sum([(1, tau)], core.index)
-    for m, t in _pairs(core):
+    value_at = _compile_sum([(1, tau)], core.index)
+
+    def reduct_at(t):
         r = value_at(t)
-        if r is not None and _satisfied(r[1], m) and r[0] != value_there(t):
-            return {
-                "term": pretty_print(LinearExpr((tau,))),
-                "detail": _ht_detail(core, m, t),
-            }
-    return None
+        return False if r is None else r[1]
+
+    detail = _unpersistent(core, reduct_at)
+    return detail and {"term": pretty_print(LinearExpr((tau,))), "detail": detail}
 
 
 def _gen_denotation_atoms(rng, spec):
@@ -534,10 +540,11 @@ def _denotation_law(atoms, spec):
     in the denotation of a condition-free atom when <v, v> satisfies it."""
     atom, cond_atom, s2 = atoms
     core = _core(spec, ())
-    index, worlds = core.index, list(total_models(core))
+    index, worlds = core.index, [t for t, _ in total_models(core)]
 
     def member(a):
-        return _compile(a, index)[0]
+        at = _compile(a, index)
+        return lambda v: at(v) is not False
 
     def violation(a, law, v):
         detail = _valuation(core.names, v).to_json()
@@ -545,10 +552,10 @@ def _denotation_law(atoms, spec):
 
     holds = member(atom)
     # condition 1: monotonicity
-    for m, t in _pairs(core):
-        v = _restrict(t, m)
-        if holds(v) and not holds(t):
-            return violation(atom, 1, v)
+    for t in worlds:
+        for v in (_restrict(t, m) for m in _submasks(_full(t))):
+            if holds(v) and not holds(t):
+                return violation(atom, 1, v)
     # condition 2: substituting a variable by its value
     relevant = sorted(free_vars(atom))
     substituted = {

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .checker import (
     SUITE_NAMES,
@@ -54,6 +55,7 @@ def _int_at_least(minimum):
     return parse
 
 
+@cache  # one parser per process; parsing an argv does not change it
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="htc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

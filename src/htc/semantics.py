@@ -13,10 +13,10 @@ Inside the engine a world is a tuple of values indexed by the position of
 each variable in ``spec.variables()``, with None for undefined, and an h
 below t is the bitmask m of the positions of t it defines (bit i for
 position i; h is t restricted to m).  Each desugared formula is compiled
-once per scan into two closures: ``there(t)`` decides ``<t, t>``, and
-``at(t)`` returns the reduct of the formula at t, a condition on m that
-holds exactly when ``<h, t>`` satisfies the formula (Ferraris, LPNMR 2005,
-carried to HT_C as in Cabalar, Kaminski, Ostrowski and Schaub, IJCAI 2016).
+once per scan into one closure, ``at(t)``: the reduct of the formula at t,
+a condition on m that holds exactly when ``<h, t>`` satisfies the formula
+(Ferraris, LPNMR 2005, carried to HT_C as in Cabalar, Kaminski, Ostrowski
+and Schaub, IJCAI 2016); ``at(t) is False`` means that ``<t, t>`` fails it.
 At a fixed t each piece of the formula becomes:
 
 - False, when ``<t, t>`` fails it; by persistence so does every ``<h, t>``;
@@ -28,7 +28,7 @@ At a fixed t each piece of the formula becomes:
 - for ``and``, ``or``: the conjunction, disjunction of the two reducts;
 - for an implication that holds at t: the classical implication between
   the reducts (an antecedent false at t makes it true);
-- for a negation: the constant ``not there(t)``.
+- for a negation: true when the negated formula's reduct is False.
 
 A reduct is kept as clauses ``(body, heads)``: when m has every bit of
 ``body`` it has every bit of some mask in ``heads`` (no heads: never).
@@ -36,17 +36,18 @@ This is the package's only evaluator; the then/else/U rule of conditional
 terms lives in one place, ``_compile_branch``.
 
 Every model reader sits on one enumeration core over a compiled theory:
-``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, and
-the reduct at each such t gives the h below it.  Reading only the h below
-total models loses nothing, by persistence: if ``<h, t>`` satisfies a
-formula, so does ``<t, t>``.
+``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, each
+with the clauses of their reducts at t, which give the h below it.  Reading
+only the h below total models loses nothing, by persistence: if ``<h, t>``
+satisfies a formula, so does ``<t, t>``.
 
 ``total_models`` is a depth-first search that assigns the variables in spec
 order, each first undefined and then through its domain in order, so it
-yields the t in the order of ``enumerate_valuations``.  A formula is checked
-at ``<t, t>`` as soon as its last free variable (condition variables
-included) is assigned, and a ground formula before any assignment, so a
-failing prefix cuts off every candidate that extends it.
+yields the t in the order of ``enumerate_valuations``.  A formula's ``at``
+runs as soon as its last free variable (condition variables included) is
+assigned, a ground formula's before any assignment: False cuts off every
+candidate that extends the prefix, and a reduct joins the clauses carried
+down to each t.
 
 Below t, every model of the reduct contains the least fixpoint of its
 clauses with one head.  ``_stable_scan`` calls t stable when that fixpoint
@@ -276,7 +277,7 @@ def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
     for item in _desugar_expr_conditions(e).items:
         if type(item) is ConditionalTerm:
             names = tuple(sorted(free_vars(item.condition)))
-            _, at = _compile_branch(item, _index(names), item.then_term, item.else_term)
+            at = _compile_branch(item, _index(names), item.then_term, item.else_term)
             branch, reduct = at(_values(t, names))
             item = branch if _satisfied(reduct, _full(_values(h, names))) else U
         items.append(item)
@@ -286,7 +287,7 @@ def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
 def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
     """Value under h of the expression unfolded at <h, t>; U when undefined."""
     names = tuple(sorted(free_vars(e)))
-    _, at = _compile_sum([(1, item) for item in e.items], _index(names))
+    at = _compile_sum([(1, item) for item in e.items], _index(names))
     r = at(_values(t, names))
     return r[0] if r is not None and _satisfied(r[1], _full(_values(h, names))) else U
 
@@ -369,36 +370,31 @@ def _satisfied(reduct, m: int) -> bool:
 
 
 def _compile(phi, index: dict):
-    """(there, at) for a desugared formula over worlds indexed by ``index``:
-    ``there(t)`` decides <t, t> and ``at(t)`` is the reduct at t."""
+    """``at(t)`` for a desugared formula over worlds indexed by ``index``:
+    the reduct of the formula at t, False when <t, t> fails it."""
     tp = type(phi)
     if tp is Comparison:
         if phi.rel != "<=":
             raise ValueError("satisfaction requires a desugared formula")
         # lhs <= rhs holds when lhs - rhs is defined and at most 0
-        sum_there, sum_at = _compile_sum(
+        sum_at = _compile_sum(
             [(1, i) for i in phi.lhs.items] + [(-1, i) for i in phi.rhs.items], index
         )
-
-        def there(t):
-            v = sum_there(t)
-            return v is not None and v <= 0
 
         def at(t):
             r = sum_at(t)
             return False if r is None or r[0] > 0 else r[1]
 
-        return there, at
+        return at
     if tp is BoolAtom:
         i = index[phi.name]
         need = _need(1 << i)
-        return (
-            lambda t: t[i].__class__ is Truth,
-            lambda t: need if t[i].__class__ is Truth else False,
-        )
+        return lambda t: need if t[i].__class__ is Truth else False
     if tp is And or tp is Or or tp is Implies:
-        l_there, l_at = _compile(phi.lhs, index)
-        r_there, r_at = _compile(phi.rhs, index)
+        l_at = _compile(phi.lhs, index)
+        if tp is Implies and type(phi.rhs) is Bot:  # a negation: a constant at t
+            return lambda t: () if l_at(t) is False else False
+        r_at = _compile(phi.rhs, index)
         if tp is And:
 
             def at(t):
@@ -408,8 +404,7 @@ def _compile(phi, index: dict):
                 b = r_at(t)
                 return False if b is False else a + b
 
-            return (lambda t: l_there(t) and r_there(t)), at
-        if tp is Or:
+        elif tp is Or:
 
             def at(t):
                 a = l_at(t)
@@ -420,22 +415,19 @@ def _compile(phi, index: dict):
                 b = r_at(t)
                 return a if b is False else _or(a, b)
 
-            return (lambda t: l_there(t) or r_there(t)), at
-        if type(phi.rhs) is Bot:  # a negation: a constant at t
-            return (lambda t: not l_there(t)), (lambda t: False if l_there(t) else ())
+        else:
 
-        def at(t):
-            a = l_at(t)
-            if a is False:  # the lhs fails at t, so at every h below it
-                return ()
-            b = r_at(t)
-            return False if b is False else _implies(a, b)
+            def at(t):
+                a = l_at(t)
+                if a is False:  # the lhs fails at t, so at every h below it
+                    return ()
+                b = r_at(t)
+                return False if b is False else _implies(a, b)
 
-        return (lambda t: not l_there(t) or r_there(t)), at
+        return at
     if tp is Bot or tp is TruthConst:
-        value = tp is TruthConst and phi.value
-        reduct = () if value else False
-        return (lambda t: value), (lambda t: reduct)
+        reduct = () if tp is TruthConst and phi.value else False
+        return lambda t: reduct
     if tp is Defined:
         raise ValueError("satisfaction requires a desugared formula")
     raise TypeError(f"not a formula: {phi!r}")
@@ -463,30 +455,26 @@ def _code_mask(codes) -> int:
 
 
 def _compile_branch(term: ConditionalTerm, index: dict, then_, else_):
-    """The branch rule of a conditional term as (there, at).  ``there(t)``
-    is ``then_`` when the condition holds at <t, t> and ``else_`` otherwise.
-    ``at(t)`` is (``then_``, the condition's reduct at t) or (``else_``, ()):
-    at <h, t> the term takes ``then_`` when m satisfies that reduct, else it
-    is undefined, and ``else_`` when the condition fails at t."""
-    cond_there, cond_at = _compile(term.condition, index)
-
-    def there(t):
-        return then_ if cond_there(t) else else_
+    """The branch rule of a conditional term as ``at(t)``: (``then_``, the
+    condition's reduct at t) when the condition holds at <t, t>, else
+    (``else_``, ()).  At <h, t> the term takes ``then_`` when m satisfies
+    that reduct, else it is undefined, and ``else_`` when the condition
+    fails at t."""
+    cond_at = _compile(term.condition, index)
 
     def at(t):
         reduct = cond_at(t)
         return (else_, ()) if reduct is False else (then_, reduct)
 
-    return there, at
+    return at
 
 
 def _compile_sum(signed_items, index: dict):
-    """(there, at) for the sum of ``sign * item`` over the (sign, item)
-    pairs.  ``there(t)`` is its integer value at <t, t>, None when some term
-    is undefined.  ``at(t)`` is None when undefined at t, else (value,
-    reduct): under h the sum is that value when m satisfies the reduct (the
-    positions it reads, and the condition of every then-branch taken at t),
-    and undefined otherwise."""
+    """``at(t)`` for the sum of ``sign * item`` over the (sign, item) pairs:
+    None when some term is undefined at <t, t>, else (value, reduct): its
+    integer value at <t, t>, which it keeps under h when m satisfies the
+    reduct (the positions it reads, and the condition of every then-branch
+    taken at t); under any other h it is undefined."""
     fixed, branches = [], []
     for sign, item in signed_items:
         if type(item) is ConditionalTerm:
@@ -518,10 +506,10 @@ def _compile_sum(signed_items, index: dict):
             v = value(t)
             return None if v is None else (v, need)
 
-        return value, at
+        return at
 
     def at(t):
-        picks = [b_at(t) for _, b_at in branches]
+        picks = [b_at(t) for b_at in branches]
         codes = tuple(code for code, _ in picks)
         v = value(t, fixed + codes)
         if v is None:
@@ -531,7 +519,7 @@ def _compile_sum(signed_items, index: dict):
             reduct += cond
         return v, reduct
 
-    return (lambda t: value(t, fixed + tuple(there(t) for there, _ in branches))), at
+    return at
 
 
 # compiled formulas kept for ``satisfies``, keyed by formula value
@@ -540,18 +528,15 @@ FORMULA_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=FORMULA_CACHE_SIZE)
 def _compiled_formula(phi) -> tuple:
-    """(names, there, at) for a formula over its own variables, in name order."""
+    """(names, at) for a formula over its own variables, in name order."""
     names = tuple(sorted(free_vars(phi)))
-    return (names,) + _compile(phi, _index(names))
+    return names, _compile(phi, _index(names))
 
 
 def satisfies(interp: Interpretation, phi) -> bool:
     """<h, t> |= phi for a desugared formula."""
-    names, there, at = _compiled_formula(phi)
-    t = _values(interp.t, names)
-    if len(interp.h) == len(interp.t):  # h is t
-        return there(t)
-    return _satisfied(at(t), _full(_values(interp.h, names)))
+    names, at = _compiled_formula(phi)
+    return _satisfied(at(_values(interp.t, names)), _full(_values(interp.h, names)))
 
 
 # --------------------------------------------------------------------------
@@ -559,7 +544,7 @@ def satisfies(interp: Interpretation, phi) -> bool:
 
 
 class _Core(NamedTuple):
-    """Formulas compiled over a spec, each as (level, there, at), where
+    """Formulas compiled over a spec, each as (level, at), where
     ``level`` is the position of its last free variable (-1 when ground)."""
 
     names: tuple
@@ -572,7 +557,7 @@ def _core(spec: DomainSpec, formulas) -> _Core:
     names = spec.variables()
     index = _index(names)
     compiled = tuple(
-        (max((index[x] for x in free_vars(f)), default=-1),) + _compile(f, index)
+        (max((index[x] for x in free_vars(f)), default=-1), _compile(f, index))
         for f in formulas
     )
     choices = tuple((None,) + spec.domain_values(n) for n in names)
@@ -581,9 +566,10 @@ def _core(spec: DomainSpec, formulas) -> _Core:
 
 def _reduct(core: _Core, t):
     """The reduct of all the core's formulas at t, as a list of clauses;
-    False when <t, t> fails one of them."""
+    False when <t, t> fails one of them.  The search builds the same clauses
+    on its way down; this serves t read back from a table."""
     clauses = []
-    for _, _, at in core.formulas:
+    for _, at in core.formulas:
         reduct = at(t)
         if reduct is False:
             return False
@@ -592,29 +578,31 @@ def _reduct(core: _Core, t):
 
 
 def total_models(core: _Core, prefix=()):
-    """Each t extending the value ``prefix`` whose <t, t> satisfies every
-    formula, in enumeration order.
+    """(t, the clauses of every formula's reduct at t) for each t extending
+    the value ``prefix`` whose <t, t> satisfies every formula, in enumeration
+    order.  Depth-first; a formula's reduct is taken once its last free
+    variable has a value: False prunes every extension of the partial t, and
+    clauses join those carried down."""
+    n, start = len(core.names), len(prefix)
+    due = [[] for _ in range(n + 1)]  # due[k]: evaluated once positions < k are set
+    for level, at in core.formulas:
+        due[max(level + 1, start)].append(at)
+    t = list(prefix) + [None] * (n - start)
 
-    Depth-first over positions; a formula is checked once its last free
-    variable has a value, so a failing partial t prunes all its extensions.
-    """
-    n = len(core.names)
-    due = [[] for _ in range(n + 1)]  # due[k]: checks once positions < k are set
-    for level, there, _ in core.formulas:
-        due[level + 1].append(there)
-    t = list(prefix) + [None] * (n - len(prefix))
-
-    def extend(k):
+    def extend(k, clauses):
+        for at in due[k]:
+            reduct = at(t)
+            if reduct is False:
+                return
+            clauses += reduct
         if k == n:
-            yield tuple(t)
+            yield tuple(t), clauses
             return
         for v in core.choices[k]:
             t[k] = v
-            if all(there(t) for there in due[k + 1]):
-                yield from extend(k + 1)
+            yield from extend(k + 1, clauses)
 
-    if all(there(t) for checks in due[: len(prefix) + 1] for there in checks):
-        yield from extend(len(prefix))
+    yield from extend(start, ())
 
 
 def _least_model(reduct) -> int:
@@ -651,18 +639,16 @@ def _minimal(reduct, full: int) -> bool:
 def _stable_scan(spec, formulas, prefix):
     """The total models t below which no proper h satisfies the formulas."""
     core = _core(spec, formulas)
-    return [t for t in total_models(core, prefix) if _minimal(_reduct(core, t), _full(t))]
+    return [t for t, reduct in total_models(core, prefix) if _minimal(reduct, _full(t))]
 
 
 def _ht_scan(spec, formulas, prefix):
     """Table rows: each total model t, with the masks of the proper h below
     it that satisfy the formulas, as a list in increasing order."""
-    core = _core(spec, formulas)
-    rows = []
-    for t in total_models(core, prefix):
-        reduct = _reduct(core, t)
-        rows.append((t, list(_submodels(reduct, _full(t), _least_model(reduct)))))
-    return rows
+    return [
+        (t, list(_submodels(reduct, _full(t), _least_model(reduct))))
+        for t, reduct in total_models(_core(spec, formulas), prefix)
+    ]
 
 
 def _pool_map(fn, args, jobs):

@@ -55,6 +55,16 @@ def test_assignment_caches_are_bounded_and_report_their_size():
         assert info.maxsize is not None and info.currsize <= info.maxsize, name
 
 
+def test_cli_parser_is_built_once_per_process(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    f = tmp_path / "p.lc"
+    f.write_text("#bool p. p.\n")
+    assert cli.main(["solve", str(f)]) == 0
+    assert cli.main(["solve", str(f), "--ht"]) == 0
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_strong_check_passes_contexts_by_keyword(monkeypatch, tmp_path, capsys):
     calls = []
 

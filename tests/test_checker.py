@@ -270,6 +270,19 @@ class TestDenotationLaws:
         assert report.counterexample["law"] == 2
 
 
+class TestReductPersistenceSuites:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("suite", ["persistence", "negation", "term-persistence"])
+    def test_suites_check_the_clause_algebra(self, monkeypatch, suite, seed):
+        # a -> b read as (not a) alone: t's full mask no longer satisfies
+        # the reduct of an implication whose sides hold at t
+        from htc import semantics
+
+        implies = semantics._implies
+        monkeypatch.setattr(semantics, "_implies", lambda a, b: implies(a, ((0, ()),)))
+        assert run_property_suite(suite, seed=seed, count=50).violations == 1
+
+
 class TestSupportednessLaw:
     @pytest.mark.parametrize(
         "text, models",

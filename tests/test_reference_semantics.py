@@ -389,7 +389,7 @@ class TestPrunedSearch:
             expected = ref_table(thy)
             core = _core(spec, theory_formulas(core_thy))
             for jobs in (1, 2, 3):
-                found = [t for p in _prefixes(spec, jobs) for t in total_models(core, p)]
+                found = [t for p in _prefixes(spec, jobs) for t, _ in total_models(core, p)]
                 assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
                 [(_, rows)] = _run(_ht_scan, [thy], None, jobs)
                 assert valuation_table(names, rows) == expected, jobs
@@ -485,8 +485,8 @@ class TestReductGate:
         branch = semantics._compile_branch
 
         def unconditional(term, index, then_, else_):
-            there, at = branch(term, index, then_, else_)
-            return there, lambda t: (at(t)[0], ())
+            at = branch(term, index, then_, else_)
+            return lambda t: (at(t)[0], ())
 
         item = reduct_corpus(n=1, seed=46_000_003)
         assert reduct_mismatches(item) == []
@@ -498,7 +498,7 @@ class TestReductGate:
         # of a pair has the disjunctive clause a_i or b_i in its reduct
         dhead = load_bench_inputs().dhead(2, 0)
         thy = parse_theory(dhead.text)
-        reduct = semantics._reduct
+        search = semantics.total_models
 
         def stable():
             return {tuple(sorted(v.to_json().items())) for v in stable_models(thy)}
@@ -506,17 +506,19 @@ class TestReductGate:
         assert stable() == dhead.expect and len(ht_models(thy)) == dhead.ht_count
 
         def horn(join):
-            def read(core, t):
-                clauses = reduct(core, t)
-                return clauses if clauses is False else [(b, join(h)) for b, h in clauses]
+            def read(core, prefix=()):
+                for t, clauses in search(core, prefix):
+                    yield t, [(b, join(h)) for b, h in clauses]
 
             return read
 
         # keeping the first disjunct still leaves a model of the clause, and
         # every stable t of dhead has a Horn reduct, so only the HT listing,
         # which walks up from the fixpoint, loses the h that define b_i alone
-        monkeypatch.setattr(semantics, "_reduct", horn(lambda heads: heads[:1]))
+        monkeypatch.setattr(semantics, "total_models", horn(lambda heads: heads[:1]))
         assert len(ht_models(thy)) < dhead.ht_count
         # joining the disjuncts into one head makes every t stable
-        monkeypatch.setattr(semantics, "_reduct", horn(lambda heads: (sum(heads),) if heads else ()))
+        monkeypatch.setattr(
+            semantics, "total_models", horn(lambda heads: (sum(heads),) if heads else ())
+        )
         assert stable() != dhead.expect
