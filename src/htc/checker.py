@@ -8,11 +8,10 @@ quantifies over all contexts; the sampled check here enumerates a finite,
 deterministic family and is falsification-oriented only.
 
 Every check reads model tables from one scan of the enumeration core,
-``_run(_ht_scan, ...)``, which builds both sides on one pool of ``jobs``
-workers: ``equivalent`` and the unfolding law compare their (h, t) pairs,
-and the strong checks read stable models off them under each context.  The
-stable check, whose only context is the empty one, reads both sides'
-stable models from ``_run(_stable_scan, ...)`` instead.  The tables keep
+``_run``, which builds both sides on one pool of ``jobs`` workers:
+``equivalent`` and the unfolding law compare the (h, t) pairs that
+``_below`` reads off the rows, and the stable and strong checks read stable
+models off them under each context with ``_stable_under``.  The tables keep
 only total models.  A t whose <t, t> fails the theory cannot become
 stable when a context is added, since the extended theory still contains
 the failing one; and by persistence no h below such a t satisfies the
@@ -45,17 +44,16 @@ from .parser import pretty_print
 from .semantics import (
     Interpretation,
     Valuation,
+    _below,
     _compile,
     _compile_sum,
     _core,
     _full,
-    _ht_scan,
     _pool_map,
-    _reduct,
     _restrict,
     _run,
     _satisfied,
-    _stable_scan,
+    _stable_under,
     _submasks,
     _supported,
     _valuation,
@@ -143,33 +141,16 @@ class EquivReport:
 # --------------------------------------------------------------------------
 # Model tables
 
-# A table is one theory's entry of ``_run(_ht_scan, ...)``: a spec and, for
-# each total model t (a value tuple, in enumeration order), the list of
-# proper h below it with <h, t> satisfying the theory, each h as the mask of
-# the positions of t it defines.  HT models, stable models and stable models
-# under added contexts are all read off tables without re-evaluating the
-# base theory.
+# A table is one theory's entry of ``_run``: a spec and, for each total
+# model t (a value tuple, in enumeration order), the reduct of the theory at
+# t, whose satisfying masks are the h below t with <h, t> satisfying the
+# theory.  HT models, stable models and stable models under added contexts
+# are all read off tables without re-evaluating the base theory.
 
 
 def _ht_pairs(rows) -> set:
     """The (mask, t) pairs of a table's rows, each <t, t> included."""
-    return {(m, t) for t, below in rows for m in (*below, _full(t))}
-
-
-def _stable_under(table, extra=()):
-    """Stable models of the tabled theory extended with ``extra`` formulas.
-
-    A tabled t stays stable unless one of its tabled h also satisfies
-    ``extra``: the h below t that the table leaves out fail the theory.
-    """
-    spec, rows = table
-    core = _core(spec, extra)
-    out = []
-    for t, below in rows:
-        reduct = _reduct(core, t)
-        if reduct is not False and not any(_satisfied(reduct, m) for m in below):
-            out.append(_valuation(core.names, t))
-    return out
+    return {(m, t) for t, reduct in rows for m in (*_below(reduct, t), _full(t))}
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +173,7 @@ def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
     a, b = desugar_theory(a), desugar_theory(b)
     if a.spec != b.spec:
         raise ValueError("theories must share a domain spec")
-    (spec, rows_a), (_, rows_b) = _run(_ht_scan, [a, b], budget, jobs)
+    (spec, rows_a), (_, rows_b) = _run([a, b], budget, jobs)
     ma, mb = _ht_pairs(rows_a), _ht_pairs(rows_b)
     if ma == mb:
         return EquivReport("equal")
@@ -232,18 +213,12 @@ def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
     """The projection, and a witness for the first context under which the
     projected stable models of ``a`` and ``b`` differ (None if none does).
 
-    Each side's model table is built once and read under every context.
-    With only the empty context, a table of the stable models will do: the
-    stable scan settles each t at the first proper h below it, and a stable
-    t has no proper h.
+    Each side's model table is built once, and ``_stable_under`` reads it
+    under every context.
     """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    if contexts == [()]:
-        tables = _run(_stable_scan, [a, b], budget, jobs)
-        ta, tb = ((spec, [(t, ()) for t in found]) for spec, found in tables)
-    else:
-        ta, tb = _run(_ht_scan, [a, b], budget, jobs)
+    ta, tb = _run([a, b], budget, jobs)
 
     def key(v):
         return valuation_key(a.spec, v)
@@ -661,7 +636,7 @@ def _unsupported(core, t, law):
 
 def _unfolding_law(core, spec):
     theories = [core] + [unfold_theory(core, d) for d in (False, True)]
-    base, *unfolded = (_ht_pairs(rows) for _, rows in _run(_ht_scan, theories, None, 1))
+    base, *unfolded = (_ht_pairs(rows) for _, rows in _run(theories, None, 1))
     for distribute, pairs in zip((False, True), unfolded):
         if pairs != base:
             return {"theory": core, "detail": {"distribute": distribute}}

@@ -171,6 +171,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.project is not None and not (args.stable or args.strong):
+        raise ValueError("--project needs --stable or --strong")
     a = _load(args.file_a)
     b = _load(args.file_b)
     budget = _budget(args)

@@ -49,19 +49,27 @@ assigned, a ground formula's before any assignment: False cuts off every
 candidate that extends the prefix, and a reduct joins the clauses carried
 down to each t.
 
-Below t, every model of the reduct contains the least fixpoint of its
-clauses with one head.  ``_stable_scan`` calls t stable when that fixpoint
-is t's full mask.  Otherwise, when every clause has at most one head (the
-reduct is Horn), the fixpoint is itself a proper model and t is not stable;
-only a reduct with disjunctive heads (as in ``a := 1 ; b := 1``) makes the
-scan walk the proper submasks above the fixpoint, stopping at the first
-that satisfies it.  ``_ht_scan`` lists every satisfying proper submask.
-Masks are walked in increasing order (``m = (m - full) & full``), which is
-the order of ``proper_subvaluations``.  With several jobs, ``_run`` splits
-the search into subtrees, one per value prefix of the leading variables,
-runs them on one process pool and concatenates the results in prefix order;
-the workers compile the formulas themselves.  ``_ht_scan`` feeds
-``ht_models`` and every checker table.
+One scan, ``_scan``, lists those pairs as the rows ``(t, reduct)`` of a
+model table; with several jobs, ``_run`` splits the search into subtrees,
+one per value prefix of the leading variables, maps them on one process
+pool (the workers compile the formulas themselves) and concatenates the
+rows in prefix order.  Two readers answer every question from the rows:
+``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
+the reduct, for ``ht_models`` and the checker's HT comparisons; and
+``_stable_under(table, extra)`` decides stability, for ``stable_models``
+and the checker's contexts: t is stable when ``<t, t>`` satisfies the
+``extra`` formulas and no proper submask satisfies the tabled reduct joined
+with theirs.
+
+Below t, every model of a reduct contains the least fixpoint of its clauses
+with one head.  t is stable when that fixpoint is t's full mask.
+Otherwise, when every clause has at most one head (the reduct is Horn), the
+fixpoint is itself a proper model and t is not stable; only a reduct with
+disjunctive heads (as in ``a := 1 ; b := 1``) makes the stability test walk
+the proper submasks above the fixpoint, stopping at the first that
+satisfies it, while ``_below`` walks them all.  Masks are walked in
+increasing order (``m = (m - full) & full``), the order of
+``proper_subvaluations``.
 
 ``Valuation`` and ``Interpretation`` objects are built only where models
 leave the core: the results of ``stable_models`` and ``ht_models``, the
@@ -564,19 +572,6 @@ def _core(spec: DomainSpec, formulas) -> _Core:
     return _Core(names, index, choices, compiled)
 
 
-def _reduct(core: _Core, t):
-    """The reduct of all the core's formulas at t, as a list of clauses;
-    False when <t, t> fails one of them.  The search builds the same clauses
-    on its way down; this serves t read back from a table."""
-    clauses = []
-    for _, at in core.formulas:
-        reduct = at(t)
-        if reduct is False:
-            return False
-        clauses += reduct
-    return clauses
-
-
 def total_models(core: _Core, prefix=()):
     """(t, the clauses of every formula's reduct at t) for each t extending
     the value ``prefix`` whose <t, t> satisfies every formula, in enumeration
@@ -636,19 +631,43 @@ def _minimal(reduct, full: int) -> bool:
     return next(_submodels(reduct, full, low), None) is None
 
 
-def _stable_scan(spec, formulas, prefix):
-    """The total models t below which no proper h satisfies the formulas."""
-    core = _core(spec, formulas)
-    return [t for t, reduct in total_models(core, prefix) if _minimal(reduct, _full(t))]
+def _below(reduct, t):
+    """The masks of the proper h below t that satisfy the reduct, in
+    increasing order."""
+    return _submodels(reduct, _full(t), _least_model(reduct))
 
 
-def _ht_scan(spec, formulas, prefix):
-    """Table rows: each total model t, with the masks of the proper h below
-    it that satisfy the formulas, as a list in increasing order."""
-    return [
-        (t, list(_submodels(reduct, _full(t), _least_model(reduct))))
-        for t, reduct in total_models(_core(spec, formulas), prefix)
-    ]
+def _reduct(core: _Core, t):
+    """The reduct of all the core's formulas at t, as a tuple of clauses;
+    False when <t, t> fails one of them.  The search builds the same clauses
+    on its way down; this serves formulas added to a tabled t."""
+    clauses = ()
+    for _, at in core.formulas:
+        reduct = at(t)
+        if reduct is False:
+            return False
+        clauses += reduct
+    return clauses
+
+
+def _stable_under(table, extra=()):
+    """Stable models, as Valuations in table order, of the tabled theory
+    extended with ``extra`` formulas: the t whose <t, t> satisfies them and
+    below which no proper mask satisfies the tabled reduct joined with theirs."""
+    spec, rows = table
+    core = _core(spec, extra)
+    out = []
+    for t, reduct in rows:
+        more = _reduct(core, t)
+        if more is not False and _minimal(reduct + more, _full(t)):
+            out.append(_valuation(core.names, t))
+    return out
+
+
+def _scan(spec, formulas, prefix):
+    """Table rows: (t, reduct) for each total model t of the formulas that
+    extends the value ``prefix``, in enumeration order."""
+    return list(total_models(_core(spec, formulas), prefix))
 
 
 def _pool_map(fn, args, jobs):
@@ -677,13 +696,13 @@ def _prefixes(spec: DomainSpec, jobs: int) -> list:
     return list(itertools.product(*choices[:width]))
 
 
-def _run(scan, theories, budget, jobs) -> list:
-    """``scan(spec, formulas, prefix)`` over the search subtrees of every
-    desugared theory, all mapped on one pool.
+def _run(theories, budget, jobs) -> list:
+    """The model table of every desugared theory: ``_scan`` over the search
+    subtrees of each, all mapped on one pool.
 
     Each theory's budget is checked, in order, before any scan starts.
-    Returns ``(spec, rows)`` per theory, its scan results concatenated in
-    prefix order.
+    Returns ``(spec, rows)`` per theory, its rows concatenated in prefix
+    order.
     """
     from .transforms import theory_formulas
 
@@ -697,7 +716,7 @@ def _run(scan, theories, budget, jobs) -> list:
             owners.append(k)
             tasks.append((thy.spec, formulas, prefix))
     rows = [[] for _ in thys]
-    for k, part in zip(owners, _pool_map(scan, tasks, jobs)):
+    for k, part in zip(owners, _pool_map(_scan, tasks, jobs)):
         rows[k].extend(part)
     return [(thy.spec, r) for thy, r in zip(thys, rows)]
 
@@ -710,18 +729,18 @@ def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     theory is desugared first, so min/max aggregates add their auxiliary
     variables to the enumeration alphabet.
     """
-    [(spec, found)] = _run(_stable_scan, [theory], budget, jobs)
-    names = spec.variables()
-    return [_valuation(names, t) for t in found]
+    [table] = _run([theory], budget, jobs)
+    return _stable_under(table)
 
 
 def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     """All interpretations <h, t> over the spec satisfying every statement."""
-    [(spec, rows)] = _run(_ht_scan, [theory], budget, jobs)
+    [(spec, rows)] = _run([theory], budget, jobs)
     names = spec.variables()
     out = []
-    for t, below in rows:
+    for t, reduct in rows:
         tv = _valuation(names, t)
+        below = _below(reduct, t)
         out.extend(Interpretation(_valuation(names, _restrict(t, m)), tv) for m in below)
         out.append(Interpretation(tv, tv))
     return out

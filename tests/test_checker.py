@@ -95,23 +95,24 @@ class TestStableEquivalent:
         other_models = stable_models(b if report.witness.side == "left-only" else a)
         assert (v in side_models) and (v not in other_models)
 
-    def test_reads_the_stable_scan(self, monkeypatch):
-        # with only the empty context no HT table is needed; a context
-        # family still needs one per side
+    def test_checks_build_both_tables_in_one_run(self, monkeypatch):
+        # each check builds both sides' tables in one _run call, and reads
+        # them under every context
         from htc import checker as chk
         from htc import semantics
 
-        scans = []
+        calls = []
 
-        def recording_run(scan, theories, budget, jobs):
-            scans.append(scan)
-            return semantics._run(scan, theories, budget, jobs)
+        def recording_run(theories, budget, jobs):
+            calls.append(len(theories))
+            return semantics._run(theories, budget, jobs)
 
         monkeypatch.setattr(chk, "_run", recording_run)
         a, b = bool_theory(Or(BoolAtom("p"), Not(BoolAtom("p")))), bool_theory()
         assert stable_equivalent(a, b).verdict == "different"
+        assert calls == [2]
         strong_equiv_sampled(a, b, contexts=context_family(BOOLS))
-        assert scans == [semantics._stable_scan, semantics._ht_scan]
+        assert calls == [2, 2]
 
 
 class TestStrongEquivalence:
@@ -236,12 +237,12 @@ class TestSuites:
 
         calls = []
 
-        def crashing_run(scan, theories, budget, jobs):
+        def crashing_run(theories, budget, jobs):
             calls.append(theories)
             if len(calls) > 1:
                 raise ValueError("engine crash")
             # three different tables: the unfoldings differ from the core
-            return [(None, [((k,), [])]) for k in range(len(theories))]
+            return [(None, [((k,), ())]) for k in range(len(theories))]
 
         monkeypatch.setattr(chk, "_run", crashing_run)
         with pytest.raises(ValueError, match="engine crash"):
@@ -334,14 +335,13 @@ class TestTautologySchemata:
 
 class TestTableConsistency:
     def test_table_backed_stable_matches_direct(self):
-        from htc.checker import _stable_under
-        from htc.semantics import _ht_scan, _run
+        from htc.semantics import _run, _stable_under
 
         thy = parse_theory(
             "#int x, y 0..2. #bool p. y = 2. sum{ x ; y } > 1 -> p."
         )
         core = desugar_theory(thy)
-        [table] = _run(_ht_scan, [core], None, 1)
+        [table] = _run([core], None, 1)
         assert _stable_under(table) == stable_models(core)
         ctx = (BoolAtom("p"),)
         extended = core.extended(ctx)

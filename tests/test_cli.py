@@ -271,6 +271,16 @@ class TestCheckSpecMismatch:
         assert code == 1 and "spec" in err
 
 
+class TestCheckProjection:
+    def test_project_without_stable_or_strong_is_a_usage_error(self, capsys):
+        # HT equivalence compares full specs, so a projection would be ignored
+        ysum = str(PROGRAMS / "ysum.lc")
+        code, out, err = run(capsys, "check", ysum, ysum, "--project", "y")
+        assert code == 1 and out == "" and "--project" in err
+        for mode in ("--stable", "--strong"):
+            assert run_json(capsys, "check", ysum, ysum, "--project", "y", mode)
+
+
 class TestCheckStrongOutput:
     """``check --strong`` stdout, pinned byte for byte."""
 

@@ -1,5 +1,7 @@
 """Every name a package module imports is referenced in that module, so a
-deleted function cannot leave its imports behind."""
+deleted function cannot leave its imports behind; and every private
+module-level name is referenced somewhere in the package outside its own
+definition, so a replaced helper cannot stay behind unused."""
 
 import ast
 import pathlib
@@ -23,6 +25,40 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) for each module-level name starting with a single
+    underscore that no statement of any module references, apart from the
+    statement that defines it."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    refs = []  # (module, top-level statement index, names it references)
+    for module, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            refs.append((module, i, names))
+    out = []
+    for module, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                defined = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__") and not any(
+                    name in names for m, k, names in refs if (m, k) != (module, i)
+                ):
+                    out.append((module, name))
+    return sorted(out)
+
+
 def test_modules_are_found():
     assert "semantics.py" in MODULES and "checker.py" in MODULES
 
@@ -35,3 +71,16 @@ def test_every_import_is_used(module):
 def test_an_unused_import_is_reported():
     source = "from os import path, sep\nimport json\n\nprint(sep)\n"
     assert unused_imports(source) == ["json", "path"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_an_unreferenced_private_name_is_reported():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(n): return _dead(n - 1)\n_LIMIT = 3\n",
+        "b.py": "from .a import _used\n_used()\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", "_LIMIT"), ("a.py", "_dead")]

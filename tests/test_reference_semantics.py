@@ -13,7 +13,6 @@ import sys
 from htc import semantics
 from htc.checker import (
     DEFAULT_SUITE_SPEC,
-    _stable_under,
     context_family,
     gen_formula,
     gen_program,
@@ -23,12 +22,12 @@ from htc.parser import parse_theory, pretty_print
 from htc.semantics import (
     Interpretation,
     Valuation,
+    _below,
     _core,
-    _ht_scan,
     _prefixes,
     _restrict,
     _run,
-    _stable_scan,
+    _stable_under,
     _valuation,
     enumerate_valuations,
     eval_atom,
@@ -300,11 +299,42 @@ class TestDifferentialGate:
         corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
         for thy in corpus:
             core = desugar_theory(thy)
-            [table] = _run(_ht_scan, [core], None, 1)
+            [table] = _run([core], None, 1)
             assert _stable_under(table) == ref_stable_models(core)
             for ctx in context_family(core.spec):
                 expected = ref_stable_models(core.extended(ctx))
                 assert _stable_under(table, ctx) == expected, ctx
+
+    def test_checker_table_under_contexts_with_disjunctions(self, monkeypatch):
+        # the family above is Horn; contexts with "or" and "not" can join the
+        # tabled reduct into one with disjunctive heads, which only the mask
+        # walk decides
+        walks = []
+        submodels = semantics._submodels
+
+        def counted(*args):
+            walks.append(args)
+            return submodels(*args)
+
+        monkeypatch.setattr(semantics, "_submodels", counted)
+        corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
+        items = []
+        for i, thy in enumerate(corpus):
+            core = desugar_theory(thy)
+            rng = random.Random(47_000_003 + i)
+            contexts = [
+                (desugar_comparisons(gen_formula(rng, core.spec, conditional_budget=[0])),)
+                for _ in range(7)
+            ]
+            items.append((core, contexts))
+        two = make_theory(DomainSpec.make({}, ["p", "q"]), [])
+        items.append((two, [(Or(BoolAtom("p"), BoolAtom("q")),)]))
+        for core, contexts in items:
+            [table] = _run([core], None, 1)
+            for ctx in contexts:
+                expected = ref_stable_models(core.extended(ctx))
+                assert _stable_under(table, ctx) == expected, ctx
+        assert walks
 
     def test_pretty_print_round_trip(self):
         for thy in small_corpus():
@@ -369,11 +399,14 @@ def ref_table(theory):
 
 
 def valuation_table(names, rows):
-    """``_ht_scan`` rows as ``ref_table`` gives them: each t with the set of
-    the h whose masks its row lists."""
+    """Table rows as ``ref_table`` gives them: each t with the set of the h
+    whose masks ``_below`` reads off its reduct."""
     return [
-        (_valuation(names, t), {_valuation(names, _restrict(t, m)) for m in below})
-        for t, below in rows
+        (
+            _valuation(names, t),
+            {_valuation(names, _restrict(t, m)) for m in _below(reduct, t)},
+        )
+        for t, reduct in rows
     ]
 
 
@@ -391,7 +424,7 @@ class TestPrunedSearch:
             for jobs in (1, 2, 3):
                 found = [t for p in _prefixes(spec, jobs) for t, _ in total_models(core, p)]
                 assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
-                [(_, rows)] = _run(_ht_scan, [thy], None, jobs)
+                [(_, rows)] = _run([thy], None, jobs)
                 assert valuation_table(names, rows) == expected, jobs
                 assert stable_models(thy, jobs=jobs) == ref_stable_models(thy)
                 assert ht_models(thy, jobs=jobs) == ref_ht_models(thy)
@@ -421,17 +454,18 @@ def reduct_corpus(n=600, seed=46_000_003):
 
 
 def reduct_mismatches(corpus, jobs=1):
-    """Positions of the theories whose stable scan or HT scan differs from
-    the reference; the masks below each t must also come in increasing order."""
-    stable = _run(_stable_scan, corpus, None, jobs)
-    tables = _run(_ht_scan, corpus, None, jobs)
+    """Positions of the theories whose stable models or ``_below`` rows
+    differ from the reference; the masks below each t must also come in
+    increasing order."""
     bad = []
-    for i, (thy, (spec, found), (_, rows)) in enumerate(zip(corpus, stable, tables)):
+    for i, (thy, table) in enumerate(zip(corpus, _run(corpus, None, jobs))):
+        spec, rows = table
         names = spec.variables()
+        below = [list(_below(reduct, t)) for t, reduct in rows]
         if (
-            [_valuation(names, t) for t in found] != ref_stable_models(thy)
+            _stable_under(table) != ref_stable_models(thy)
             or valuation_table(names, rows) != ref_table(thy)
-            or any(below != sorted(below) for _, below in rows)
+            or any(masks != sorted(masks) for masks in below)
         ):
             bad.append(i)
     return bad
@@ -475,7 +509,8 @@ class TestReductGate:
         fixpoint = walk = 0
         for thy in reduct_corpus():
             calls.update(minimal=0, walk=0)
-            _run(_stable_scan, [thy], None, 1)
+            [table] = _run([thy], None, 1)
+            _stable_under(table)
             fixpoint += calls["minimal"] > calls["walk"]
             walk += calls["walk"] > 0
         assert fixpoint >= 20 and walk >= 20, (fixpoint, walk)
@@ -508,7 +543,7 @@ class TestReductGate:
         def horn(join):
             def read(core, prefix=()):
                 for t, clauses in search(core, prefix):
-                    yield t, [(b, join(h)) for b, h in clauses]
+                    yield t, tuple((b, join(h)) for b, h in clauses)
 
             return read
 
