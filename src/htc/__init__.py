@@ -30,14 +30,10 @@ from .semantics import (
     Interpretation,
     Valuation,
     enumerate_valuations,
-    eval_atom,
-    eval_term,
-    expr_value,
     ht_models,
     is_supported,
     satisfies,
     stable_models,
-    subvaluations,
 )
 from .syntax import (
     Aggregate,

@@ -57,7 +57,6 @@ from .semantics import (
     _submasks,
     _supported,
     _valuation,
-    ht_models,
     is_supported,
     satisfies,
     stable_models,
@@ -777,54 +776,3 @@ _SUITES = {
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
-
-# --------------------------------------------------------------------------
-# Here-and-there tautology schemata (substitution instances stay tautologies)
-
-
-def _iff(a, b):
-    return And(Implies(a, b), Implies(b, a))
-
-
-def ht_tautology_schemata():
-    """Named builders for valid schemata; instantiating their metavariables
-    with arbitrary formulas must yield tautologies."""
-
-    def negneg_intro(g, f, s):
-        return Implies(f, Not(Not(f)))
-
-    def orimp(g, f, s):
-        return _iff(
-            Or(g, Implies(f, s)),
-            And(Implies(f, Or(s, g)), Implies(Not(s), Or(Not(f), g))),
-        )
-
-    def nest_impl(g, f, s):
-        return _iff(Implies(f, Implies(s, g)), Implies(And(f, s), g))
-
-    def andimp(g, f, s):
-        return _iff(Implies(f, And(s, g)), And(Implies(f, s), Implies(f, g)))
-
-    def negneg(g, f, s):
-        return _iff(Or(g, Not(Not(f))), Implies(Not(f), g))
-
-    def df(g, f, s):
-        return _iff(
-            Or(g, And(Not(Not(f)), Implies(f, s))),
-            And(Implies(f, Or(s, g)), And(Implies(Not(s), g), Implies(Not(f), g))),
-        )
-
-    return [
-        ("negneg-intro", negneg_intro),
-        ("orimp", orimp),
-        ("nest-impl", nest_impl),
-        ("andimp", andimp),
-        ("negneg", negneg),
-        ("df", df),
-    ]
-
-
-def is_ht_tautology(phi, spec, budget=None) -> bool:
-    """Every interpretation over the spec satisfies phi."""
-    thy = make_theory(spec, [phi])
-    return len(ht_models(thy, budget=budget)) == spec.interpretation_count()

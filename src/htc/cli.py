@@ -121,33 +121,27 @@ def _emit(doc):
 
 
 def cmd_solve(args) -> int:
+    # The models come over the desugared spec, in enumeration order, which is
+    # valuation_key order.  Only when a projection onto the declared names
+    # drops a defined variable (a min/max auxiliary) can two models merge or
+    # change places, so only then are they deduplicated and, for stable
+    # models, sorted.
     thy = _load(args.file)
     visible = thy.spec.variables()
     budget = _budget(args)
     if args.ht:
-        models = ht_models(thy, budget=budget, jobs=args.jobs)
-        seen, out = set(), []
-        for i in models:
-            pair = (i.h.project(visible), i.t.project(visible))
-            if pair not in seen:
-                seen.add(pair)
-                out.append({"h": pair[0].to_json(), "t": pair[1].to_json()})
-        if args.models is not None:
-            out = out[: args.models]
+        found = ht_models(thy, budget=budget, jobs=args.jobs)
+        pairs = [(i.h.project(visible), i.t.project(visible)) for i in found]
+        if any(p[1] is not i.t for p, i in zip(pairs, found)):
+            pairs = list(dict.fromkeys(pairs))
+        out = [{"h": h.to_json(), "t": t.to_json()} for h, t in pairs[: args.models]]
         _emit({"ht_models": out})
         return EXIT_OK
-    models = stable_models(thy, budget=budget, jobs=args.jobs)
-    projected = []
-    seen = set()
-    for t in models:
-        p = t.project(visible)
-        if p not in seen:
-            seen.add(p)
-            projected.append(p)
-    projected.sort(key=lambda v: valuation_key(thy.spec, v))
-    if args.models is not None:
-        projected = projected[: args.models]
-    _emit({"stable_models": [v.to_json() for v in projected]})
+    found = stable_models(thy, budget=budget, jobs=args.jobs)
+    models = [t.project(visible) for t in found]
+    if any(p is not t for p, t in zip(models, found)):
+        models = sorted(set(models), key=lambda v: valuation_key(thy.spec, v))
+    _emit({"stable_models": [v.to_json() for v in models[: args.models]]})
     return EXIT_OK
 
 
@@ -171,16 +165,16 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.project is not None and not (args.stable or args.strong):
-        raise ValueError("--project needs --stable or --strong")
+    project = None
+    if args.project is not None:
+        if not (args.stable or args.strong):
+            raise ValueError("--project needs --stable or --strong")
+        project = tuple(n.strip() for n in args.project.split(",") if n.strip())
+        if not project:
+            raise ValueError("--project names no variable")
     a = _load(args.file_a)
     b = _load(args.file_b)
     budget = _budget(args)
-    project = (
-        tuple(n.strip() for n in args.project.split(",") if n.strip())
-        if args.project
-        else None
-    )
     if args.strong:
         names = project or a.spec.variables()
         family = context_family(desugar_theory(a).spec, names)

@@ -68,16 +68,20 @@ fixpoint is itself a proper model and t is not stable; only a reduct with
 disjunctive heads (as in ``a := 1 ; b := 1``) makes the stability test walk
 the proper submasks above the fixpoint, stopping at the first that
 satisfies it, while ``_below`` walks them all.  Masks are walked in
-increasing order (``m = (m - full) & full``), the order of
-``proper_subvaluations``.
+increasing order (``m = (m - full) & full``).
 
 ``Valuation`` and ``Interpretation`` objects are built only where models
 leave the core: the results of ``stable_models`` and ``ht_models``, the
-checker's witnesses, and the Valuation-level helpers ``satisfies``,
-``eval_term``, ``eval_atom`` and ``expr_value``: views of the compiled
-evaluator that compile their input (``satisfies`` through a cache keyed by
-formula value) and evaluate it once.  v is in the denotation of a
-condition-free atom when ``satisfies(Interpretation(v, v), atom)``.
+checker's witnesses, and ``satisfies``, a view of the compiled evaluator
+that compiles its formula (through a cache keyed by formula value) and
+evaluates it once.  v is in the denotation of a condition-free atom when
+``satisfies(Interpretation(v, v), atom)``.  ``_valuation`` builds a
+Valuation in one pass from a value tuple, whose positions are already in
+name order, and ``ht_models`` pairs each h with its t without re-checking
+that h is included in t, which holds by construction.
+``Valuation.project`` returns the valuation itself when it drops no
+defined name, so ``solve`` on a spec that desugaring did not extend prints
+the rows as they come: distinct, and in ``valuation_key`` order.
 
 The enumeration is exhaustive by design and refuses domain specs whose
 interpretation count exceeds a budget (default 10**7).
@@ -86,7 +90,6 @@ interpretation count exceeds a budget (default 10**7).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -111,7 +114,6 @@ from .syntax import (
     TRUE,
     U,
     Undefined,
-    _desugar_expr_conditions,
     check_budget,
     desugar_theory,
     free_vars,
@@ -132,10 +134,19 @@ class Valuation:
     __slots__ = ("_pairs", "_map", "_hash")
 
     def __init__(self, pairs=()):
-        mapping = dict(pairs)
-        self._pairs = tuple(sorted(mapping.items()))
-        self._map = mapping
-        self._hash = hash(self._pairs)
+        self._set(tuple(sorted(dict(pairs).items())))
+
+    @classmethod
+    def _sorted(cls, pairs: tuple) -> "Valuation":
+        """The Valuation of ``pairs``, already in name order, no name twice."""
+        v = cls.__new__(cls)
+        v._set(pairs)
+        return v
+
+    def _set(self, pairs: tuple):
+        self._pairs = pairs
+        self._map = dict(pairs)
+        self._hash = hash(pairs)
 
     def get(self, name):
         """The value of ``name``, or None when undefined."""
@@ -165,11 +176,13 @@ class Valuation:
         return all(omap.get(n) == v for n, v in self._pairs)
 
     def project(self, names) -> "Valuation":
+        """The pairs whose name is in ``names``; self when none is dropped."""
         keep = set(names)
-        return Valuation((n, v) for n, v in self._pairs if n in keep)
+        pairs = tuple([p for p in self._pairs if p[0] in keep])
+        return self if len(pairs) == len(self._pairs) else Valuation._sorted(pairs)
 
     def to_json(self) -> dict:
-        return {n: (True if v == TRUE else v) for n, v in self._pairs}
+        return {n: (True if v.__class__ is Truth else v) for n, v in self._pairs}
 
 
 @dataclass(frozen=True)
@@ -208,22 +221,18 @@ def enumerate_valuations(spec: DomainSpec, budget=None):
     return (_valuation(names, combo) for combo in itertools.product(*choices))
 
 
-def subvaluations(t: Valuation):
-    """All h with h included in t, from empty to t itself (2**defined many)."""
-    yield from proper_subvaluations(t)
-    yield t
-
-
-def proper_subvaluations(t: Valuation):
-    pairs = t.items()
-    n = len(pairs)
-    for mask in range((1 << n) - 1):
-        yield Valuation(pairs[i] for i in range(n) if mask >> i & 1)
-
-
 def _valuation(names, world) -> Valuation:
-    """The Valuation of a value tuple over ``names``."""
-    return Valuation((n, v) for n, v in zip(names, world) if v is not None)
+    """The Valuation of a value tuple over ``names``, which are sorted, as
+    ``spec.variables()`` is, so its pairs come out in name order."""
+    return Valuation._sorted(tuple([(n, v) for n, v in zip(names, world) if v is not None]))
+
+
+def _interpretation(h: Valuation, t: Valuation) -> Interpretation:
+    """<h, t> for an h built below t, so included in it by construction."""
+    i = Interpretation.__new__(Interpretation)
+    object.__setattr__(i, "h", h)
+    object.__setattr__(i, "t", t)
+    return i
 
 
 def _values(v: Valuation, names) -> list:
@@ -243,61 +252,12 @@ def _restrict(t, m: int) -> tuple:
 
 
 def _submasks(full: int):
-    """Every submask of ``full``, in increasing order, ``full`` last: the
-    order of ``subvaluations`` over the positions."""
+    """Every submask of ``full``, in increasing order, ``full`` last."""
     m = 0
     while m != full:
         yield m
         m = (m - full) & full
     yield full
-
-
-# --------------------------------------------------------------------------
-# Term and atom evaluation
-
-
-def eval_term(h: Valuation, t: Valuation, term):
-    """Unfold one term at <h, t>: linear terms pass through, conditional terms
-    pick then/else/undefined.  Conditions may still carry surface relations."""
-    if isinstance(term, (Const, Scaled, Undefined)):
-        return term
-    if isinstance(term, ConditionalTerm):
-        return _pick_branches(h, t, LinearExpr((term,))).items[0]
-    raise TypeError(f"not a term: {term!r}")
-
-
-def eval_atom(h: Valuation, t: Valuation, atom):
-    """Replace every conditional term in the atom by its evaluation at <h, t>."""
-    if isinstance(atom, Comparison):
-        lhs = _pick_branches(h, t, atom.lhs)
-        return Comparison(lhs, atom.rel, _pick_branches(h, t, atom.rhs))
-    if isinstance(atom, Defined):
-        return Defined(_pick_branches(h, t, atom.arg))
-    if isinstance(atom, (BoolAtom, TruthConst)):
-        return atom
-    raise TypeError(f"not a constraint atom: {atom!r}")
-
-
-def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
-    """e with its conditions desugared and each conditional term replaced by
-    the branch it takes at <h, t>."""
-    items = []
-    for item in _desugar_expr_conditions(e).items:
-        if type(item) is ConditionalTerm:
-            names = tuple(sorted(free_vars(item.condition)))
-            at = _compile_branch(item, _index(names), item.then_term, item.else_term)
-            branch, reduct = at(_values(t, names))
-            item = branch if _satisfied(reduct, _full(_values(h, names))) else U
-        items.append(item)
-    return LinearExpr(tuple(items))
-
-
-def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
-    """Value under h of the expression unfolded at <h, t>; U when undefined."""
-    names = tuple(sorted(free_vars(e)))
-    at = _compile_sum([(1, item) for item in e.items], _index(names))
-    r = at(_values(t, names))
-    return r[0] if r is not None and _satisfied(r[1], _full(_values(h, names))) else U
 
 
 def substitute_value(atom, name: str, value):
@@ -675,9 +635,13 @@ def _pool_map(fn, args, jobs):
 
     With one job the calls run lazily in this process; otherwise on a pool of
     ``jobs`` workers, all of whose tasks have finished when this returns.
+    The pool module is imported only here, so a serial run never loads
+    ``multiprocessing``.
     """
     if jobs <= 1:
         return itertools.starmap(fn, args)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return pool.map(fn, *zip(*args))
 
@@ -741,8 +705,8 @@ def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     for t, reduct in rows:
         tv = _valuation(names, t)
         below = _below(reduct, t)
-        out.extend(Interpretation(_valuation(names, _restrict(t, m)), tv) for m in below)
-        out.append(Interpretation(tv, tv))
+        out.extend(_interpretation(_valuation(names, _restrict(t, m)), tv) for m in below)
+        out.append(_interpretation(tv, tv))
     return out
 
 

@@ -1,0 +1,157 @@
+"""Valuation-level helpers that only the tests use.
+
+The engine works on value tuples and definedness masks and builds
+``Valuation`` objects only where models leave it.  The helpers below read
+single terms, atoms and expressions at an interpretation ``<h, t>`` of
+Valuations, list the h below a t, and test HT validity; the test modules
+import them from here.  ``eval_term``, ``eval_atom`` and ``expr_value`` are
+views of the compiled evaluator: they compile their input over its own
+variables and evaluate it once, so a test of them is a test of the
+engine's then/else/U rule.
+"""
+
+from htc.semantics import (
+    Valuation,
+    _compile_branch,
+    _compile_sum,
+    _full,
+    _index,
+    _satisfied,
+    _values,
+    ht_models,
+)
+from htc.syntax import (
+    And,
+    BoolAtom,
+    Comparison,
+    Const,
+    ConditionalTerm,
+    Defined,
+    Implies,
+    LinearExpr,
+    Not,
+    Or,
+    Scaled,
+    TruthConst,
+    U,
+    Undefined,
+    _desugar_expr_conditions,
+    free_vars,
+    make_theory,
+)
+
+# --------------------------------------------------------------------------
+# The h below a t
+
+
+def subvaluations(t: Valuation):
+    """All h with h included in t, from empty to t itself (2**defined many)."""
+    yield from proper_subvaluations(t)
+    yield t
+
+
+def proper_subvaluations(t: Valuation):
+    pairs = t.items()
+    n = len(pairs)
+    for mask in range((1 << n) - 1):
+        yield Valuation(pairs[i] for i in range(n) if mask >> i & 1)
+
+
+# --------------------------------------------------------------------------
+# Terms, atoms and expressions at <h, t>
+
+
+def eval_term(h: Valuation, t: Valuation, term):
+    """Unfold one term at <h, t>: linear terms pass through, conditional terms
+    pick then/else/undefined.  Conditions may still carry surface relations."""
+    if isinstance(term, (Const, Scaled, Undefined)):
+        return term
+    if isinstance(term, ConditionalTerm):
+        return _pick_branches(h, t, LinearExpr((term,))).items[0]
+    raise TypeError(f"not a term: {term!r}")
+
+
+def eval_atom(h: Valuation, t: Valuation, atom):
+    """Replace every conditional term in the atom by its evaluation at <h, t>."""
+    if isinstance(atom, Comparison):
+        lhs = _pick_branches(h, t, atom.lhs)
+        return Comparison(lhs, atom.rel, _pick_branches(h, t, atom.rhs))
+    if isinstance(atom, Defined):
+        return Defined(_pick_branches(h, t, atom.arg))
+    if isinstance(atom, (BoolAtom, TruthConst)):
+        return atom
+    raise TypeError(f"not a constraint atom: {atom!r}")
+
+
+def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
+    """e with its conditions desugared and each conditional term replaced by
+    the branch it takes at <h, t>."""
+    items = []
+    for item in _desugar_expr_conditions(e).items:
+        if type(item) is ConditionalTerm:
+            names = tuple(sorted(free_vars(item.condition)))
+            at = _compile_branch(item, _index(names), item.then_term, item.else_term)
+            branch, reduct = at(_values(t, names))
+            item = branch if _satisfied(reduct, _full(_values(h, names))) else U
+        items.append(item)
+    return LinearExpr(tuple(items))
+
+
+def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
+    """Value under h of the expression unfolded at <h, t>; U when undefined."""
+    names = tuple(sorted(free_vars(e)))
+    at = _compile_sum([(1, item) for item in e.items], _index(names))
+    r = at(_values(t, names))
+    return r[0] if r is not None and _satisfied(r[1], _full(_values(h, names))) else U
+
+
+# --------------------------------------------------------------------------
+# Here-and-there tautology schemata (substitution instances stay tautologies)
+
+
+def _iff(a, b):
+    return And(Implies(a, b), Implies(b, a))
+
+
+def ht_tautology_schemata():
+    """Named builders for valid schemata; instantiating their metavariables
+    with arbitrary formulas must yield tautologies."""
+
+    def negneg_intro(g, f, s):
+        return Implies(f, Not(Not(f)))
+
+    def orimp(g, f, s):
+        return _iff(
+            Or(g, Implies(f, s)),
+            And(Implies(f, Or(s, g)), Implies(Not(s), Or(Not(f), g))),
+        )
+
+    def nest_impl(g, f, s):
+        return _iff(Implies(f, Implies(s, g)), Implies(And(f, s), g))
+
+    def andimp(g, f, s):
+        return _iff(Implies(f, And(s, g)), And(Implies(f, s), Implies(f, g)))
+
+    def negneg(g, f, s):
+        return _iff(Or(g, Not(Not(f))), Implies(Not(f), g))
+
+    def df(g, f, s):
+        return _iff(
+            Or(g, And(Not(Not(f)), Implies(f, s))),
+            And(Implies(f, Or(s, g)), And(Implies(Not(s), g), Implies(Not(f), g))),
+        )
+
+    return [
+        ("negneg-intro", negneg_intro),
+        ("orimp", orimp),
+        ("nest-impl", nest_impl),
+        ("andimp", andimp),
+        ("negneg", negneg),
+        ("df", df),
+    ]
+
+
+def is_ht_tautology(phi, spec, budget=None) -> bool:
+    """Every interpretation over the spec satisfies phi."""
+    thy = make_theory(spec, [phi])
+    return len(ht_models(thy, budget=budget)) == spec.interpretation_count()

@@ -65,6 +65,43 @@ def test_cli_parser_is_built_once_per_process(tmp_path, capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+def install_tracer(monkeypatch):
+    """A ``spans.Tracer`` installed as a traced benchmark pass installs it;
+    every module attribute it rebinds is restored when the test ends."""
+    import concurrent.futures
+
+    spans = load_spans()
+    originals = {
+        id(getattr(importlib.import_module(m), attr)) for m, attr, _ in spans.TRACED
+    }
+    originals.add(id(concurrent.futures.ProcessPoolExecutor))
+    modules = [m for n, m in sys.modules.items() if n == "htc" or n.startswith("htc.")]
+    for mod in modules + [concurrent.futures]:
+        for key, value in list(vars(mod).items()):
+            if id(value) in originals:
+                monkeypatch.setattr(mod, key, value)
+    tracer = spans.Tracer()
+    tracer.install()
+    return tracer
+
+
+@pytest.mark.parametrize("flags, span", [((), "semantics.stable"), (("--ht",), "semantics.ht")])
+def test_solve_reads_models_through_the_traced_names(
+    monkeypatch, tmp_path, capsys, flags, span
+):
+    # the per-layer semantics.stable_s, semantics.ht_s and candidates_per_s
+    # come from these two spans; a solve that bypassed them would read 0
+    tracer = install_tracer(monkeypatch)
+    f = tmp_path / "pq.lc"
+    f.write_text("#bool p, q.\np | q.\n")
+    assert cli.main(["solve", str(f), *flags]) == 0
+    capsys.readouterr()
+    calls = {name: n for name, n in tracer.calls.items() if name.startswith("semantics.")}
+    assert calls == {span: 1}
+    assert tracer.incl_s[span] > 0
+    assert tracer.counts["semantics.candidates_scanned"] == 4  # (u or t) for p and q
+
+
 def test_strong_check_passes_contexts_by_keyword(monkeypatch, tmp_path, capsys):
     calls = []
 

@@ -10,8 +10,6 @@ from htc.checker import (
     context_family,
     equivalent,
     gen_formula,
-    ht_tautology_schemata,
-    is_ht_tautology,
     run_property_suite,
     stable_equivalent,
     strong_equiv_sampled,
@@ -30,6 +28,8 @@ from htc.syntax import (
     make_theory,
 )
 from htc.transforms import eliminate_conditionals, theory_formulas
+
+from reference import ht_tautology_schemata, is_ht_tautology
 
 BOOLS = DomainSpec.make({}, ["p", "q"])
 

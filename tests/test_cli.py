@@ -7,6 +7,8 @@ import pytest
 
 from htc.cli import main
 from htc.parser import parse_theory
+from htc.semantics import Valuation, ht_models, stable_models, valuation_key
+from htc.syntax import TRUE
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -56,6 +58,42 @@ class TestSolve:
         f.write_text("#int x, y 0..3.\nx := 1. y := 2.\nmin{ x ; y } >= 0.\n")
         doc = run_json(capsys, "solve", str(f))
         assert doc == {"stable_models": [{"x": 1, "y": 2}]}
+
+    MIN_PROGRAM = (
+        "#int x, y 0..2.\n#bool p.\nx := 1 ; y := 2.\nx >= 1 -> p.\nmin{ x ; y } >= 0.\n"
+    )
+
+    def test_projected_models_print_in_key_order_at_every_jobs(self, capsys, tmp_path):
+        # desugaring adds __min0, which sorts before x and y, so the table
+        # lists the models in an order other than the printed one; pool
+        # workers send back copies of TRUE, so output must not rely on its
+        # identity
+        f = tmp_path / "min.lc"
+        f.write_text(self.MIN_PROGRAM)
+        thy = parse_theory(self.MIN_PROGRAM)
+
+        def key(v):
+            if isinstance(v, dict):  # a printed model
+                v = Valuation({n: (TRUE if x is True else x) for n, x in v.items()})
+            return valuation_key(thy.spec, v)
+
+        printed = {}
+        for flags in ((), ("--ht",)):
+            outs = set()
+            for jobs in ("1", "2", "3"):
+                code, out, err = run(capsys, "solve", str(f), *flags, "--jobs", jobs)
+                assert code == 0, err
+                outs.add(out)
+            assert len(outs) == 1, flags
+            printed[flags] = json.loads(outs.pop())
+        stable = printed[()]["stable_models"]
+        rows = [key(t) for t in stable_models(thy)]
+        assert len(stable) >= 2 and rows != sorted(rows)
+        assert [key(m) for m in stable] == sorted(set(rows))
+        assert any(m.get("p") is True for m in stable)
+        pairs = [(key(i["h"]), key(i["t"])) for i in printed[("--ht",)]["ht_models"]]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {(key(i.h), key(i.t)) for i in ht_models(thy)}
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         f = tmp_path / "bad.lc"
@@ -280,6 +318,15 @@ class TestCheckProjection:
         for mode in ("--stable", "--strong"):
             assert run_json(capsys, "check", ysum, ysum, "--project", "y", mode)
 
+    @pytest.mark.parametrize("spelling", ["", " , "])
+    @pytest.mark.parametrize("mode", ["--stable", "--strong"])
+    def test_empty_projection_is_a_usage_error(self, capsys, spelling, mode):
+        # an empty projection makes every pair of theories stably equal
+        ysum = str(PROGRAMS / "ysum.lc")
+        code, out, err = run(capsys, "check", ysum, ysum, "--project", spelling, mode)
+        assert code == 1 and out == ""
+        assert "--project names no variable" in err
+
 
 class TestCheckStrongOutput:
     """``check --strong`` stdout, pinned byte for byte."""
@@ -343,16 +390,17 @@ class TestCheckJobs:
         return [str(tmp_path / f"{name}.lc") for name in names]
 
     def test_tables_are_built_on_a_pool(self, capsys, tmp_path, monkeypatch):
-        import htc.semantics
+        import concurrent.futures
 
         built = []
 
-        class CountingPool(htc.semantics.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(htc.semantics, "ProcessPoolExecutor", CountingPool)
+        # the pool class is looked up when a pool is made, not at import
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         files = self.files(capsys, tmp_path, ("disj", "impls"))
         run_json(capsys, "check", *files, "--strong", "--jobs", "2")
         assert built == [2]  # both sides' tables on one pool

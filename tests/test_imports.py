@@ -1,10 +1,14 @@
 """Every name a package module imports is referenced in that module, so a
-deleted function cannot leave its imports behind; and every private
+deleted function cannot leave its imports behind; every private
 module-level name is referenced somewhere in the package outside its own
-definition, so a replaced helper cannot stay behind unused."""
+definition, so a replaced helper cannot stay behind unused; and importing
+the command line loads no process-pool machinery."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -84,3 +88,21 @@ def test_an_unreferenced_private_name_is_reported():
         "b.py": "from .a import _used\n_used()\n",
     }
     assert unreferenced_private_names(sources) == [("a.py", "_LIMIT"), ("a.py", "_dead")]
+
+
+def test_the_command_line_imports_no_process_pool():
+    # only --jobs 2 and up needs a pool; a serial run should not pay for
+    # importing one
+    probe = (
+        "import sys, htc.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

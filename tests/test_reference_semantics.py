@@ -30,13 +30,10 @@ from htc.semantics import (
     _stable_under,
     _valuation,
     enumerate_valuations,
-    eval_atom,
-    eval_term,
     ht_models,
     is_supported,
     satisfies,
     stable_models,
-    subvaluations,
     total_models,
 )
 from htc.syntax import (
@@ -64,6 +61,8 @@ from htc.syntax import (
 )
 from htc import transforms
 from htc.transforms import theory_formulas
+
+from reference import eval_atom, eval_term, subvaluations
 
 SPEC = DEFAULT_SUITE_SPEC
 ROOT = pathlib.Path(__file__).resolve().parent.parent

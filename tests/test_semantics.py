@@ -6,16 +6,11 @@ from htc.semantics import (
     Interpretation,
     Valuation,
     enumerate_valuations,
-    eval_atom,
-    eval_term,
-    expr_value,
     ht_models,
     is_supported,
-    proper_subvaluations,
     satisfies,
     stable_models,
     substitute_value,
-    subvaluations,
     valuation_key,
 )
 from htc.syntax import (
@@ -36,6 +31,8 @@ from htc.syntax import (
     make_theory,
     var_expr,
 )
+
+from reference import eval_atom, eval_term, expr_value, proper_subvaluations, subvaluations
 
 SPEC = DomainSpec.make({"x": (0, 9), "y": (0, 9)}, ["p"])
 

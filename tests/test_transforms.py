@@ -9,11 +9,9 @@ from htc.semantics import (
     Interpretation,
     Valuation,
     enumerate_valuations,
-    expr_value,
     ht_models,
     satisfies,
     stable_models,
-    subvaluations,
 )
 from htc.syntax import (
     BOT,
@@ -56,6 +54,8 @@ from htc.transforms import (
     unfold_rule,
 )
 
+from reference import expr_value, is_ht_tautology, subvaluations
+
 SPEC = DomainSpec.make({"x": (0, 2), "y": (0, 2)}, ["p"])
 
 
@@ -94,8 +94,6 @@ class TestAssignmentFormulas:
         assert equivalent(thy_a, thy_b).equal
 
     def test_variable_free_def_is_tautological(self):
-        from htc.checker import is_ht_tautology
-
         a = Assignment("x", const_expr(1), const_expr(2))
         assert is_ht_tautology(def_of(a), SPEC)
 
@@ -488,7 +486,6 @@ class TestModelTransfer:
         # giving the fresh variable the value of tau at each world
         from htc.checker import gen_conditional_term, gen_formula
         from htc.semantics import U as _U
-        from htc.semantics import subvaluations
         from htc.syntax import linear_term_range
 
         for i in range(15):
