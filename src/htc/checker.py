@@ -11,11 +11,11 @@ Every check reads model tables from one scan of the enumeration core,
 ``_run``, which builds both sides on one pool of ``jobs`` workers:
 ``equivalent`` and the unfolding law compare the (h, t) pairs that
 ``_below`` reads off the rows, and the stable and strong checks read stable
-models off them under each context with ``_stable_under``.  The tables keep
-only total models.  A t whose <t, t> fails the theory cannot become
-stable when a context is added, since the extended theory still contains
-the failing one; and by persistence no h below such a t satisfies the
-theory either.
+models off them under each context with the readers of ``_stable_under``,
+which prepare each side's rows once.  The tables keep only total models.
+A t whose <t, t> fails the theory cannot become stable when a context is
+added, since the extended theory still contains the failing one; and by
+persistence no h below such a t satisfies the theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
@@ -212,20 +212,20 @@ def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
     """The projection, and a witness for the first context under which the
     projected stable models of ``a`` and ``b`` differ (None if none does).
 
-    Each side's model table is built once, and ``_stable_under`` reads it
-    under every context.
+    Each side's model table is built once, and its rows are prepared once,
+    by ``_stable_under``, for every context.
     """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
-    ta, tb = _run([a, b], budget, jobs)
+    stable_a, stable_b = map(_stable_under, _run([a, b], budget, jobs))
 
     def key(v):
         return valuation_key(a.spec, v)
 
     for ctx in contexts:
         ctx = tuple(desugar_comparisons(f) for f in ctx)
-        sa = {t.project(names) for t in _stable_under(ta, ctx)}
-        sb = {t.project(names) for t in _stable_under(tb, ctx)}
+        sa = {t.project(names) for t in stable_a(ctx)}
+        sb = {t.project(names) for t in stable_b(ctx)}
         if sa != sb:
             return names, _witness(key, sa, sb, "valuation", ctx)
     return names, None

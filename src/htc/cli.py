@@ -177,7 +177,8 @@ def cmd_check(args) -> int:
     budget = _budget(args)
     if args.strong:
         names = project or a.spec.variables()
-        family = context_family(desugar_theory(a).spec, names)
+        a = desugar_theory(a)
+        family = context_family(a.spec, names)
         # the empty context comes first, so each side's model table is built
         # once; a pair that differs without context reports as --stable does
         report = strong_equiv_sampled(

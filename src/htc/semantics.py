@@ -56,10 +56,10 @@ pool (the workers compile the formulas themselves) and concatenates the
 rows in prefix order.  Two readers answer every question from the rows:
 ``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
 the reduct, for ``ht_models`` and the checker's HT comparisons; and
-``_stable_under(table, extra)`` decides stability, for ``stable_models``
-and the checker's contexts: t is stable when ``<t, t>`` satisfies the
-``extra`` formulas and no proper submask satisfies the tabled reduct joined
-with theirs.
+``_stable_under(table)`` prepares each row once and returns a reader
+``stable(extra)``, for ``stable_models`` and the checker's contexts: t is
+stable when ``<t, t>`` satisfies the ``extra`` formulas and no proper
+submask satisfies the tabled reduct joined with theirs.
 
 Below t, every model of a reduct contains the least fixpoint of its clauses
 with one head.  t is stable when that fixpoint is t's full mask.
@@ -68,7 +68,9 @@ fixpoint is itself a proper model and t is not stable; only a reduct with
 disjunctive heads (as in ``a := 1 ; b := 1``) makes the stability test walk
 the proper submasks above the fixpoint, stopping at the first that
 satisfies it, while ``_below`` walks them all.  Masks are walked in
-increasing order (``m = (m - full) & full``).
+increasing order (``m = (m - full) & full``).  Joined clauses only remove
+models, so under a context only a row whose proper model, kept from this
+test, fails the context's clauses takes the test again.
 
 ``Valuation`` and ``Interpretation`` objects are built only where models
 leave the core: the results of ``stable_models`` and ``ht_models``, the
@@ -580,15 +582,15 @@ def _submodels(reduct, full: int, low: int):
     return (low | s for s in _submasks(free) if s != free and _satisfied(reduct, low | s))
 
 
-def _minimal(reduct, full: int) -> bool:
-    """No proper submask of ``full`` satisfies the reduct, which ``full``
-    satisfies."""
+def _proper_model(reduct, full: int):
+    """A proper submask of ``full`` that satisfies the reduct, which ``full``
+    satisfies; None when there is none, that is when ``full`` is minimal."""
     low = _least_model(reduct)
     if low == full:
-        return True
+        return None
     if all(len(heads) < 2 for _, heads in reduct):
-        return False  # Horn: low is its least model
-    return next(_submodels(reduct, full, low), None) is None
+        return low  # Horn: low is its least model
+    return next(_submodels(reduct, full, low), None)
 
 
 def _below(reduct, t):
@@ -597,31 +599,38 @@ def _below(reduct, t):
     return _submodels(reduct, _full(t), _least_model(reduct))
 
 
-def _reduct(core: _Core, t):
-    """The reduct of all the core's formulas at t, as a tuple of clauses;
-    False when <t, t> fails one of them.  The search builds the same clauses
-    on its way down; this serves formulas added to a tabled t."""
-    clauses = ()
-    for _, at in core.formulas:
-        reduct = at(t)
-        if reduct is False:
-            return False
-        clauses += reduct
-    return clauses
-
-
-def _stable_under(table, extra=()):
-    """Stable models, as Valuations in table order, of the tabled theory
-    extended with ``extra`` formulas: the t whose <t, t> satisfies them and
-    below which no proper mask satisfies the tabled reduct joined with theirs."""
+def _stable_under(table):
+    """The reader ``stable(extra=())`` of the stable models, as Valuations in
+    table order, of the tabled theory with ``extra`` formulas added.  Each
+    row is prepared once, with its full mask and its ``_proper_model``."""
     spec, rows = table
-    core = _core(spec, extra)
-    out = []
+    names = spec.variables()
+    index = _index(names)
+    prepared = []
     for t, reduct in rows:
-        more = _reduct(core, t)
-        if more is not False and _minimal(reduct + more, _full(t)):
-            out.append(_valuation(core.names, t))
-    return out
+        full = _full(t)
+        prepared.append((t, full, reduct, _proper_model(reduct, full)))
+
+    def stable(extra=()):
+        if not extra:
+            return [_valuation(names, t) for t, _, _, proper in prepared if proper is None]
+        ats = [_compile(f, index) for f in extra]
+        out = []
+        for t, full, reduct, proper in prepared:
+            more = ()
+            for at in ats:
+                r = at(t)
+                if r is False:  # <t, t> fails the added formulas
+                    break
+                more += r
+            else:
+                if proper is None or (
+                    not _satisfied(more, proper) and _proper_model(reduct + more, full) is None
+                ):
+                    out.append(_valuation(names, t))
+        return out
+
+    return stable
 
 
 def _scan(spec, formulas, prefix):
@@ -694,7 +703,7 @@ def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     variables to the enumeration alphabet.
     """
     [table] = _run([theory], budget, jobs)
-    return _stable_under(table)
+    return _stable_under(table)()
 
 
 def ht_models(theory: Theory, budget=None, jobs=1) -> list:

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -113,6 +115,36 @@ class TestStableEquivalent:
         assert calls == [2]
         strong_equiv_sampled(a, b, contexts=context_family(BOOLS))
         assert calls == [2, 2]
+
+    def test_strong_check_takes_each_least_model_once(self, monkeypatch, tmp_path, capsys):
+        # check --strong reads both tables under 49 contexts; the least model
+        # of each row's reduct is computed once per side, not per context
+        from htc import checker as chk
+        from htc import semantics
+        from htc.cli import main
+        from htc.parser import pretty_print
+
+        ycond = pathlib.Path(__file__).resolve().parent.parent / "programs" / "ycond.lc"
+        delta = tmp_path / "ycond.delta.lc"
+        translated = eliminate_conditionals(parse_theory(ycond.read_text())).theory()
+        delta.write_text(pretty_print(translated))
+        tables, reducts = [], []
+        run, least = semantics._run, semantics._least_model
+
+        def recording_run(theories, budget, jobs):
+            tables.extend(run(theories, budget, jobs))
+            return tables[-len(theories) :]
+
+        def recording_least(reduct):
+            reducts.append(reduct)
+            return least(reduct)
+
+        monkeypatch.setattr(chk, "_run", recording_run)
+        monkeypatch.setattr(semantics, "_least_model", recording_least)
+        argv = ["check", str(ycond), str(delta), "--stable", "--project", "y", "--strong"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "equal"
+        assert reducts == [reduct for _, rows in tables for _, reduct in rows]
 
 
 class TestStrongEquivalence:
@@ -249,6 +281,50 @@ class TestSuites:
             run_property_suite("unfolding", seed=0, count=1)
 
 
+# With one of delta's five implications left out, the first violation of
+# delta-faithfulness at seeds 0-3 (count 40): the corpus item and the first
+# context of the family under which the projected stable models differ.
+DROPPED_DELTA_VIOLATIONS = {
+    0: [(3, ["x <= 0", "y <= 0"]), (10, ["x <= 0"]), (0, ["p", "y <= 0"]), (5, ["p", "x <= 0"])],
+    1: [(0, ["x <= 0", "y <= 0"]), (1, ["x <= 0", "y <= 0"]), (0, ["y <= 0"]),
+        (2, ["x <= 0", "y <= 0"])],
+    2: [(12, ["p"]), (0, []), (23, ["p"]), (32, ["y <= 0"])],
+    3: [(16, []), (7, ["p"]), (28, ["0 <= x"]), (0, ["p"])],
+    4: [(2, ["p"]), (3, []), (6, []), (25, [])],
+}
+
+# the whole report with the first implication left out, at seed 0
+DROPPED_DELTA_REPORT = (
+    '{"checked": 4, "count": 40, "counterexample": {"detail": {"context": '
+    '["x <= 0", "y <= 0"]}, "item": 3, "theory": "#int x 0..2.\\n#int y 0..2.\\n'
+    '#bool p.\\n2*y <= (2 | 2 : y <= 1 & not 1 <= y | 1 <= y & not y <= 1) - x -> '
+    'p & (y + 2*y <= -2*x & not -2*x <= y + 2*y).\\n"}, "seed": 0, '
+    '"suite": "delta-faithfulness", "violations": 1}'
+)
+
+
+class TestDeltaFaithfulnessReports:
+    @pytest.mark.parametrize("dropped", sorted(DROPPED_DELTA_VIOLATIONS))
+    def test_a_dropped_implication_is_reported_with_its_context(self, monkeypatch, dropped):
+        from htc import transforms
+
+        delta = transforms.delta
+
+        def partial_delta(tau, name):
+            implications = delta(tau, name)
+            return implications[:dropped] + implications[dropped + 1 :]
+
+        monkeypatch.setattr(transforms, "delta", partial_delta)
+        found = []
+        for seed in range(4):
+            report = run_property_suite("delta-faithfulness", seed=seed, count=40)
+            cex = report.counterexample
+            assert report.violations == 1 and report.checked == cex["item"] + 1
+            found.append((cex["item"], cex["detail"]["context"]))
+            if dropped == 0 and seed == 0:
+                assert json.dumps(report.to_json(), sort_keys=True) == DROPPED_DELTA_REPORT
+        assert found == DROPPED_DELTA_VIOLATIONS[dropped]
+
 
 class TestDenotationLaws:
     @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -342,10 +418,10 @@ class TestTableConsistency:
         )
         core = desugar_theory(thy)
         [table] = _run([core], None, 1)
-        assert _stable_under(table) == stable_models(core)
+        assert _stable_under(table)() == stable_models(core)
         ctx = (BoolAtom("p"),)
         extended = core.extended(ctx)
-        assert _stable_under(table, ctx) == stable_models(extended)
+        assert _stable_under(table)(ctx) == stable_models(extended)
 
 
 class TestShrinking:
