@@ -243,12 +243,13 @@ def stable_equivalent(
 
 
 def strong_equiv_sampled(
-    a: Theory, b: Theory, project=None, contexts=(), budget=None, jobs=1
+    a: Theory, b: Theory, project=None, *, contexts, budget=None, jobs=1
 ) -> EquivReport:
     """Projected stable-model equality under every context in the family.
 
-    Contexts are tuples of formulas over the projection variables.  A pass
-    means no counterexample was found within the family, nothing more.
+    Contexts are tuples of formulas over the projection variables, and must
+    be given: with none, nothing would be checked.  A pass means no
+    counterexample was found within the family, nothing more.
     """
     names, w = _stable_difference(a, b, project, contexts, budget, jobs)
     if w is None:
@@ -313,9 +314,9 @@ def _gen_condition(rng, spec, depth=1):
     return _gen_atom(rng, spec, conditional_budget=None)
 
 
-def _gen_expr(rng, spec, conditional_budget, max_terms=2):
+def _gen_expr(rng, spec, conditional_budget):
     items = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         if (
             conditional_budget is not None
             and conditional_budget[0] > 0
@@ -371,11 +372,12 @@ def gen_assignment(rng, spec, conditional_budget=None):
     return Assignment(target, lower, lower)
 
 
-def gen_lc_rule(rng, spec, max_head=2, max_body=2):
+def gen_lc_rule(rng, spec):
+    """Random rule with up to two head assignments and two body literals."""
     budget = [2]
-    head = tuple(gen_assignment(rng, spec, budget) for _ in range(rng.randint(0, max_head)))
+    head = tuple(gen_assignment(rng, spec, budget) for _ in range(rng.randint(0, 2)))
     pos, neg = [], []
-    for _ in range(rng.randint(0, max_body)):
+    for _ in range(rng.randint(0, 2)):
         atom = _gen_atom(rng, spec, budget)
         (neg if rng.random() < 0.3 else pos).append(atom)
     return LCRule(head, tuple(pos), tuple(neg))
@@ -661,18 +663,19 @@ def _suite_item(suite: str, seed: int, i: int, spec: DomainSpec):
 
 
 def run_property_suite(
-    suite: str, seed: int = 0, count: int = 50, spec=None, jobs: int = 1
+    suite: str, seed: int = 0, count: int = 50, jobs: int = 1
 ) -> SuiteReport:
-    """Run one suite over ``count`` seeded random instances.
+    """Run one suite over ``count`` seeded random instances over
+    ``DEFAULT_SUITE_SPEC``.
 
-    Deterministic for a fixed (suite, seed, count, spec): corpus items are
+    Deterministic for a fixed (suite, seed, count): corpus items are
     independent, so with ``jobs`` they run in parallel and the lowest failing
     index is reported either way.  The first violation is shrunk before being
     reported.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITE_NAMES)}")
-    spec = spec or DEFAULT_SUITE_SPEC
+    spec = DEFAULT_SUITE_SPEC
     items = [(suite, seed, i, spec) for i in range(count)]
     violations = _pool_map(_suite_item, items, jobs)
     first = next(((i, v) for i, v in enumerate(violations) if v is not None), None)

@@ -23,7 +23,7 @@ from .checker import (
     stable_equivalent,
     strong_equiv_sampled,
 )
-from .errors import BudgetError, HtcError, ParseError
+from .errors import BudgetError, HtcError
 from .parser import parse_theory, pretty_print
 from .semantics import ht_models, stable_models, valuation_key
 from .syntax import desugar_aggregates, desugar_theory
@@ -176,9 +176,7 @@ def cmd_check(args) -> int:
     b = _load(args.file_b)
     budget = _budget(args)
     if args.strong:
-        names = project or a.spec.variables()
-        a = desugar_theory(a)
-        family = context_family(a.spec, names)
+        family = context_family(a.spec, project or a.spec.variables())
         # the empty context comes first, so each side's model table is built
         # once; a pair that differs without context reports as --stable does
         report = strong_equiv_sampled(
@@ -226,13 +224,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"htc: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, OSError) as exc:
-        print(f"htc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HtcError as exc:
-        print(f"htc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (HtcError, OSError, ValueError) as exc:
         print(f"htc: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -429,10 +429,7 @@ def parse_theory(text: str):
     statements = []
     for run in statement_runs:
         parser = _Parser(run + [_Token("eof", "", run[-1].line, run[-1].col)], spec)
-        stmt = parser.parse_statement()
-        if not parser.at("eof"):
-            parser.error(f"unexpected {parser.peek().text!r} after '.'")
-        statements.append(stmt)
+        statements.append(parser.parse_statement())
     families = _used_name_families(statements)
     decls = {**{n: tok for n, (_, tok) in ints.items()}, **bools}
     for name, tok in sorted(decls.items()):

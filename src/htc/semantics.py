@@ -35,6 +35,12 @@ A reduct is kept as clauses ``(body, heads)``: when m has every bit of
 This is the package's only evaluator; the then/else/U rule of conditional
 terms lives in one place, ``_compile_branch``.
 
+The engine takes desugared theories only.  Each entry point desugars its
+input once: ``stable_models``, ``ht_models`` and ``is_supported`` here,
+``equivalent`` and ``_stable_difference`` in the checker.  Nothing below
+them desugars again, and a surface formula that reaches ``_compile`` makes
+it raise.
+
 Every model reader sits on one enumeration core over a compiled theory:
 ``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, each
 with the clauses of their reducts at t, which give the h below it.  Reading
@@ -670,28 +676,28 @@ def _prefixes(spec: DomainSpec, jobs: int) -> list:
 
 
 def _run(theories, budget, jobs) -> list:
-    """The model table of every desugared theory: ``_scan`` over the search
-    subtrees of each, all mapped on one pool.
+    """The model table of every theory: ``_scan`` over the search subtrees
+    of each, all mapped on one pool.
 
-    Each theory's budget is checked, in order, before any scan starts.
-    Returns ``(spec, rows)`` per theory, its rows concatenated in prefix
-    order.
+    The theories must be desugared already; ``_compile`` raises on a surface
+    formula.  Each theory's budget is checked, in order, before any scan
+    starts.  Returns ``(spec, rows)`` per theory, its rows concatenated in
+    prefix order.
     """
     from .transforms import theory_formulas
 
-    thys = [desugar_theory(thy) for thy in theories]
-    for thy in thys:
+    for thy in theories:
         check_budget(thy.spec, budget)
     owners, tasks = [], []
-    for k, thy in enumerate(thys):
+    for k, thy in enumerate(theories):
         formulas = theory_formulas(thy)
         for prefix in _prefixes(thy.spec, jobs):
             owners.append(k)
             tasks.append((thy.spec, formulas, prefix))
-    rows = [[] for _ in thys]
+    rows = [[] for _ in theories]
     for k, part in zip(owners, _pool_map(_scan, tasks, jobs)):
         rows[k].extend(part)
-    return [(thy.spec, r) for thy, r in zip(thys, rows)]
+    return [(thy.spec, r) for thy, r in zip(theories, rows)]
 
 
 def stable_models(theory: Theory, budget=None, jobs=1) -> list:
@@ -702,13 +708,13 @@ def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     theory is desugared first, so min/max aggregates add their auxiliary
     variables to the enumeration alphabet.
     """
-    [table] = _run([theory], budget, jobs)
+    [table] = _run([desugar_theory(theory)], budget, jobs)
     return _stable_under(table)()
 
 
 def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     """All interpretations <h, t> over the spec satisfying every statement."""
-    [(spec, rows)] = _run([theory], budget, jobs)
+    [(spec, rows)] = _run([desugar_theory(theory)], budget, jobs)
     names = spec.variables()
     out = []
     for t, reduct in rows:

@@ -42,7 +42,6 @@ from .syntax import (
     defined,
     desugar_aggregates,
     desugar_comparisons,
-    desugar_theory,
     disj,
     eq_pair,
     FreshNames,
@@ -361,7 +360,7 @@ def eliminate_conditionals(theory: Theory, budget=None) -> DeltaResult:
                 items.append(item)
         return LinearExpr(tuple(items))
 
-    statements = [map_exprs(s, replace) for s in thy.statements]
-    rewritten = desugar_theory(make_theory(spec, statements))
+    statements = [desugar_comparisons(map_exprs(s, replace)) for s in thy.statements]
+    rewritten = make_theory(spec, statements)
     check_budget(spec, budget)
     return DeltaResult(rewritten, tuple(side), tuple(mapping))

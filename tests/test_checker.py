@@ -174,6 +174,15 @@ class TestStrongEquivalence:
         assert report.verdict == "different"
         assert report.witness.context == ()
 
+    def test_contexts_must_be_given(self):
+        # with no contexts nothing would be compared, and any pair would pass
+        a = parse_theory("#bool p. p.")
+        b = parse_theory("#bool p. #false :- p.")
+        assert not stable_equivalent(a, b).equal
+        with pytest.raises(TypeError):
+            strong_equiv_sampled(a, b)
+        assert not strong_equiv_sampled(a, b, contexts=[()]).equal
+
     def test_delta_translation_strongly_faithful_golden(self):
         thy = parse_theory("#int y 0..3. #bool p. (y | 0 : p) = 2.")
         translated = eliminate_conditionals(thy).theory()

@@ -186,6 +186,13 @@ class TestTranslate:
         statements = parse_theory(out).statements
         assert len(statements) == 2  # one implication per head subset
 
+    def test_unfold_refusal_is_a_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "wide.lc"
+        f.write_text("#int x 0..1.\n" + " ; ".join(["x := 0"] * 11) + ".\n")
+        code, out, err = run(capsys, "translate", str(f), "--pass", "unfold")
+        assert (code, out) == (1, "")
+        assert err == "htc: refusing to unfold a rule with 11 head assignments\n"
+
     def test_all_pass_is_condition_free_core(self, capsys):
         from htc.syntax import is_core, is_condition_free
 
@@ -426,3 +433,44 @@ class TestCheckJobs:
         assert len(outputs) == 1
         if "--strong" in extra:
             assert json.loads(outputs.pop())["report"]["witness"]["context"]
+
+
+class TestDesugarOnce:
+    """Each entry point desugars its input once; the model tables below it
+    take core theories only."""
+
+    def test_tables_refuse_a_surface_theory(self):
+        from htc.semantics import _run
+
+        with pytest.raises(ValueError, match="desugared"):
+            _run([parse_theory("#int x 0..2. x = 1.")], None, 1)
+
+    def test_desugar_calls_per_operation(self, capsys, tmp_path):
+        from htc.syntax import desugar_theory
+
+        ycond = str(PROGRAMS / "ycond.lc")
+        saved = {}
+        for name in ("delta", "unfold"):
+            path = tmp_path / f"ycond.{name}.lc"
+            path.write_text(run(capsys, "translate", ycond, "--pass", name)[1])
+            saved[name] = str(path)
+        operations = [
+            # _stable_difference desugars both sides, equivalent too
+            (("check", ycond, saved["delta"], "--stable", "--project", "y", "--strong"), 2),
+            (("check", ycond, saved["unfold"]), 2),
+            (("translate", ycond, "--pass", "delta"), 0),
+            (("solve", ycond), 1),  # stable_models desugars its theory
+        ]
+        for argv, expected in operations:
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call" and frame.f_code is desugar_theory.__code__
+
+            sys.setprofile(profile)
+            try:
+                code = main(list(argv))
+            finally:
+                sys.setprofile(None)
+            assert (code, calls) == (0, expected), argv

@@ -164,6 +164,33 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_theory("#int x 0..9. x.")
 
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("#int x 0..2.\nx <= 1 @ 2.", "unexpected character '@'", 2, 8),
+            ("#bool p.\np := 1.", "assignment target p is not an integer", 2, 1),
+            ("#int x 0..2.\nx + 1.", "expected a comparison operator", 2, 1),
+            ("#int x 0..2.\n-sum{ x } <= 1.", "cannot negate an aggregate", 2, 2),
+            (
+                "#int x 0..2. #bool p.\nsum{ (x | 1 : p) } <= 1.",
+                "aggregate elements must be linear terms",
+                2,
+                6,
+            ),
+            ("#int x 0..2.\nx <= 1", "missing the final '.'", 2, 7),
+            ("#int 0..2.", "expected a variable name", 1, 6),
+            ("#int x 0 2.", "expected '..'", 1, 10),
+            ("#int x 2..0.", "empty interval 2..0", 1, 6),
+            ("#bool p 3.", "unexpected '3'", 1, 9),
+            ("#int x a..2.", "expected a number", 1, 8),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse_theory(text)
+        assert message in exc.value.message
+        assert (exc.value.line, exc.value.column) == (line, column)
+
 
 class TestRoundTrip:
     def golden(self, text):

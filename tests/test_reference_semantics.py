@@ -430,7 +430,7 @@ class TestPrunedSearch:
             for jobs in (1, 2, 3):
                 found = [t for p in _prefixes(spec, jobs) for t, _ in total_models(core, p)]
                 assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
-                [(_, rows)] = _run([thy], None, jobs)
+                [(_, rows)] = _run([core_thy], None, jobs)
                 assert valuation_table(names, rows) == expected, jobs
                 assert stable_models(thy, jobs=jobs) == ref_stable_models(thy)
                 assert ht_models(thy, jobs=jobs) == ref_ht_models(thy)
@@ -464,7 +464,8 @@ def reduct_mismatches(corpus, jobs=1):
     differ from the reference; the masks below each t must also come in
     increasing order."""
     bad = []
-    for i, (thy, table) in enumerate(zip(corpus, _run(corpus, None, jobs))):
+    cores = [desugar_theory(thy) for thy in corpus]
+    for i, (thy, table) in enumerate(zip(corpus, _run(cores, None, jobs))):
         spec, rows = table
         names = spec.variables()
         below = [list(_below(reduct, t)) for t, reduct in rows]
@@ -515,7 +516,7 @@ class TestReductGate:
         fixpoint = walk = 0
         for thy in reduct_corpus():
             calls.update(fixpoint=0, walk=0)
-            [table] = _run([thy], None, 1)
+            [table] = _run([desugar_theory(thy)], None, 1)
             _stable_under(table)()
             fixpoint += calls["fixpoint"] > calls["walk"]
             walk += calls["walk"] > 0
