@@ -49,7 +49,6 @@ from .syntax import (
     Defined,
     DomainSpec,
     Implies,
-    LCProgram,
     LCRule,
     LinearExpr,
     Not,

@@ -5,7 +5,10 @@ stably equivalent when their stable models agree (optionally after
 projection), and strongly equivalent for a projection when the projected
 stable models agree under every added context theory.  The last condition
 quantifies over all contexts; the sampled check here enumerates a finite,
-deterministic family and is falsification-oriented only.
+deterministic family and is falsification-oriented only.  One function,
+``_stable_difference``, compares stable models: always under the empty
+context first, then under each context of the family, so the stable check
+is the strong check with an empty family.
 
 Every check reads model tables from one scan of the enumeration core,
 ``_run``, which builds both sides on one pool of ``jobs`` workers:
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -212,8 +215,9 @@ def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
     """The projection, and a witness for the first context under which the
     projected stable models of ``a`` and ``b`` differ (None if none does).
 
-    Each side's model table is built once, and its rows are prepared once,
-    by ``_stable_under``, for every context.
+    The empty context comes first, before ``contexts``; a witness found
+    there has ``context=None``.  Each side's model table is built once, and
+    its rows are prepared once, by ``_stable_under``, for every context.
     """
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
@@ -222,12 +226,12 @@ def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
     def key(v):
         return valuation_key(a.spec, v)
 
-    for ctx in contexts:
+    for ctx in ((), *contexts):
         ctx = tuple(desugar_comparisons(f) for f in ctx)
         sa = {t.project(names) for t in stable_a(ctx)}
         sb = {t.project(names) for t in stable_b(ctx)}
         if sa != sb:
-            return names, _witness(key, sa, sb, "valuation", ctx)
+            return names, _witness(key, sa, sb, "valuation", ctx or None)
     return names, None
 
 
@@ -235,26 +239,30 @@ def stable_equivalent(
     a: Theory, b: Theory, project=None, budget=None, jobs=1
 ) -> EquivReport:
     """Same stable models, after projecting onto ``project`` when given."""
-    names, w = _stable_difference(a, b, project, [()], budget, jobs)
+    names, w = _stable_difference(a, b, project, (), budget, jobs)
     projection = names if project is not None else None
     if w is None:
         return EquivReport("equal", projection=projection)
-    return EquivReport("different", replace(w, context=None), projection=projection)
+    return EquivReport("different", w, projection=projection)
 
 
 def strong_equiv_sampled(
     a: Theory, b: Theory, project=None, *, contexts, budget=None, jobs=1
 ) -> EquivReport:
-    """Projected stable-model equality under every context in the family.
+    """Projected stable-model equality without context and then under every
+    context in the family.
 
-    Contexts are tuples of formulas over the projection variables, and must
-    be given: with none, nothing would be checked.  A pass means no
-    counterexample was found within the family, nothing more.
+    Contexts are tuples of formulas over the projection variables.  The
+    empty context is always checked first; a difference there is reported
+    as ``stable_equivalent`` reports it, with no context and a projection
+    only when one was asked for.  A pass means no counterexample was found
+    within the family, nothing more.
     """
     names, w = _stable_difference(a, b, project, contexts, budget, jobs)
     if w is None:
         return EquivReport("equal", projection=names)
-    return EquivReport("different", w, projection=names)
+    projection = None if w.context is None and project is None else names
+    return EquivReport("different", w, projection=projection)
 
 
 def context_family(spec: DomainSpec, names=None, max_contexts=48):
@@ -647,11 +655,11 @@ def _unfolding_law(core, spec):
 def _delta_law(thy, spec):
     names = thy.spec.variables()
     translated = eliminate_conditionals(thy).theory()
-    contexts = [()] + context_family(thy.spec, names)
-    _, w = _stable_difference(thy, translated, names, contexts)
+    _, w = _stable_difference(thy, translated, names, context_family(thy.spec, names))
     if w is None:
         return None
-    return {"theory": thy, "detail": {"context": [pretty_print(f) for f in w.context]}}
+    context = [pretty_print(f) for f in w.context or ()]
+    return {"theory": thy, "detail": {"context": context}}
 
 
 def _suite_corpus_item(suite: str, seed: int, i: int, spec: DomainSpec):

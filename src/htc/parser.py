@@ -1,10 +1,11 @@
 """Concrete syntax: tokenizer, parser and round-tripping pretty printer.
 
 Files consist of ``#int``/``#bool`` declarations and statements, each
-terminated by ``.``; ``%`` starts a line comment.  A statement is either a
-rule (it contains ``:-``, or is a fact whose head is an assignment list) or
-a formula.  A file whose every statement is a rule parses to an LCProgram,
-anything else to a Theory.
+terminated by ``.``; ``%`` starts a line comment.  Declarations are read
+before any statement, so they apply to the whole file wherever they appear.
+A statement is a rule when it opens with ``name :=`` or holds a ``:-``
+token, and a formula otherwise.  A file parses to a Theory, which is an
+LC-program (``Theory.is_lc_program``) when every statement is a rule.
 """
 
 from __future__ import annotations
@@ -118,31 +119,53 @@ class _Parser:
             return tok
         return None
 
-    def expect(self, kind) -> _Token:
+    def expect(self, kind, message=None) -> _Token:
         tok = self.accept(kind)
         if tok is None:
-            self.error(f"expected {kind!r}, found {self.peek().text!r}")
+            self.error(message or f"expected {kind!r}, found {self.peek().text!r}")
         return tok
 
     def error(self, message, token=None):
         tok = token or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    # -- declarations ----------------------------------------------------------
+
+    def parse_declaration(self, ints: dict, bools: dict):
+        """Read one ``#int``/``#bool`` run into ``{name: ((lo, hi), token)}``
+        and ``{name: token}``."""
+        kind = self.peek().kind
+        self.pos += 1
+        names = [self.expect("name", "expected a variable name")]
+        while self.accept(","):
+            names.append(self.expect("name", "expected a variable name"))
+        lo, hi = DEFAULT_INTERVAL
+        if kind == "#int" and not self.at("."):
+            lo = self.parse_number()
+            self.expect("..", "expected '..'")
+            hi = self.parse_number()
+            if lo > hi:
+                self.error(f"empty interval {lo}..{hi}", names[0])
+        self.expect(".", f"unexpected {self.peek().text!r}")
+        for tok in names:
+            if tok.text in ints or tok.text in bools:
+                self.error(f"variable {tok.text} declared twice", tok)
+            if kind == "#int":
+                ints[tok.text] = ((lo, hi), tok)
+            else:
+                bools[tok.text] = tok
+
+    def parse_number(self) -> int:
+        sign = -1 if self.accept("-") else 1
+        return sign * int(self.expect("number", "expected a number").text)
+
     # -- statements ----------------------------------------------------------
 
     def statement_is_rule(self) -> bool:
-        if self.at(":-"):
-            return True
+        """The run opens with ``name :=`` or holds a ``:-`` token."""
         if self.at("name") and self.peek(1).kind == ":=":
             return True
-        k = 0
-        while True:
-            tok = self.peek(k)
-            if tok.kind in (".", "eof"):
-                return False
-            if tok.kind == ":-":
-                return True
-            k += 1
+        return any(tok.kind == ":-" for tok in self.tokens)
 
     def parse_statement(self):
         if self.statement_is_rule():
@@ -345,7 +368,8 @@ class _Parser:
 
 
 def _split_statements(tokens):
-    """Group tokens into runs, each ending at a '.' token."""
+    """Group tokens into runs, each ending at a '.' token and then an eof
+    token at the same place."""
     runs, current = [], []
     for tok in tokens:
         if tok.kind == "eof":
@@ -354,51 +378,9 @@ def _split_statements(tokens):
             break
         current.append(tok)
         if tok.kind == ".":
-            runs.append(current)
+            runs.append(current + [_Token("eof", "", tok.line, tok.col)])
             current = []
     return runs
-
-
-def _parse_directive(run, ints, bools):
-    kind = run[0].kind
-    names = []
-    i = 1
-    while True:
-        tok = run[i]
-        if tok.kind != "name":
-            raise ParseError("expected a variable name", tok.line, tok.col)
-        names.append(tok)
-        i += 1
-        if run[i].kind != ",":
-            break
-        i += 1
-    lo, hi = DEFAULT_INTERVAL
-    if kind == "#int" and run[i].kind != ".":
-        lo, i = _parse_signed_number(run, i)
-        if run[i].kind != "..":
-            raise ParseError("expected '..'", run[i].line, run[i].col)
-        hi, i = _parse_signed_number(run, i + 1)
-        if lo > hi:
-            raise ParseError(f"empty interval {lo}..{hi}", run[1].line, run[1].col)
-    if run[i].kind != ".":
-        raise ParseError(f"unexpected {run[i].text!r}", run[i].line, run[i].col)
-    for tok in names:
-        if tok.text in ints or tok.text in bools:
-            raise ParseError(f"variable {tok.text} declared twice", tok.line, tok.col)
-        if kind == "#int":
-            ints[tok.text] = ((lo, hi), tok)
-        else:
-            bools[tok.text] = tok
-
-
-def _parse_signed_number(run, i):
-    sign = 1
-    if run[i].kind == "-":
-        sign = -1
-        i += 1
-    if run[i].kind != "number":
-        raise ParseError("expected a number", run[i].line, run[i].col)
-    return sign * int(run[i].text), i + 1
 
 
 def _used_name_families(statements) -> set:
@@ -412,24 +394,19 @@ def _used_name_families(statements) -> set:
     return families
 
 
-def parse_theory(text: str):
-    """Parse source text into a Theory, or an LCProgram when all statements are rules."""
-    tokens = _tokenize(text)
-    runs = _split_statements(tokens)
+def parse_theory(text: str) -> Theory:
+    """Parse source text into a Theory."""
     ints, bools = {}, {}
     statement_runs = []
-    for run in runs:
+    for run in _split_statements(_tokenize(text)):
         if run[0].kind in ("#int", "#bool"):
-            _parse_directive(run, ints, bools)
+            _Parser(run, None).parse_declaration(ints, bools)
         else:
             statement_runs.append(run)
     spec = DomainSpec.make(
         {n: interval for n, (interval, _) in ints.items()}, bools.keys()
     )
-    statements = []
-    for run in statement_runs:
-        parser = _Parser(run + [_Token("eof", "", run[-1].line, run[-1].col)], spec)
-        statements.append(parser.parse_statement())
+    statements = [_Parser(run, spec).parse_statement() for run in statement_runs]
     families = _used_name_families(statements)
     decls = {**{n: tok for n, (_, tok) in ints.items()}, **bools}
     for name, tok in sorted(decls.items()):

@@ -4,7 +4,9 @@ All nodes are immutable (frozen dataclasses), hashable and freely shareable.
 The surface language includes comparison relations beyond ``<=``, ``def``
 atoms and aggregate expressions; the desugaring pass removes all of them,
 leaving only ``<=`` atoms over linear expressions, Boolean atoms and the
-connectives of the core formula language.
+connectives of the core formula language.  A ``Theory`` holds formulas and
+rules over one spec; it is an LC-program when every statement is a rule
+(``is_lc_program``).
 
 ``children``, ``nodes`` and ``map_exprs`` are the one place that knows which
 node holds which subnodes; every query and rewrite over theories, rules and
@@ -434,15 +436,12 @@ class Theory:
                 raise DomainError(f"assignment target {name} is not an integer variable")
 
     @property
-    def formulas(self) -> tuple:
-        return tuple(s for s in self.statements if not isinstance(s, LCRule))
-
-    @property
     def rules(self) -> tuple:
         return tuple(s for s in self.statements if isinstance(s, LCRule))
 
     @property
     def is_lc_program(self) -> bool:
+        """An LC-program: every statement is a rule."""
         return all(isinstance(s, LCRule) for s in self.statements)
 
     def extended(self, extra_statements) -> "Theory":
@@ -452,20 +451,9 @@ class Theory:
         return desugar_theory(self)
 
 
-class LCProgram(Theory):
-    """A theory whose every statement is a rule."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.is_lc_program:
-            raise ValueError("LCProgram statements must all be rules")
-
-
 def make_theory(spec: DomainSpec, statements) -> Theory:
-    """Build a Theory, classified as LCProgram when every statement is a rule."""
-    statements = tuple(statements)
-    cls = LCProgram if all(isinstance(s, LCRule) for s in statements) else Theory
-    return cls(spec, statements)
+    """Build a Theory from any iterable of statements."""
+    return Theory(spec, tuple(statements))
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +487,6 @@ _CHILDREN = {
     Assignment: lambda n: (n.lower, n.upper),
     LCRule: lambda n: n.head + n.pos_body + n.neg_body,
     Theory: lambda n: n.statements,
-    LCProgram: lambda n: n.statements,
 }
 
 
@@ -526,8 +513,8 @@ def _hash_once(cls):
 
 
 for _cls in (Truth, DomainSpec, *_CHILDREN):
-    if "__hash__" in vars(_cls):  # LCProgram inherits Theory's
-        _hash_once(_cls)
+    _hash_once(_cls)
+
 
 def children(node) -> tuple:
     """The immediate subnodes of a syntax node, in source order."""
@@ -792,19 +779,21 @@ def desugar_aggregates(thy: Theory) -> Theory:
     sum and count become conditional terms spliced into their expression;
     min/max mint fresh integer variables whose intervals hull the element
     term ranges, with their defining formulas appended after the original
-    statements.  Idempotent.
+    statements.  Idempotent: a theory without aggregates comes back as it is.
     """
     fresh = FreshNames(thy.spec.variables())
     spec = thy.spec
     sides: deque = deque()
+    found = False
 
     def replace(e: LinearExpr) -> LinearExpr:
-        nonlocal spec
+        nonlocal spec, found
         items = []
         for item in e.items:
             if type(item) is not Aggregate:
                 items.append(item)
                 continue
+            found = True
             agg = desugar_count(item) if item.func == "count" else item
             if agg.func == "sum":
                 items.extend(desugar_sum(agg).items)
@@ -817,6 +806,8 @@ def desugar_aggregates(thy: Theory) -> Theory:
         return LinearExpr(tuple(items))
 
     statements = [map_exprs(s, replace) for s in thy.statements]
+    if not found:
+        return thy
     while sides:  # side formulas are desugared first in, first out
         statements.append(map_exprs(sides.popleft(), replace))
     return make_theory(spec, statements)
@@ -827,9 +818,9 @@ def desugar_theory(thy: Theory) -> Theory:
 
     The result is core: only <= atoms over linear expressions (possibly with
     conditional terms), Boolean atoms and connectives.  Idempotent: a core
-    theory of the class ``make_theory`` picks comes back as it is.
+    theory comes back as it is.
     """
-    if type(thy) is (LCProgram if thy.is_lc_program else Theory) and is_core(thy):
+    if is_core(thy):
         return thy
     thy = desugar_aggregates(thy)
     return make_theory(thy.spec, [desugar_comparisons(s) for s in thy.statements])

@@ -162,26 +162,26 @@ class TestStrongEquivalence:
         assert sa != sb
 
     def test_extension_by_extra_fact_differs(self):
-        # adding q changes the projected stable models; the empty context
-        # already witnesses it (any context containing q would mask it,
+        # adding q changes the stable models; the empty context, always
+        # checked first, witnesses it (the context q alone would mask it,
         # since both sides then carry q)
         q = BoolAtom("q")
         a = bool_theory()
         b = bool_theory(q)
-        masked = strong_equiv_sampled(a, b, contexts=[(q,)])
-        assert masked.equal
-        report = strong_equiv_sampled(a, b, contexts=[(), (q,)])
+        report = strong_equiv_sampled(a, b, contexts=[(q,)])
         assert report.verdict == "different"
-        assert report.witness.context == ()
+        assert report.witness.context is None
+        assert report.projection is None
 
     def test_contexts_must_be_given(self):
-        # with no contexts nothing would be compared, and any pair would pass
+        # contexts is keyword-only and required; the empty context is
+        # checked whatever the family holds
         a = parse_theory("#bool p. p.")
         b = parse_theory("#bool p. #false :- p.")
         assert not stable_equivalent(a, b).equal
         with pytest.raises(TypeError):
             strong_equiv_sampled(a, b)
-        assert not strong_equiv_sampled(a, b, contexts=[()]).equal
+        assert not strong_equiv_sampled(a, b, contexts=[]).equal
 
     def test_delta_translation_strongly_faithful_golden(self):
         thy = parse_theory("#int y 0..3. #bool p. (y | 0 : p) = 2.")

@@ -15,7 +15,6 @@ from htc.syntax import (
     ConditionalTerm,
     Defined,
     DomainSpec,
-    LCProgram,
     LCRule,
     LinearExpr,
     Scaled,
@@ -35,7 +34,7 @@ def parse_formula(text):
 class TestParsing:
     def test_running_example(self):
         thy = parse_theory("#int x,y 0..9. #bool p. x - (y|3:p) <= 4.")
-        assert isinstance(thy, Theory) and not isinstance(thy, LCProgram)
+        assert type(thy) is Theory and not thy.is_lc_program
         (phi,) = thy.statements
         assert phi == Comparison(
             LinearExpr(
@@ -47,7 +46,7 @@ class TestParsing:
 
     def test_rule_file_classifies_as_program(self):
         thy = parse_theory("#int x 0..9. x := 1 :- sum{ x : #true } >= 0.")
-        assert isinstance(thy, LCProgram)
+        assert type(thy) is Theory and thy.is_lc_program
         (rule,) = thy.statements
         assert rule.head[0].target == "x"
         assert rule.head[0].point
@@ -56,7 +55,7 @@ class TestParsing:
 
     def test_fact_rule(self):
         thy = parse_theory("#int x 0..9. x := 1.")
-        assert isinstance(thy, LCProgram)
+        assert thy.is_lc_program
         assert thy.statements[0] == LCRule(
             (Assignment("x", LinearExpr((Const(1),)), LinearExpr((Const(1),))),)
         )
@@ -72,6 +71,9 @@ class TestParsing:
         (rule,) = thy.statements
         assert [a.target for a in rule.head] == ["x", "y"]
         assert not rule.head[1].point
+
+    def test_declarations_apply_to_the_whole_file(self):
+        assert parse_theory("x <= 1. #int x 0..2.") == parse_theory("#int x 0..2. x <= 1.")
 
     def test_default_interval(self):
         thy = parse_theory("#int z. z <= 9.")
@@ -183,6 +185,14 @@ class TestParseErrors:
             ("#int x 2..0.", "empty interval 2..0", 1, 6),
             ("#bool p 3.", "unexpected '3'", 1, 9),
             ("#int x a..2.", "expected a number", 1, 8),
+            ("#int x 0..9. #bool x. x <= 1.", "variable x declared twice", 1, 20),
+            ("#int x 0..2.\n#int x 0..2.", "variable x declared twice", 2, 6),
+            (
+                "#int __c0 0..1. #bool p.\n(1 | 0 : p) <= __c0.",
+                "collides with generated names",
+                1,
+                6,
+            ),
         ],
     )
     def test_error_message_and_position(self, text, message, line, column):

@@ -24,6 +24,7 @@ from htc.syntax import (
     Scaled,
     Theory,
     const_expr,
+    desugar_aggregates,
     desugar_comparisons,
     desugar_count,
     desugar_minmax,
@@ -267,6 +268,10 @@ class TestFullDesugar:
         once = desugar_theory(make_theory(SPEC, [phi]))
         assert desugar_theory(once) == once
         assert isinstance(once, Theory)
+
+    def test_aggregate_free_theory_is_returned_as_it_is(self):
+        thy = make_theory(SPEC, [atom(var_expr("x"), "<", var_expr("y")), BoolAtom("p")])
+        assert desugar_aggregates(thy) is thy
 
 
 class TestFreshNames:

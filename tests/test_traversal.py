@@ -18,7 +18,6 @@ from htc.syntax import (
     Defined,
     DomainSpec,
     Implies,
-    LCProgram,
     LCRule,
     LinearExpr,
     Or,
@@ -62,7 +61,6 @@ SHAPES = [
     (POINT, (ONE, ONE)),
     (RULE, (POINT, BoolAtom("p"), le(X, ONE))),
     (Theory(SPEC, (RULE, TOP)), (RULE, TOP)),
-    (LCProgram(SPEC, (RULE,)), (RULE,)),
 ]
 
 
@@ -72,7 +70,7 @@ class TestChildren:
         assert classes == {
             Const, Scaled, Undefined, Bot, BoolAtom, TruthConst, ConditionalTerm,
             AggregateElement, Aggregate, LinearExpr, Comparison, Defined, And, Or,
-            Implies, Assignment, LCRule, Theory, LCProgram,
+            Implies, Assignment, LCRule, Theory,
         }
 
     @pytest.mark.parametrize("node, expected", SHAPES)
