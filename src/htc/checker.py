@@ -8,7 +8,8 @@ quantifies over all contexts; the sampled check here enumerates a finite,
 deterministic family and is falsification-oriented only.  One function,
 ``_stable_difference``, compares stable models: always under the empty
 context first, then under each context of the family, so the stable check
-is the strong check with an empty family.
+is the strong check with an empty family.  ``_projection`` reads every
+projection: it sorts the names, merges repeats and refuses an empty one.
 
 Every check reads model tables from one scan of the enumeration core,
 ``_run``, which builds both sides on one pool of ``jobs`` workers:
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -199,7 +200,9 @@ def _projection(a: Theory, b: Theory, project):
         if a.spec != b.spec:
             raise ValueError("theories must share a spec unless a projection is given")
         return tuple(a.spec.variables())
-    names = tuple(sorted(project))
+    names = tuple(sorted(set(project)))
+    if not names:
+        raise ValueError("projection names no variable")
     for name in names:
         for spec in (a.spec, b.spec):
             if not spec.is_declared(name):
@@ -265,14 +268,17 @@ def strong_equiv_sampled(
     return EquivReport("different", w, projection=projection)
 
 
-def context_family(spec: DomainSpec, names=None, max_contexts=48):
+MAX_CONTEXTS = 48
+
+
+def context_family(spec: DomainSpec, names=None):
     """Deterministic family of context theories over the given variables.
 
     Facts over every atom shape (Boolean atoms; variable-vs-constant bounds
     over a few interval values), rules between Boolean atoms, and all
-    pairwise unions, truncated to ``max_contexts``.
+    pairwise unions, truncated to ``MAX_CONTEXTS``.
     """
-    names = tuple(sorted(names if names is not None else spec.variables()))
+    names = tuple(sorted(set(names if names is not None else spec.variables())))
     bools = [n for n in names if spec.is_bool(n)]
     ints = [n for n in names if spec.is_int(n)]
     singles = []
@@ -294,7 +300,7 @@ def context_family(spec: DomainSpec, names=None, max_contexts=48):
     for i in range(len(singles)):
         for j in range(i + 1, len(singles)):
             family.append((singles[i], singles[j]))
-    return family[:max_contexts]
+    return family[:MAX_CONTEXTS]
 
 
 # --------------------------------------------------------------------------
@@ -442,14 +448,7 @@ class SuiteReport:
         return self.violations == 0
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "count": self.count,
-            "checked": self.checked,
-            "violations": self.violations,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def _gen_core_formula(rng, spec):

@@ -169,8 +169,6 @@ def cmd_check(args) -> int:
         if not (args.stable or args.strong):
             raise ValueError("--project needs --stable or --strong")
         project = tuple(n.strip() for n in args.project.split(",") if n.strip())
-        if not project:
-            raise ValueError("--project names no variable")
     a = _load(args.file_a)
     b = _load(args.file_b)
     budget = _budget(args)

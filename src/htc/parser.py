@@ -14,6 +14,7 @@ import re
 
 from .errors import ParseError
 from .syntax import (
+    AGGREGATES,
     BOT,
     TOP,
     Aggregate,
@@ -32,16 +33,16 @@ from .syntax import (
     LCRule,
     LinearExpr,
     Or,
+    RELATIONS,
     RESERVED_NAME_RE,
     Scaled,
     Theory,
-    TruthConst,
     make_theory,
     nodes,
     negated_term,
 )
 
-_KEYWORDS = ("not", "sum", "count", "min", "max", "def")
+_KEYWORDS = ("not", "def") + AGGREGATES
 
 _TOKEN_RE = re.compile(
     r"""
@@ -53,8 +54,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_RELOPS = ("<=", "<", "=", "!=", ">=", ">")
 
 
 class _Token:
@@ -254,7 +253,7 @@ class _Parser:
             return Defined(e)
         tok = self.peek()
         e = self.parse_expr()
-        for rel in _RELOPS:
+        for rel in RELATIONS:
             if self.accept(rel):
                 return Comparison(e, rel, self.parse_expr())
         item = e.items[0]
@@ -301,7 +300,7 @@ class _Parser:
             return (Scaled(1, self.parse_var_name()),)
         if self.at("("):
             return (self.parse_conditional_term(),)
-        if self.peek().kind in ("sum", "count", "min", "max"):
+        if self.peek().kind in AGGREGATES:
             return (self.parse_aggregate(),)
         self.error(f"expected a term, found {tok.text!r}")
 
@@ -505,8 +504,6 @@ def print_formula(phi, required=_PREC_IMPLIES) -> str:
         text, prec = f"def({print_expr(phi.arg)})", _PREC_ATOM
     elif isinstance(phi, BoolAtom):
         text, prec = phi.name, _PREC_ATOM
-    elif isinstance(phi, TruthConst):
-        raise ValueError("substituted atoms have no concrete syntax")
     else:
         raise TypeError(f"not a formula: {phi!r}")
     if prec < required:

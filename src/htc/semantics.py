@@ -63,9 +63,10 @@ rows in prefix order.  Two readers answer every question from the rows:
 ``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
 the reduct, for ``ht_models`` and the checker's HT comparisons; and
 ``_stable_under(table)`` prepares each row once and returns a reader
-``stable(extra)``, for ``stable_models`` and the checker's contexts: t is
-stable when ``<t, t>`` satisfies the ``extra`` formulas and no proper
-submask satisfies the tabled reduct joined with theirs.
+``stable(extra)``, for ``stable_models`` (no ``extra`` formulas: the empty
+context) and the checker's contexts: t is stable when ``<t, t>`` satisfies
+the ``extra`` formulas and no proper submask satisfies the tabled reduct
+joined with theirs.
 
 Below t, every model of a reduct contains the least fixpoint of its clauses
 with one head.  t is stable when that fixpoint is t's full mask.
@@ -103,6 +104,8 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .syntax import (
+    BOT,
+    TOP,
     And,
     BoolAtom,
     Bot,
@@ -118,7 +121,6 @@ from .syntax import (
     Scaled,
     Theory,
     Truth,
-    TruthConst,
     TRUE,
     U,
     Undefined,
@@ -274,7 +276,8 @@ def substitute_value(atom, name: str, value):
 
     A scaled occurrence becomes the product constant when the value is an
     integer and the undefined marker otherwise (t has no arithmetic value);
-    a Boolean atom becomes a fixed-truth atom.
+    a Boolean atom becomes ``TOP`` when the value is t and ``BOT`` when it
+    is undefined.
     """
 
     def sub(e: LinearExpr) -> LinearExpr:
@@ -290,7 +293,7 @@ def substitute_value(atom, name: str, value):
 
     def sub_atom(a):
         if isinstance(a, BoolAtom) and a.name == name:
-            return TruthConst(value == TRUE)
+            return TOP if value == TRUE else BOT
         return a
 
     return map_exprs(atom, sub, sub_atom)
@@ -401,9 +404,8 @@ def _compile(phi, index: dict):
                 return False if b is False else _implies(a, b)
 
         return at
-    if tp is Bot or tp is TruthConst:
-        reduct = () if tp is TruthConst and phi.value else False
-        return lambda t: reduct
+    if tp is Bot:
+        return lambda t: False
     if tp is Defined:
         raise ValueError("satisfaction requires a desugared formula")
     raise TypeError(f"not a formula: {phi!r}")
@@ -618,8 +620,6 @@ def _stable_under(table):
         prepared.append((t, full, reduct, _proper_model(reduct, full)))
 
     def stable(extra=()):
-        if not extra:
-            return [_valuation(names, t) for t, _, _, proper in prepared if proper is None]
         ats = [_compile(f, index) for f in extra]
         out = []
         for t, full, reduct, proper in prepared:

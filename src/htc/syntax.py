@@ -211,6 +211,9 @@ class AggregateElement:
             raise ValueError("aggregate element conditions must be condition-free")
 
 
+AGGREGATES = ("sum", "count", "min", "max")
+
+
 @dataclass(frozen=True)
 class Aggregate:
     """Surface aggregate expression; removed entirely by desugaring.
@@ -222,7 +225,7 @@ class Aggregate:
     elements: tuple
 
     def __post_init__(self):
-        if self.func not in ("sum", "count", "min", "max"):
+        if self.func not in AGGREGATES:
             raise ValueError(f"unknown aggregate function {self.func!r}")
         if self.func == "count":
             for el in self.elements:
@@ -307,13 +310,6 @@ class BoolAtom:
 
 
 @dataclass(frozen=True)
-class TruthConst:
-    """Atom with a fixed truth value; produced only by variable substitution."""
-
-    value: bool
-
-
-@dataclass(frozen=True)
 class And:
     lhs: "Formula"
     rhs: "Formula"
@@ -331,7 +327,7 @@ class Implies:
     rhs: "Formula"
 
 
-Formula = Union[Bot, Comparison, Defined, BoolAtom, TruthConst, And, Or, Implies]
+Formula = Union[Bot, Comparison, Defined, BoolAtom, And, Or, Implies]
 
 BOT = Bot()
 TOP = Implies(BOT, BOT)
@@ -444,12 +440,6 @@ class Theory:
         """An LC-program: every statement is a rule."""
         return all(isinstance(s, LCRule) for s in self.statements)
 
-    def extended(self, extra_statements) -> "Theory":
-        return make_theory(self.spec, self.statements + tuple(extra_statements))
-
-    def desugar(self) -> "Theory":
-        return desugar_theory(self)
-
 
 def make_theory(spec: DomainSpec, statements) -> Theory:
     """Build a Theory from any iterable of statements."""
@@ -474,7 +464,6 @@ _CHILDREN = {
     Undefined: _leaf,
     Bot: _leaf,
     BoolAtom: _leaf,
-    TruthConst: _leaf,
     ConditionalTerm: lambda n: (n.then_term, n.else_term, n.condition),
     AggregateElement: lambda n: (n.term, n.condition),
     Aggregate: lambda n: n.elements,
@@ -559,7 +548,7 @@ def map_exprs(stmt, f, atom=None):
         stmt = Defined(f(stmt.arg))
     elif tp is Bot:
         return stmt
-    elif tp not in (BoolAtom, TruthConst):
+    elif tp is not BoolAtom:
         raise TypeError(f"not a formula or rule: {stmt!r}")
     return stmt if atom is None else atom(stmt)
 

@@ -35,7 +35,6 @@ from .syntax import (
     Scaled,
     TOP,
     Theory,
-    TruthConst,
     check_budget,
     conj,
     const_expr,
@@ -168,7 +167,7 @@ def distribute_implication(psi):
 
 
 def _is_atom(phi):
-    return isinstance(phi, (Comparison, BoolAtom, TruthConst))
+    return isinstance(phi, (Comparison, BoolAtom))
 
 
 def _head_cnf(phi):

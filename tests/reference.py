@@ -32,7 +32,6 @@ from htc.syntax import (
     Not,
     Or,
     Scaled,
-    TruthConst,
     U,
     Undefined,
     _desugar_expr_conditions,
@@ -78,7 +77,7 @@ def eval_atom(h: Valuation, t: Valuation, atom):
         return Comparison(lhs, atom.rel, _pick_branches(h, t, atom.rhs))
     if isinstance(atom, Defined):
         return Defined(_pick_branches(h, t, atom.arg))
-    if isinstance(atom, (BoolAtom, TruthConst)):
+    if isinstance(atom, BoolAtom):
         return atom
     raise TypeError(f"not a constraint atom: {atom!r}")
 

@@ -38,6 +38,7 @@ from htc.syntax import (
     const_expr,
     desugar_comparisons,
     desugar_minmax,
+    desugar_theory,
     make_theory,
 )
 from htc.transforms import (
@@ -100,7 +101,7 @@ def test_criterion_03():
     h_spurious = Valuation({"y": 5, fresh: 5})
     t_spurious = Valuation({"y": 5, fresh: 5, "p": TRUE})
     interp = Interpretation(h_spurious, t_spurious)
-    without_guard = result.rewritten.extended(result.side[:4])
+    without_guard = make_theory(result.rewritten.spec, result.rewritten.statements + result.side[:4])
     assert all(satisfies(interp, f) for f in theory_formulas(without_guard))
     assert not satisfies(interp, result.side[4])
     projected = {m.project(("p", "y")) for m in stable_models(result.theory())}
@@ -116,7 +117,7 @@ def test_criterion_04():
 @criterion(5, "conditional difference constraint flips with the condition")
 def test_criterion_05():
     thy = parse_theory("#int x, y 0..9. #bool p. x - (y|3:p) <= 4.")
-    atom = thy.desugar().statements[0]
+    atom = desugar_theory(thy).statements[0]
     t = val(x=7, y=0)
     t_prime = val(x=7, y=0, p=True)
     assert satisfies(Interpretation(t, t), atom) is True

@@ -6,6 +6,7 @@ import pytest
 
 from htc.checker import (
     DEFAULT_SUITE_SPEC,
+    MAX_CONTEXTS,
     EquivReport,
     SUITE_NAMES,
     Witness,
@@ -157,8 +158,8 @@ class TestStrongEquivalence:
         assert report.verdict == "different"
         ctx = report.witness.context
         # re-verify: the witness context distinguishes the projected models
-        sa = {m for m in stable_models(disj.extended(ctx))}
-        sb = {m for m in stable_models(impls.extended(ctx))}
+        sa = {m for m in stable_models(make_theory(disj.spec, disj.statements + ctx))}
+        sb = {m for m in stable_models(make_theory(impls.spec, impls.statements + ctx))}
         assert sa != sb
 
     def test_extension_by_extra_fact_differs(self):
@@ -199,7 +200,7 @@ class TestStrongEquivalence:
         base = eliminate_conditionals(
             parse_theory("#int y 0..3. #bool p. (y | 0 : p) = 2.")
         )
-        side_only = make_theory(base.rewritten.spec, list(thy.desugar().statements) + list(base.side))
+        side_only = make_theory(base.rewritten.spec, desugar_theory(thy).statements + base.side)
         names = thy.spec.variables()
         report = strong_equiv_sampled(
             thy, side_only, project=names, contexts=context_family(thy.spec, names)
@@ -207,12 +208,33 @@ class TestStrongEquivalence:
         assert report.equal
 
 
+class TestProjection:
+    def test_empty_projection_raises(self):
+        a, b = bool_theory(BoolAtom("p")), bool_theory(BoolAtom("q"))
+        with pytest.raises(ValueError, match="projection names no variable"):
+            stable_equivalent(a, b, project=[])
+        with pytest.raises(ValueError, match="projection names no variable"):
+            strong_equiv_sampled(a, b, project=[], contexts=context_family(BOOLS))
+
+    def test_repeated_name_is_projected_once(self):
+        a = bool_theory(BoolAtom("p"))
+        assert stable_equivalent(a, a, project=["p", "p"]).projection == ("p",)
+        report = strong_equiv_sampled(a, a, project=["p", "p"], contexts=[])
+        assert report.projection == ("p",)
+
+
 class TestContextFamily:
     def test_deterministic_and_capped(self):
         fam1 = context_family(BOOLS)
         fam2 = context_family(BOOLS)
         assert fam1 == fam2
-        assert len(context_family(BOOLS, max_contexts=3)) == 3
+        # 16 single contexts: facts p and q, three bounds in each direction
+        # for x and for y, p -> q and q -> p; with their 120 pairs, 136
+        spec = DomainSpec.make({"x": (0, 4), "y": (0, 4)}, ["p", "q"])
+        assert len(context_family(spec)) == MAX_CONTEXTS == 48
+
+    def test_repeated_name_counts_once(self):
+        assert context_family(BOOLS, ("p", "p", "q")) == context_family(BOOLS, ("p", "q"))
 
     def test_respects_variable_restriction(self):
         spec = DomainSpec.make({"x": (0, 2)}, ["p"])
@@ -356,6 +378,52 @@ class TestDenotationLaws:
         assert report.counterexample["law"] == 2
 
 
+    def test_suite_reports_an_undefined_sum_read_as_zero(self, monkeypatch):
+        # condition 1: an atom whose sum is undefined at v then can hold at
+        # v and fail at a t above it
+        from htc import semantics
+
+        compile_sum = semantics._compile_sum
+
+        def undefined_reads_zero(signed_items, index):
+            at = compile_sum(signed_items, index)
+            return lambda t: at(t) or (0, ())
+
+        monkeypatch.setattr(semantics, "_compile_sum", undefined_reads_zero)
+        report = run_property_suite("denotation-laws", seed=0, count=50)
+        assert report.violations == 1
+        assert report.counterexample["law"] == 1
+
+    def test_suite_reports_undefined_read_as_zero(self, monkeypatch):
+        # condition 4: U in place of a conditional term then reads as 0, so
+        # an atom can hold with U where it fails with a branch
+        from htc import semantics
+        from htc.syntax import Undefined
+
+        term_code = semantics._term_code
+
+        def undefined_is_zero(sign, term, index):
+            if type(term) is Undefined:
+                return None, 0
+            return term_code(sign, term, index)
+
+        monkeypatch.setattr(semantics, "_term_code", undefined_is_zero)
+        report = run_property_suite("denotation-laws", seed=0, count=50)
+        assert report.violations == 1
+        assert report.counterexample["law"] == 4
+
+
+class TestSupportednessSuite:
+    def test_suite_reports_a_non_minimal_model(self, monkeypatch):
+        # every total model then counts as stable, supported or not
+        from htc import semantics
+
+        monkeypatch.setattr(semantics, "_proper_model", lambda reduct, full: None)
+        report = run_property_suite("supportedness", seed=0, count=50)
+        assert report.violations == 1
+        assert report.counterexample["detail"]["law"] == "lc-supported"
+
+
 class TestReductPersistenceSuites:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     @pytest.mark.parametrize("suite", ["persistence", "negation", "term-persistence"])
@@ -429,7 +497,7 @@ class TestTableConsistency:
         [table] = _run([core], None, 1)
         assert _stable_under(table)() == stable_models(core)
         ctx = (BoolAtom("p"),)
-        extended = core.extended(ctx)
+        extended = make_theory(core.spec, core.statements + ctx)
         assert _stable_under(table)(ctx) == stable_models(extended)
 
 

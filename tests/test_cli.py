@@ -8,7 +8,7 @@ import pytest
 from htc.cli import main
 from htc.parser import parse_theory
 from htc.semantics import Valuation, ht_models, stable_models, valuation_key
-from htc.syntax import TRUE
+from htc.syntax import TRUE, desugar_theory
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -168,7 +168,7 @@ class TestTranslate:
         code, out, _ = run(capsys, "translate", str(PROGRAMS / "ysum.lc"), "--pass", "desugar")
         assert code == 0
         thy = parse_theory(out)
-        assert thy == parse_theory(pathlib.Path(PROGRAMS / "ysum.lc").read_text()).desugar()
+        assert thy == desugar_theory(parse_theory(pathlib.Path(PROGRAMS / "ysum.lc").read_text()))
 
     def test_delta_pass_emits_five_implications(self, capsys):
         code, out, _ = run(capsys, "translate", str(PROGRAMS / "ycond.lc"), "--pass", "delta")
@@ -332,7 +332,35 @@ class TestCheckProjection:
         ysum = str(PROGRAMS / "ysum.lc")
         code, out, err = run(capsys, "check", ysum, ysum, "--project", spelling, mode)
         assert code == 1 and out == ""
-        assert "--project names no variable" in err
+        assert "projection names no variable" in err
+
+    def test_repeated_name_is_projected_once(self, capsys):
+        ycond = str(PROGRAMS / "ycond.lc")
+        doc = run_json(capsys, "check", ycond, ycond, "--stable", "--project", "y,y")
+        assert doc["report"]["projection"] == ["y"]
+
+    @pytest.mark.parametrize(
+        "other, project, message",
+        [
+            (
+                PROGRAMS / "ysum.lc",
+                (),
+                "theories must share a spec unless a projection is given",
+            ),
+            (PROGRAMS / "ycond.lc", ("--project", "p"), "projection variable p is not declared"),
+            ("#int y 0..3. y = 1.", ("--project", "y"), "specs disagree on projection variable y"),
+        ],
+    )
+    def test_incomparable_projection_is_a_usage_error(
+        self, capsys, tmp_path, other, project, message
+    ):
+        if isinstance(other, str):
+            (tmp_path / "narrow.lc").write_text(other)
+            other = tmp_path / "narrow.lc"
+        ycond = str(PROGRAMS / "ycond.lc")
+        code, out, err = run(capsys, "check", ycond, str(other), "--stable", *project)
+        assert code == 1 and out == ""
+        assert message in err
 
 
 class TestCheckStrongOutput:
@@ -446,8 +474,6 @@ class TestDesugarOnce:
             _run([parse_theory("#int x 0..2. x = 1.")], None, 1)
 
     def test_desugar_calls_per_operation(self, capsys, tmp_path):
-        from htc.syntax import desugar_theory
-
         ycond = str(PROGRAMS / "ycond.lc")
         saved = {}
         for name in ("delta", "unfold"):

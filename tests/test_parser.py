@@ -20,6 +20,7 @@ from htc.syntax import (
     Scaled,
     Theory,
     desugar_comparisons,
+    desugar_theory,
     make_theory,
 )
 
@@ -253,7 +254,7 @@ class TestRoundTrip:
         from htc.transforms import eliminate_conditionals
 
         thy = parse_theory("#int x,y 0..3. #bool p. sum{ x ; y } > 1 -> p. x - (y|3:p) <= 4.")
-        core = thy.desugar()
+        core = desugar_theory(thy)
         assert parse_theory(pretty_print(core)) == core
         translated = eliminate_conditionals(thy).theory()
         assert parse_theory(pretty_print(translated)) == translated
@@ -281,7 +282,13 @@ class TestEdgeCases:
         assert thy.statements[0] == LCRule()
         assert parse_theory(pretty_print(thy)) == thy
 
+    @pytest.mark.parametrize("text", ["#false.", "p | #false."])
+    def test_false_formula_round_trips(self, text):
+        thy = parse_theory("#bool p. " + text)
+        assert pretty_print(thy) == "#bool p.\n" + text + "\n"
+        assert parse_theory(pretty_print(thy)) == thy
+
     def test_compound_rule_body_round_trips(self):
         thy = parse_theory("#int x, y 0..3. x := 1 :- x < y, not x != y.")
-        core = thy.desugar()
+        core = desugar_theory(thy)
         assert parse_theory(pretty_print(core)) == core

@@ -14,6 +14,7 @@ from htc.semantics import (
     valuation_key,
 )
 from htc.syntax import (
+    BOT,
     TOP,
     TRUE,
     U,
@@ -24,9 +25,9 @@ from htc.syntax import (
     DomainSpec,
     LinearExpr,
     Scaled,
-    TruthConst,
     const_expr,
     desugar_comparisons,
+    desugar_theory,
     le,
     make_theory,
     var_expr,
@@ -146,8 +147,16 @@ class TestSubstituteValue:
         assert out.lhs.items[0] is U
 
     def test_boolean_atom_freezes(self):
-        assert substitute_value(BoolAtom("p"), "p", TRUE) == TruthConst(True)
-        assert substitute_value(BoolAtom("p"), "p", None) == TruthConst(False)
+        assert substitute_value(BoolAtom("p"), "p", TRUE) == TOP
+        assert substitute_value(BoolAtom("p"), "p", None) == BOT
+
+
+class TestInterpretation:
+    def test_h_must_be_included_in_t(self):
+        with pytest.raises(ValueError, match="subset"):
+            Interpretation(val(x=1), val(x=2))
+        with pytest.raises(ValueError, match="subset"):
+            Interpretation(val(x=1), Valuation())
 
 
 class TestSatisfies:
@@ -236,8 +245,6 @@ class TestHtModels:
         assert len(ht_models(thy)) == spec.interpretation_count() == 3
 
     def test_bot_admits_nothing(self):
-        from htc.syntax import BOT
-
         spec = DomainSpec.make({}, ["p"])
         assert ht_models(make_theory(spec, [BOT])) == []
 
@@ -265,7 +272,7 @@ class TestStableModels:
         from htc.transforms import theory_formulas
 
         thy = parse_theory("#int x, y 0..2. #bool p. y = 2. sum{ x ; y } > 1 -> p.")
-        core = thy.desugar()
+        core = desugar_theory(thy)
         for t in stable_models(thy):
             assert all(satisfies(total(t), f) for f in theory_formulas(core))
 

@@ -154,7 +154,7 @@ class TestUnfold:
             "#int total_r 0..9. #int tax_p1 0..4. #bool region_r, lives_p1_r.\n"
             "total_r := sum{ tax_p1 : lives_p1_r } :- region_r.\n"
         )
-        self.program = parse_theory(src).desugar()
+        self.program = desugar_theory(parse_theory(src))
         self.rule = self.program.rules[0]
 
     def test_two_implications_for_one_head(self):
@@ -206,6 +206,27 @@ class TestUnfold:
                     SPEC, unfold_rule(core.rules[0], distribute=distribute)
                 )
                 assert set(ht_models(unfolded)) == base, (i, distribute)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "not (#true)",
+            "not (#false)",
+            "not (p -> q)",
+            "(#false)",
+            "not (not p -> q)",
+            "not ((p -> q) | r)",
+            "not (p & #false)",
+        ],
+    )
+    def test_constant_and_implication_bodies(self, body):
+        # the #true, #false and implication cases of the body and negated
+        # body normal forms; "not (#false)" is #true, "not (p & #false)"
+        # reaches the #false case of the negated form
+        thy = parse_theory(f"#int x 0..1. #bool p, q, r. x := 1 :- {body}.")
+        for distribute in (False, True):
+            unfolded = make_theory(thy.spec, unfold_rule(thy.rules[0], distribute=distribute))
+            assert equivalent(thy, unfolded).equal, distribute
 
     def test_distribute_literal_shapes(self):
         # a negated equality in the body distributes into double-negated literals
@@ -321,7 +342,7 @@ class TestDelta:
         result = eliminate_conditionals(thy)
         assert [name for _, name in result.mapping] == ["__c0"]
         assert stable_models(result.theory()) == [val(__c0=5, y=5)]
-        first_two = result.rewritten.extended(result.side[:2])
+        first_two = make_theory(result.rewritten.spec, result.rewritten.statements + result.side[:2])
         assert stable_models(first_two) == [val(__c0=5)]
 
     def test_totality_guard_excludes_spurious_model(self):
@@ -330,7 +351,7 @@ class TestDelta:
         name = result.mapping[0][1]
         h = Valuation({"y": 5, name: 5})
         t = Valuation({"y": 5, name: 5, "p": TRUE})
-        four = result.rewritten.extended(result.side[:4])
+        four = make_theory(result.rewritten.spec, result.rewritten.statements + result.side[:4])
         assert all(
             satisfies(Interpretation(h, t), f) for f in theory_formulas(four)
         )
@@ -377,7 +398,7 @@ class TestDelta:
         thy = parse_theory("#int x 0..9. x <= 4.")
         result = eliminate_conditionals(thy)
         assert result.side == () and result.mapping == ()
-        assert result.rewritten == thy.desugar()
+        assert result.rewritten == desugar_theory(thy)
 
     def test_occurrences_get_distinct_variables(self):
         tau = "(y | 0 : p)"
@@ -521,7 +542,7 @@ class TestDistributionOfDisequality:
     def test_negated_disequality_body(self):
         # not (x != y) pushes through both De Morgan directions and the
         # double-negation laws; model sets must be unchanged
-        prog = parse_theory("#int x, y 0..2. x := 1 :- not x != y.").desugar()
+        prog = desugar_theory(parse_theory("#int x, y 0..2. x := 1 :- not x != y."))
         rule = prog.rules[0]
         base = ht_models(make_theory(prog.spec, [rule]))
         for distribute in (False, True):
@@ -529,7 +550,7 @@ class TestDistributionOfDisequality:
             assert ht_models(unfolded) == base
 
     def test_positive_disequality_body(self):
-        prog = parse_theory("#int x, y 0..2. x := 1 :- x != y.").desugar()
+        prog = desugar_theory(parse_theory("#int x, y 0..2. x := 1 :- x != y."))
         rule = prog.rules[0]
         base = ht_models(make_theory(prog.spec, [rule]))
         unfolded = make_theory(prog.spec, unfold_rule(rule))

@@ -23,7 +23,6 @@ from htc.syntax import (
     Or,
     Scaled,
     Theory,
-    TruthConst,
     Undefined,
     children,
     const_expr,
@@ -48,7 +47,6 @@ SHAPES = [
     (U, ()),
     (BOT, ()),
     (BoolAtom("p"), ()),
-    (TruthConst(True), ()),
     (COND, (Const(1), Const(0), BoolAtom("p"))),
     (ELEMENT, (Scaled(2, "x"), BoolAtom("p"))),
     (Aggregate("sum", (ELEMENT, ELEMENT)), (ELEMENT, ELEMENT)),
@@ -68,7 +66,7 @@ class TestChildren:
     def test_every_node_class_is_covered(self):
         classes = {type(node) for node, _ in SHAPES}
         assert classes == {
-            Const, Scaled, Undefined, Bot, BoolAtom, TruthConst, ConditionalTerm,
+            Const, Scaled, Undefined, Bot, BoolAtom, ConditionalTerm,
             AggregateElement, Aggregate, LinearExpr, Comparison, Defined, And, Or,
             Implies, Assignment, LCRule, Theory,
         }
