@@ -2,8 +2,8 @@
 
 Output is JSON with sorted keys (translate prints program text), so runs
 with identical inputs, flags and seeds are byte-identical.  Exit codes:
-0 success (even with zero models), 1 usage or parse error, 2 budget
-exceeded, 3 property violation found.
+0 success (even with zero models), 1 usage or parse error (or input nested
+too deeply), 2 budget exceeded, 3 property violation found.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"htc: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (HtcError, OSError, ValueError) as exc:
+    except (HtcError, OSError, ValueError, RecursionError) as exc:
         print(f"htc: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,8 +37,7 @@ from .syntax import (
     RESERVED_NAME_RE,
     Scaled,
     Theory,
-    make_theory,
-    nodes,
+    _theory,
     negated_term,
 )
 
@@ -97,11 +96,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, spec: DomainSpec):
+    def __init__(self, tokens, spec: DomainSpec, families=None):
         self.tokens = tokens
         self.pos = 0
         self.spec = spec
         self.in_condition = False
+        self.families = families  # reserved-name families desugaring draws from
 
     # -- token household ----------------------------------------------------
 
@@ -320,6 +320,7 @@ class _Parser:
         self.expect(":")
         cond = self.parse_condition()
         self.expect(")")
+        self.families.add("c")
         return ConditionalTerm(then_t, else_t, cond)
 
     def parse_branch_term(self):
@@ -359,6 +360,7 @@ class _Parser:
                 if not self.accept(";"):
                     break
         self.expect("}")
+        self.families.update({"c", func} - {"sum", "count"})
         return Aggregate(func, tuple(elements))
 
 
@@ -382,17 +384,6 @@ def _split_statements(tokens):
     return runs
 
 
-def _used_name_families(statements) -> set:
-    """Reserved-name families that desugaring or translation would draw from."""
-    families = set()
-    for node in (n for stmt in statements for n in nodes(stmt)):
-        if isinstance(node, (ConditionalTerm, Aggregate)):
-            families.add("c")
-            if isinstance(node, Aggregate) and node.func in ("min", "max"):
-                families.add(node.func)
-    return families
-
-
 def parse_theory(text: str) -> Theory:
     """Parse source text into a Theory."""
     ints, bools = {}, {}
@@ -405,8 +396,8 @@ def parse_theory(text: str) -> Theory:
     spec = DomainSpec.make(
         {n: interval for n, (interval, _) in ints.items()}, bools.keys()
     )
-    statements = [_Parser(run, spec).parse_statement() for run in statement_runs]
-    families = _used_name_families(statements)
+    families = set()
+    statements = [_Parser(run, spec, families).parse_statement() for run in statement_runs]
     decls = {**{n: tok for n, (_, tok) in ints.items()}, **bools}
     for name, tok in sorted(decls.items()):
         m = RESERVED_NAME_RE.match(name)
@@ -414,7 +405,7 @@ def parse_theory(text: str) -> Theory:
             raise ParseError(
                 f"declared name {name} collides with generated names", tok.line, tok.col
             )
-    return make_theory(spec, statements)
+    return _theory(spec, statements)
 
 
 # --------------------------------------------------------------------------

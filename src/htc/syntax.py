@@ -446,6 +446,14 @@ def make_theory(spec: DomainSpec, statements) -> Theory:
     return Theory(spec, tuple(statements))
 
 
+def _theory(spec: DomainSpec, statements) -> Theory:
+    """``make_theory`` without the declaration walk, for checked statements."""
+    thy = Theory.__new__(Theory)
+    object.__setattr__(thy, "spec", spec)
+    object.__setattr__(thy, "statements", tuple(statements))
+    return thy
+
+
 # --------------------------------------------------------------------------
 # Traversal: the one place that knows which node holds which children
 
@@ -799,7 +807,7 @@ def desugar_aggregates(thy: Theory) -> Theory:
         return thy
     while sides:  # side formulas are desugared first in, first out
         statements.append(map_exprs(sides.popleft(), replace))
-    return make_theory(spec, statements)
+    return _theory(spec, statements)
 
 
 def desugar_theory(thy: Theory) -> Theory:
@@ -812,4 +820,4 @@ def desugar_theory(thy: Theory) -> Theory:
     if is_core(thy):
         return thy
     thy = desugar_aggregates(thy)
-    return make_theory(thy.spec, [desugar_comparisons(s) for s in thy.statements])
+    return _theory(thy.spec, [desugar_comparisons(s) for s in thy.statements])

@@ -35,6 +35,7 @@ from .syntax import (
     Scaled,
     TOP,
     Theory,
+    _theory,
     check_budget,
     conj,
     const_expr,
@@ -46,7 +47,6 @@ from .syntax import (
     FreshNames,
     le,
     linear_term_range,
-    make_theory,
     map_exprs,
     negated_term,
     var_expr,
@@ -142,7 +142,7 @@ def unfold_theory(thy: Theory, distribute: bool) -> Theory:
             statements.extend(unfold_rule(stmt, distribute=distribute))
         else:
             statements.append(stmt)
-    return make_theory(thy.spec, statements)
+    return _theory(thy.spec, statements)
 
 
 def clauses(psi) -> list:
@@ -324,7 +324,7 @@ class DeltaResult:
 
     def theory(self) -> Theory:
         """Rewritten statements plus side formulas, ready to solve."""
-        return make_theory(self.rewritten.spec, self.rewritten.statements + self.side)
+        return _theory(self.rewritten.spec, self.rewritten.statements + self.side)
 
 
 def eliminate_conditionals(theory: Theory, budget=None) -> DeltaResult:
@@ -360,6 +360,6 @@ def eliminate_conditionals(theory: Theory, budget=None) -> DeltaResult:
         return LinearExpr(tuple(items))
 
     statements = [desugar_comparisons(map_exprs(s, replace)) for s in thy.statements]
-    rewritten = make_theory(spec, statements)
+    rewritten = _theory(spec, statements)
     check_budget(spec, budget)
     return DeltaResult(rewritten, tuple(side), tuple(mapping))

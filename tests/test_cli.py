@@ -8,7 +8,7 @@ import pytest
 from htc.cli import main
 from htc.parser import parse_theory
 from htc.semantics import Valuation, ht_models, stable_models, valuation_key
-from htc.syntax import TRUE, desugar_theory
+from htc.syntax import TRUE, Theory, desugar_theory, nodes
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -475,11 +475,7 @@ class TestDesugarOnce:
 
     def test_desugar_calls_per_operation(self, capsys, tmp_path):
         ycond = str(PROGRAMS / "ycond.lc")
-        saved = {}
-        for name in ("delta", "unfold"):
-            path = tmp_path / f"ycond.{name}.lc"
-            path.write_text(run(capsys, "translate", ycond, "--pass", name)[1])
-            saved[name] = str(path)
+        saved = ycond_translations(capsys, tmp_path)
         operations = [
             # _stable_difference desugars both sides, equivalent too
             (("check", ycond, saved["delta"], "--stable", "--project", "y", "--strong"), 2),
@@ -488,15 +484,77 @@ class TestDesugarOnce:
             (("solve", ycond), 1),  # stable_models desugars its theory
         ]
         for argv, expected in operations:
-            calls = 0
-
-            def profile(frame, event, arg):
-                nonlocal calls
-                calls += event == "call" and frame.f_code is desugar_theory.__code__
-
-            sys.setprofile(profile)
-            try:
-                code = main(list(argv))
-            finally:
-                sys.setprofile(None)
+            code, calls = count_calls(desugar_theory.__code__, main, list(argv))
             assert (code, calls) == (0, expected), argv
+
+
+def ycond_translations(capsys, tmp_path) -> dict:
+    """Paths of ycond's delta and unfold translations, written to tmp_path."""
+    saved = {}
+    for name in ("delta", "unfold"):
+        path = tmp_path / f"ycond.{name}.lc"
+        path.write_text(run(capsys, "translate", str(PROGRAMS / "ycond.lc"), "--pass", name)[1])
+        saved[name] = str(path)
+    return saved
+
+
+def count_calls(code, fn, *args):
+    """``fn(*args)`` and how often the function with ``code`` was entered
+    during it; a generator is entered once per step."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+class TestCheckedOnce:
+    """Declarations are checked where a theory enters the library; the
+    theories that library passes build from checked parts are not checked
+    again."""
+
+    def test_no_theory_validation_per_operation(self, capsys, tmp_path):
+        ycond = str(PROGRAMS / "ycond.lc")
+        saved = ycond_translations(capsys, tmp_path)
+        operations = [
+            ("solve", ycond),
+            ("translate", ycond, "--pass", "delta"),
+            ("check", ycond, saved["unfold"]),
+            ("check", ycond, saved["delta"], "--stable", "--project", "y", "--strong"),
+        ]
+        for argv in operations:
+            code, calls = count_calls(Theory.__post_init__.__code__, main, list(argv))
+            assert (code, calls) == (0, 0), argv
+
+    def test_parser_walks_no_statement(self):
+        text = "#int x, y 0..3. #bool p.\nx := 1 ; y := 0..2 :- p, not x > y.\n"
+        text += "p | def(x) -> y != 2.\n"
+        thy, steps = count_calls(nodes.__code__, parse_theory, text)
+        assert (len(thy.statements), steps) == (2, 0)
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_too_deep_input_is_one_error_line(self, tmp_path, jobs):
+        path = tmp_path / "deep.lc"
+        path.write_text("#int x 0..1.\n" + " & ".join(["x <= 1"] * 3000) + ".\n")
+        for argv in (
+            ("solve", path),
+            ("check", path, path),
+            ("translate", path, "--pass", "desugar"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "htc.cli", *map(str, argv), "--jobs", jobs],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (1, ""), argv
+            assert proc.stderr.startswith("htc: ") and proc.stderr.count("\n") == 1, argv
