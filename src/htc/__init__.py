@@ -16,6 +16,7 @@ from .checker import (
     run_property_suite,
     stable_equivalent,
     strong_equiv_sampled,
+    strong_equivalent,
 )
 from .errors import (
     BudgetError,

@@ -2,24 +2,31 @@
 
 Two theories are equivalent when they have the same here-and-there models,
 stably equivalent when their stable models agree (optionally after
-projection), and strongly equivalent for a projection when the projected
-stable models agree under every added context theory.  The last condition
-quantifies over all contexts; the sampled check here enumerates a finite,
-deterministic family and is falsification-oriented only.  One function,
-``_stable_difference``, compares stable models: always under the empty
-context first, then under each context of the family, so the stable check
-is the strong check with an empty family.  ``_projection`` reads every
+projection), and strongly equivalent for a projection V when the projected
+stable models agree under every added context theory over V.  The strong
+check is exact, though it quantifies over all contexts: by locality, t is
+stable in a theory plus a context over V exactly when <t|V, t|V> satisfies
+the context and no H in K(t), the h|V of the proper h below t that satisfy
+the theory, does.  So the minimal sets K(t) of the rows over each T
+(``_certificates``) decide every context, and where they differ the
+context Delta_K that fails exactly at the H of one side's K tells the
+sides apart (Eiter, Tompits and Woltran, IJCAI 2005).  With V all the
+variables this is HT equivalence (Lifschitz, Pearce and Valverde, 2001).
+``_stable_difference`` compares stable models under the empty context and
+then under each context of a given family; the stable check is it with an
+empty family, and ``strong_equiv_sampled`` with a sampled one (it stays for
+the benchmark's traced names only).  ``_projection`` reads every
 projection: it sorts the names, merges repeats and refuses an empty one.
 
 Every check reads model tables from one scan of the enumeration core,
 ``_run``, which builds both sides on one pool of ``jobs`` workers:
 ``equivalent`` and the unfolding law compare the (h, t) pairs that
-``_below`` reads off the rows, and the stable and strong checks read stable
-models off them under each context with the readers of ``_stable_under``,
-which prepare each side's rows once.  The tables keep only total models.
-A t whose <t, t> fails the theory cannot become stable when a context is
-added, since the extended theory still contains the failing one; and by
-persistence no h below such a t satisfies the theory either.
+``_below`` reads off the rows, the stable check reads stable models off
+them with the readers of ``_stable_under``, which prepare each side's rows
+once, and the strong check reads their certificates.  The tables keep only
+total models.  A t whose <t, t> fails the theory cannot become stable when
+a context is added, since the extended theory still contains the failing
+one; and by persistence no h below such a t satisfies the theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
@@ -49,6 +56,7 @@ from .semantics import (
     Interpretation,
     Valuation,
     _below,
+    _certificates,
     _compile,
     _compile_sum,
     _core,
@@ -75,6 +83,7 @@ from .syntax import (
     Comparison,
     Const,
     ConditionalTerm,
+    Defined,
     DomainSpec,
     Implies,
     LCRule,
@@ -86,8 +95,10 @@ from .syntax import (
     Theory,
     U,
     children,
+    conj,
     desugar_comparisons,
     desugar_theory,
+    disj,
     free_vars,
     le,
     make_theory,
@@ -249,6 +260,73 @@ def stable_equivalent(
     return EquivReport("different", w, projection=projection)
 
 
+def strong_equivalent(
+    a: Theory, b: Theory, project=None, budget=None, jobs=1
+) -> EquivReport:
+    """Same projected stable models under every context over the projection.
+
+    Exact: decided by comparing the families F(T) that ``_certificates``
+    reads off both tables.  The empty context comes first, read off the same
+    families (T is stable when some row has no model below it); a difference
+    there is reported as ``stable_equivalent`` reports it, with no context
+    and a projection only when one was asked for.  Otherwise the witness is
+    the first T, by ``valuation_key``, whose families differ, with the
+    context Delta_K of ``_separating_context``, under which T is a projected
+    stable model of the witness's side only.
+    """
+    a, b = desugar_theory(a), desugar_theory(b)
+    names = _projection(a, b, project)
+    fa, fb = (_certificates(table, names) for table in _run([a, b], budget, jobs))
+
+    def key(v):
+        return valuation_key(a.spec, v)
+
+    def stable(families):
+        return {_valuation(names, T) for T, fam in families.items() if frozenset() in fam}
+
+    sa, sb = stable(fa), stable(fb)
+    if sa != sb:
+        projection = None if project is None else names
+        return EquivReport("different", _witness(key, sa, sb, "valuation"), projection)
+    none = frozenset()
+    differ = [T for T in fa.keys() | fb.keys() if fa.get(T, none) != fb.get(T, none)]
+    if not differ:
+        return EquivReport("equal", projection=names)
+    T = min(differ, key=lambda T: key(_valuation(names, T)))
+    side, context = _separating_context(a.spec, names, T, fa.get(T, none), fb.get(T, none))
+    witness = Witness(side, valuation=_valuation(names, T), context=context)
+    return EquivReport("different", witness, projection=names)
+
+
+def _separating_context(spec, names, T, left, right):
+    """The side and the context Delta_K for the first set K of one side's
+    family at T (left side first) that no set of the other side lies under.
+
+    Delta_K has one implication per H in K, in increasing mask order: the d(x)
+    of H's variables imply the d(x) of one of T's other variables, where
+    d(x) is ``def(x)`` for an integer and ``x`` for a Boolean.  It holds at
+    <T, T> and, among the H below T, fails exactly at those in K; so under
+    it T is a projected stable model of K's side and not of the other.
+    """
+
+    def d(i):
+        x = names[i]
+        return BoolAtom(x) if spec.is_bool(x) else Defined(LinearExpr((Scaled(1, x),)))
+
+    def implication(H):
+        inside = [d(i) for i in range(len(names)) if H >> i & 1]
+        outside = disj(d(i) for i, v in enumerate(T) if v is not None and not H >> i & 1)
+        return Implies(conj(inside), outside) if inside else outside
+
+    side, K = next(
+        (side, K)
+        for side, mine, other in (("left-only", left, right), ("right-only", right, left))
+        for K in sorted(mine, key=sorted)
+        if not any(k <= K for k in other)
+    )
+    return side, tuple(implication(H) for H in sorted(K))
+
+
 def strong_equiv_sampled(
     a: Theory, b: Theory, project=None, *, contexts, budget=None, jobs=1
 ) -> EquivReport:
@@ -260,6 +338,11 @@ def strong_equiv_sampled(
     as ``stable_equivalent`` reports it, with no context and a projection
     only when one was asked for.  A pass means no counterexample was found
     within the family, nothing more.
+
+    The package decides strong equivalence with ``strong_equivalent``; this
+    sampled check, ``context_family`` and ``MAX_CONTEXTS`` are kept because
+    the traced benchmark (``perfbench/spans.py``) names them, and they go
+    with the benchmark change of ROADMAP item 2.
     """
     names, w = _stable_difference(a, b, project, contexts, budget, jobs)
     if w is None:
@@ -276,7 +359,9 @@ def context_family(spec: DomainSpec, names=None):
 
     Facts over every atom shape (Boolean atoms; variable-vs-constant bounds
     over a few interval values), rules between Boolean atoms, and all
-    pairwise unions, truncated to ``MAX_CONTEXTS``.
+    pairwise unions, truncated to ``MAX_CONTEXTS``.  Kept, with
+    ``strong_equiv_sampled``, for the benchmark's traced names until the
+    benchmark change of ROADMAP item 2.
     """
     names = tuple(sorted(set(names if names is not None else spec.variables())))
     bools = [n for n in names if spec.is_bool(n)]
@@ -652,12 +737,11 @@ def _unfolding_law(core, spec):
 
 
 def _delta_law(thy, spec):
-    names = thy.spec.variables()
     translated = eliminate_conditionals(thy).theory()
-    _, w = _stable_difference(thy, translated, names, context_family(thy.spec, names))
-    if w is None:
+    report = strong_equivalent(thy, translated, thy.spec.variables())
+    if report.equal:
         return None
-    context = [pretty_print(f) for f in w.context or ()]
+    context = [pretty_print(f) for f in report.witness.context or ()]
     return {"theory": thy, "detail": {"context": context}}
 
 

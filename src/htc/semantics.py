@@ -37,9 +37,9 @@ terms lives in one place, ``_compile_branch``.
 
 The engine takes desugared theories only.  Each entry point desugars its
 input once: ``stable_models``, ``ht_models`` and ``is_supported`` here,
-``equivalent`` and ``_stable_difference`` in the checker.  Nothing below
-them desugars again, and a surface formula that reaches ``_compile`` makes
-it raise.
+``equivalent``, ``_stable_difference`` and ``strong_equivalent`` in the
+checker.  Nothing below them desugars again, and a surface formula that
+reaches ``_compile`` makes it raise.
 
 Every model reader sits on one enumeration core over a compiled theory:
 ``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, each
@@ -59,14 +59,16 @@ One scan, ``_scan``, lists those pairs as the rows ``(t, reduct)`` of a
 model table; with several jobs, ``_run`` splits the search into subtrees,
 one per value prefix of the leading variables, maps them on one process
 pool (the workers compile the formulas themselves) and concatenates the
-rows in prefix order.  Two readers answer every question from the rows:
+rows in prefix order.  Three readers answer every question from the rows:
 ``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
-the reduct, for ``ht_models`` and the checker's HT comparisons; and
+the reduct, for ``ht_models`` and the checker's HT comparisons;
 ``_stable_under(table)`` prepares each row once and returns a reader
 ``stable(extra)``, for ``stable_models`` (no ``extra`` formulas: the empty
-context) and the checker's contexts: t is stable when ``<t, t>`` satisfies
-the ``extra`` formulas and no proper submask satisfies the tabled reduct
-joined with theirs.
+context) and the checker's stable comparisons: t is stable when ``<t, t>``
+satisfies the ``extra`` formulas and no proper submask satisfies the tabled
+reduct joined with theirs; and ``_certificates(table, names)`` reads
+``_below`` projected onto ``names``, for the checker's strong comparison
+(Eiter, Tompits and Woltran, IJCAI 2005).
 
 Below t, every model of a reduct contains the least fixpoint of its clauses
 with one head.  t is stable when that fixpoint is t's full mask.
@@ -605,6 +607,47 @@ def _below(reduct, t):
     """The masks of the proper h below t that satisfy the reduct, in
     increasing order."""
     return _submodels(reduct, _full(t), _least_model(reduct))
+
+
+def _certificates(table, names) -> dict:
+    """T -> F(T) for the tabled theory and the projection ``names``.
+
+    T is a row's value tuple t|V over ``names`` (sorted, all in the table's
+    spec), and H a mask over ``names`` (bit i for ``names[i]``).  K(t) is
+    the set of h|V for the proper h below t that satisfy t's reduct, and
+    F(T) the minimal sets, by inclusion, among the K(t) of the rows with
+    t|V = T.  A row with T itself in K(t) is stable under no context over V:
+    its walk stops there and the row is dropped.  Under a context D over V,
+    T is a projected stable model exactly when <T, T> satisfies D and some
+    K in F(T) holds every H with <H, T> failing D.
+    """
+    spec, rows = table
+    index = _index(spec.variables())
+    positions = [index[n] for n in names]
+    keep = sum(1 << p for p in positions)
+
+    def over_names(m):
+        return sum(1 << i for i, p in enumerate(positions) if m >> p & 1)
+
+    found = {}
+    for t, reduct in rows:
+        top = _full(t) & keep
+        K = set()
+        for m in _below(reduct, t):
+            if m & keep == top:
+                break
+            K.add(m & keep)
+        else:
+            T = tuple(t[p] for p in positions)
+            found.setdefault(T, set()).add(frozenset(map(over_names, K)))
+    families = {}
+    for T, sets in found.items():
+        minimal = []
+        for K in sorted(sets, key=len):
+            if not any(k <= K for k in minimal):
+                minimal.append(K)
+        families[T] = frozenset(minimal)
+    return families
 
 
 def _stable_under(table):

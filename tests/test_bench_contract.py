@@ -16,7 +16,6 @@ import sys
 import pytest
 
 from htc import cli, semantics, transforms
-from htc.checker import EquivReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -102,19 +101,26 @@ def test_solve_reads_models_through_the_traced_names(
     assert tracer.counts["semantics.candidates_scanned"] == 4  # (u or t) for p and q
 
 
-def test_strong_check_passes_contexts_by_keyword(monkeypatch, tmp_path, capsys):
-    calls = []
-
-    def recorder(*args, **kwargs):
-        calls.append(kwargs)
-        return EquivReport("equal", projection=("p",))
-
-    monkeypatch.setattr(cli, "strong_equiv_sampled", recorder)
-    f = tmp_path / "p.lc"
-    f.write_text("#bool p. p.\n")
-    assert cli.main(["check", str(f), str(f), "--strong"]) == 0
-    capsys.readouterr()
-    assert calls and all("contexts" in kwargs for kwargs in calls)
+def test_strong_checks_print_the_same_under_the_tracer(monkeypatch, tmp_path, capsys):
+    # the bench's check --strong and delta-faithfulness operations, untraced
+    # and then under the tracer a traced pass installs: same exit, same bytes
+    ycond = ROOT / "programs" / "ycond.lc"
+    delta = tmp_path / "ycond.delta.lc"
+    assert cli.main(["translate", str(ycond), "--pass", "delta"]) == 0
+    delta.write_text(capsys.readouterr().out)
+    operations = [
+        ["check", str(ycond), str(delta), "--stable", "--project", "y", "--strong"],
+        ["props", "--suite", "delta-faithfulness", "--count", "3"],
+    ]
+    untraced = []
+    for argv in operations:
+        assert cli.main(argv) == 0
+        untraced.append(capsys.readouterr().out)
+    tracer = install_tracer(monkeypatch)
+    for argv, expected in zip(operations, untraced):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert tracer.calls["cli.main"] == len(operations)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -16,11 +16,13 @@ from htc.checker import (
     run_property_suite,
     stable_equivalent,
     strong_equiv_sampled,
+    strong_equivalent,
 )
-from htc.parser import parse_theory
+from htc.parser import parse_theory, pretty_print
 from htc.semantics import Valuation, satisfies, stable_models
 from htc.syntax import (
     BOT,
+    TRUE,
     BoolAtom,
     DomainSpec,
     Implies,
@@ -116,10 +118,12 @@ class TestStableEquivalent:
         assert calls == [2]
         strong_equiv_sampled(a, b, contexts=context_family(BOOLS))
         assert calls == [2, 2]
+        strong_equivalent(a, b)
+        assert calls == [2, 2, 2]
 
     def test_strong_check_takes_each_least_model_once(self, monkeypatch, tmp_path, capsys):
-        # check --strong reads both tables under 49 contexts; the least model
-        # of each row's reduct is computed once per side, not per context
+        # check --strong reads each row's models below t once, through
+        # _below, which takes the least model of its reduct once
         from htc import checker as chk
         from htc import semantics
         from htc.cli import main
@@ -162,6 +166,47 @@ class TestStrongEquivalence:
         sb = {m for m in stable_models(make_theory(impls.spec, impls.statements + ctx))}
         assert sa != sb
 
+    def test_exact_check_gives_the_classic_pair_its_context(self):
+        # at T = {p, q} the disjunction leaves K = {{p}, {q}} below T, the
+        # implications every H; Delta_K rules out exactly {p} and {q}
+        p, q = BoolAtom("p"), BoolAtom("q")
+        disj = bool_theory(Or(p, q))
+        impls = bool_theory(Implies(Not(q), p), Implies(Not(p), q))
+        report = strong_equivalent(disj, impls)
+        assert report.projection == ("p", "q")
+        assert report.witness == Witness(
+            "left-only",
+            valuation=Valuation([("p", TRUE), ("q", TRUE)]),
+            context=(Implies(p, q), Implies(q, p)),
+        )
+        assert strong_equivalent(disj, impls, project=["p"]).equal
+
+    def test_sampled_equal_pair_differs_as_ht_pair(self):
+        # with every variable projected, strong equivalence is HT equivalence;
+        # the 48 sampled contexts miss the one that tells this pair apart
+        a = parse_theory("#int x, y 1..1. not def(y) -> def(x). not def(x) -> def(y).")
+        b = parse_theory("#int x, y 1..1. def(x) | def(y).")
+        assert not equivalent(a, b).equal
+        names = ("x", "y")
+        assert strong_equiv_sampled(a, b, names, contexts=context_family(a.spec)).equal
+        report = strong_equivalent(a, b, names)
+        assert report.verdict == "different" and report.witness.side == "right-only"
+        assert [pretty_print(f) for f in report.witness.context] == [
+            "def(x) -> def(y)",
+            "def(y) -> def(x)",
+        ]
+        context = report.witness.context
+        sa = stable_models(make_theory(a.spec, a.statements + context))
+        sb = stable_models(make_theory(b.spec, b.statements + context))
+        assert report.witness.valuation in set(sb) - set(sa)
+
+    def test_exact_check_reports_the_empty_context_as_stable_does(self):
+        a, b = bool_theory(), bool_theory(BoolAtom("q"))
+        report = strong_equivalent(a, b)
+        assert report.witness == stable_equivalent(a, b).witness
+        assert report.witness.context is None and report.projection is None
+        assert strong_equivalent(a, b, project=["q"]).projection == ("q",)
+
     def test_extension_by_extra_fact_differs(self):
         # adding q changes the stable models; the empty context, always
         # checked first, witnesses it (the context q alone would mask it,
@@ -192,6 +237,7 @@ class TestStrongEquivalence:
         assert len(family) > 0
         report = strong_equiv_sampled(thy, translated, project=names, contexts=family)
         assert report.equal
+        assert strong_equivalent(thy, translated, project=names).equal
 
     def test_added_delta_alone_is_neutral(self):
         # adding the defining implications for a fresh variable never changes
@@ -206,6 +252,7 @@ class TestStrongEquivalence:
             thy, side_only, project=names, contexts=context_family(thy.spec, names)
         )
         assert report.equal
+        assert strong_equivalent(thy, side_only, project=names).equal
 
 
 class TestProjection:
@@ -215,12 +262,15 @@ class TestProjection:
             stable_equivalent(a, b, project=[])
         with pytest.raises(ValueError, match="projection names no variable"):
             strong_equiv_sampled(a, b, project=[], contexts=context_family(BOOLS))
+        with pytest.raises(ValueError, match="projection names no variable"):
+            strong_equivalent(a, b, project=[])
 
     def test_repeated_name_is_projected_once(self):
         a = bool_theory(BoolAtom("p"))
         assert stable_equivalent(a, a, project=["p", "p"]).projection == ("p",)
         report = strong_equiv_sampled(a, a, project=["p", "p"], contexts=[])
         assert report.projection == ("p",)
+        assert strong_equivalent(a, a, project=["p", "p"]).projection == ("p",)
 
 
 class TestContextFamily:
@@ -313,21 +363,28 @@ class TestSuites:
 
 
 # With one of delta's five implications left out, the first violation of
-# delta-faithfulness at seeds 0-3 (count 40): the corpus item and the first
-# context of the family under which the projected stable models differ.
+# delta-faithfulness at seeds 0-3 (count 40): the corpus item and the context
+# Delta_K of the exact check's witness.  Every item is the one the sampled
+# check of 48 contexts reported, or an earlier one (dropped 0, seed 3: 5 -> 2).
+XY = ["def(x) | def(y)", "def(x) -> def(y)", "def(y) -> def(x)"]
+PX = ["p | def(x)", "def(x) -> p"]
 DROPPED_DELTA_VIOLATIONS = {
-    0: [(3, ["x <= 0", "y <= 0"]), (10, ["x <= 0"]), (0, ["p", "y <= 0"]), (5, ["p", "x <= 0"])],
-    1: [(0, ["x <= 0", "y <= 0"]), (1, ["x <= 0", "y <= 0"]), (0, ["y <= 0"]),
-        (2, ["x <= 0", "y <= 0"])],
-    2: [(12, ["p"]), (0, []), (23, ["p"]), (32, ["y <= 0"])],
-    3: [(16, []), (7, ["p"]), (28, ["0 <= x"]), (0, ["p"])],
-    4: [(2, ["p"]), (3, []), (6, []), (25, [])],
+    0: [(3, XY), (10, ["def(x)"]), (0, ["p | def(y)", "p -> def(y)", "def(y) -> p"]),
+        (2, ["p | def(x) | def(y)", "p -> def(x) | def(y)", "def(x) -> p | def(y)",
+             "p & def(x) -> def(y)", "def(y) -> p | def(x)", "p & def(y) -> def(x)",
+             "def(x) & def(y) -> p"])],
+    1: [(0, XY), (1, XY), (0, ["def(y)"]), (2, XY)],
+    2: [(12, PX), (0, []), (23, PX), (32, ["def(y)"])],
+    3: [(16, []), (7, ["p | def(y)", "def(y) -> p"]), (28, ["def(x)"]), (0, ["def(x) -> p"])],
+    4: [(2, ["p | def(x) | def(y)", "def(x) -> p | def(y)", "def(y) -> p | def(x)",
+             "def(x) & def(y) -> p"]), (3, []), (6, []), (25, [])],
 }
 
 # the whole report with the first implication left out, at seed 0
 DROPPED_DELTA_REPORT = (
     '{"checked": 4, "count": 40, "counterexample": {"detail": {"context": '
-    '["x <= 0", "y <= 0"]}, "item": 3, "theory": "#int x 0..2.\\n#int y 0..2.\\n'
+    '["def(x) | def(y)", "def(x) -> def(y)", "def(y) -> def(x)"]}, "item": 3, '
+    '"theory": "#int x 0..2.\\n#int y 0..2.\\n'
     '#bool p.\\n2*y <= (2 | 2 : y <= 1 & not 1 <= y | 1 <= y & not y <= 1) - x -> '
     'p & (y + 2*y <= -2*x & not -2*x <= y + 2*y).\\n"}, "seed": 0, '
     '"suite": "delta-faithfulness", "violations": 1}'
