@@ -76,8 +76,6 @@ from .transforms import (
     def_of,
     delta,
     eliminate_conditionals,
-    normalize_constraint,
-    normalize_equality,
     phi,
     rule_formula,
     unfold_rule,

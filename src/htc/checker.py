@@ -562,13 +562,13 @@ def _unpersistent(core, reduct_at):
 
 def _persistence_law(phi, spec):
     core = _core(spec, ())
-    detail = _unpersistent(core, _compile(phi, core.index))
+    detail = _unpersistent(core, _compile(phi, core.index)[0])
     return detail and {"formula": phi, "detail": detail}
 
 
 def _negation_law(phi, spec):
     core = _core(spec, ())
-    at, neg_at = _compile(phi, core.index), _compile(Not(phi), core.index)
+    at, neg_at = _compile(phi, core.index)[0], _compile(Not(phi), core.index)[0]
     for t, _ in total_models(core):
         neg, fails = neg_at(t), not _satisfied(at(t), _full(t))
         for m in _submasks(_full(t)):
@@ -586,7 +586,7 @@ def _gen_core_term(rng, spec):
 
 def _term_persistence_law(tau, spec):
     core = _core(spec, ())
-    value_at = _compile_sum([(1, tau)], core.index)
+    value_at, _ = _compile_sum([(1, tau)], core.index)
 
     def reduct_at(t):
         r = value_at(t)
@@ -611,7 +611,7 @@ def _denotation_law(atoms, spec):
     index, worlds = core.index, [t for t, _ in total_models(core)]
 
     def member(a):
-        at = _compile(a, index)
+        at, _ = _compile(a, index)
         return lambda v: at(v) is not False
 
     def violation(a, law, v):

@@ -13,10 +13,12 @@ Inside the engine a world is a tuple of values indexed by the position of
 each variable in ``spec.variables()``, with None for undefined, and an h
 below t is the bitmask m of the positions of t it defines (bit i for
 position i; h is t restricted to m).  Each desugared formula is compiled
-once per scan into one closure, ``at(t)``: the reduct of the formula at t,
-a condition on m that holds exactly when ``<h, t>`` satisfies the formula
-(Ferraris, LPNMR 2005, carried to HT_C as in Cabalar, Kaminski, Ostrowski
-and Schaub, IJCAI 2016); ``at(t) is False`` means that ``<t, t>`` fails it.
+into one closure, ``at(t)``: the reduct of the formula at t, a condition on
+m that holds exactly when ``<h, t>`` satisfies the formula (Ferraris, LPNMR
+2005, carried to HT_C as in Cabalar, Kaminski, Ostrowski and Schaub, IJCAI
+2016); ``at(t) is False`` means that ``<t, t>`` fails it.  Compiling also
+gathers the positions the formula reads, on which alone its reduct depends,
+and a subformula that several formulas share is compiled once per search.
 At a fixed t each piece of the formula becomes:
 
 - False, when ``<t, t>`` fails it; by persistence so does every ``<h, t>``;
@@ -50,10 +52,12 @@ satisfies a formula, so does ``<t, t>``.
 ``total_models`` is a depth-first search that assigns the variables in spec
 order, each first undefined and then through its domain in order, so it
 yields the t in the order of ``enumerate_valuations``.  A formula's ``at``
-runs as soon as its last free variable (condition variables included) is
-assigned, a ground formula's before any assignment: False cuts off every
+runs as soon as the last position it reads (condition variables included)
+is assigned, a ground formula's before any assignment: False cuts off every
 candidate that extends the prefix, and a reduct joins the clauses carried
-down to each t.
+down to each t.  When the formula does not read some earlier position, the
+search comes back to it with the values it reads unchanged; such a formula
+keeps its reduct per value of those positions and runs once per value.
 
 One scan, ``_scan``, lists those pairs as the rows ``(t, reduct)`` of a
 model table; with several jobs, ``_run`` splits the search into subtrees,
@@ -103,6 +107,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .syntax import (
@@ -311,8 +316,17 @@ def substitute_value(atom, name: str, value):
 # no heads is a constraint.  ``at(t)`` is False when <t, t> fails.
 
 
-def _index(names) -> dict:
-    return {n: i for i, n in enumerate(names)}
+class _Index(dict):
+    """Variable name -> position in a world, with the memo of ``_compile``:
+    ``compiled`` maps the id of each formula object compiled over these
+    positions to the object, kept alive so that its id is not reused, and
+    its result."""
+
+    __slots__ = ("compiled",)
+
+    def __init__(self, names):
+        super().__init__((n, i) for i, n in enumerate(names))
+        self.compiled = {}
 
 
 def _need(mask: int) -> tuple:
@@ -350,15 +364,22 @@ def _satisfied(reduct, m: int) -> bool:
     return True
 
 
-def _compile(phi, index: dict):
-    """``at(t)`` for a desugared formula over worlds indexed by ``index``:
-    the reduct of the formula at t, False when <t, t> fails it."""
+def _compile(phi, index: _Index):
+    """(at, reads) for a desugared formula over worlds indexed by ``index``:
+    ``at(t)`` is the reduct of the formula at t, False when <t, t> fails it,
+    and depends on t only at the positions of the mask ``reads``.  Each
+    formula object is compiled once per index.  The memo is keyed by object:
+    a key by value would hash the whole subtree, recursively, at every node,
+    which costs time and halves the nesting depth the evaluator takes."""
+    seen = index.compiled.get(id(phi))
+    if seen is not None:
+        return seen[1]
     tp = type(phi)
     if tp is Comparison:
         if phi.rel != "<=":
             raise ValueError("satisfaction requires a desugared formula")
         # lhs <= rhs holds when lhs - rhs is defined and at most 0
-        sum_at = _compile_sum(
+        sum_at, reads = _compile_sum(
             [(1, i) for i in phi.lhs.items] + [(-1, i) for i in phi.rhs.items], index
         )
 
@@ -366,16 +387,17 @@ def _compile(phi, index: dict):
             r = sum_at(t)
             return False if r is None or r[0] > 0 else r[1]
 
-        return at
-    if tp is BoolAtom:
+        found = at, reads
+    elif tp is BoolAtom:
         i = index[phi.name]
         need = _need(1 << i)
-        return lambda t: need if t[i].__class__ is Truth else False
-    if tp is And or tp is Or or tp is Implies:
-        l_at = _compile(phi.lhs, index)
-        if tp is Implies and type(phi.rhs) is Bot:  # a negation: a constant at t
-            return lambda t: () if l_at(t) is False else False
-        r_at = _compile(phi.rhs, index)
+        found = (lambda t: need if t[i].__class__ is Truth else False), 1 << i
+    elif tp is Implies and type(phi.rhs) is Bot:  # a negation: a constant at t
+        l_at, reads = _compile(phi.lhs, index)
+        found = (lambda t: () if l_at(t) is False else False), reads
+    elif tp is And or tp is Or or tp is Implies:
+        l_at, l_reads = _compile(phi.lhs, index)
+        r_at, r_reads = _compile(phi.rhs, index)
         if tp is And:
 
             def at(t):
@@ -405,12 +427,15 @@ def _compile(phi, index: dict):
                 b = r_at(t)
                 return False if b is False else _implies(a, b)
 
-        return at
-    if tp is Bot:
-        return lambda t: False
-    if tp is Defined:
+        found = at, l_reads | r_reads
+    elif tp is Bot:
+        found = (lambda t: False), 0
+    elif tp is Defined:
         raise ValueError("satisfaction requires a desugared formula")
-    raise TypeError(f"not a formula: {phi!r}")
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    index.compiled[id(phi)] = phi, found
+    return found
 
 
 def _term_code(sign: int, term, index: dict):
@@ -434,72 +459,79 @@ def _code_mask(codes) -> int:
     return mask
 
 
-def _compile_branch(term: ConditionalTerm, index: dict, then_, else_):
-    """The branch rule of a conditional term as ``at(t)``: (``then_``, the
-    condition's reduct at t) when the condition holds at <t, t>, else
-    (``else_``, ()).  At <h, t> the term takes ``then_`` when m satisfies
-    that reduct, else it is undefined, and ``else_`` when the condition
-    fails at t."""
-    cond_at = _compile(term.condition, index)
+def _compile_branch(term: ConditionalTerm, index: _Index, then_, else_):
+    """The branch rule of a conditional term as (at, reads): ``at(t)`` is
+    (``then_``, the condition's reduct at t) when the condition holds at
+    <t, t>, else (``else_``, ()), and ``reads`` masks the condition's
+    positions.  At <h, t> the term takes ``then_`` when m satisfies that
+    reduct, else it is undefined, and ``else_`` when the condition fails
+    at t."""
+    cond_at, reads = _compile(term.condition, index)
 
     def at(t):
         reduct = cond_at(t)
         return (else_, ()) if reduct is False else (then_, reduct)
 
-    return at
+    return at, reads
 
 
-def _compile_sum(signed_items, index: dict):
-    """``at(t)`` for the sum of ``sign * item`` over the (sign, item) pairs:
-    None when some term is undefined at <t, t>, else (value, reduct): its
-    integer value at <t, t>, which it keeps under h when m satisfies the
-    reduct (the positions it reads, and the condition of every then-branch
-    taken at t); under any other h it is undefined."""
-    fixed, branches = [], []
+def _compile_sum(signed_items, index: _Index):
+    """(at, reads) for the sum of ``sign * item`` over the (sign, item)
+    pairs.  ``at(t)`` is None when some term is undefined at <t, t>, else
+    (value, reduct): its integer value at <t, t>, which it keeps under h
+    when m satisfies the reduct (the positions it reads, and the condition
+    of every then-branch taken at t); under any other h it is undefined.
+    ``reads`` masks every position the value or the reduct depends on."""
+    fixed, branches, reads = [], [], 0
     for sign, item in signed_items:
         if type(item) is ConditionalTerm:
-            codes = (_term_code(sign, x, index) for x in (item.then_term, item.else_term))
-            branches.append(_compile_branch(item, index, *codes))
+            codes = [_term_code(sign, x, index) for x in (item.then_term, item.else_term)]
+            b_at, b_reads = _compile_branch(item, index, *codes)
+            branches.append(b_at)
+            reads |= b_reads | _code_mask(codes)
         else:
             fixed.append(_term_code(sign, item, index))
-    fixed = tuple(fixed)
     fixed_mask = _code_mask(fixed)
+    reads |= fixed_mask
+    if None in fixed:  # a U term: undefined at every t
+        return (lambda t: None), reads
+    const = sum(k for pos, k in fixed if pos is None)
+    terms = tuple(code for code in fixed if code[0] is not None)
+    need = _need(fixed_mask)
 
-    def value(w, codes=fixed):
-        acc = 0
-        for code in codes:
+    def fixed_at(t):
+        acc = const
+        for pos, k in terms:
+            v = t[pos]
+            if v.__class__ is not int:
+                return None
+            acc += k * v
+        return acc, need
+
+    if not branches:
+        return fixed_at, reads
+
+    def at(t):
+        r = fixed_at(t)
+        if r is None:
+            return None
+        acc, mask, conds = r[0], fixed_mask, ()
+        for b_at in branches:
+            code, cond = b_at(t)
             if code is None:
                 return None
             pos, k = code
             if pos is not None:
-                v = w[pos]
+                v = t[pos]
                 if v.__class__ is not int:
                     return None
                 k *= v
+                mask |= 1 << pos
             acc += k
-        return acc
+            conds += cond
+        return acc, _need(mask) + conds
 
-    if not branches:
-        need = _need(fixed_mask)
-
-        def at(t):
-            v = value(t)
-            return None if v is None else (v, need)
-
-        return at
-
-    def at(t):
-        picks = [b_at(t) for b_at in branches]
-        codes = tuple(code for code, _ in picks)
-        v = value(t, fixed + codes)
-        if v is None:
-            return None
-        reduct = _need(fixed_mask | _code_mask(codes))
-        for _, cond in picks:
-            reduct += cond
-        return v, reduct
-
-    return at
+    return at, reads
 
 
 # compiled formulas kept for ``satisfies``, keyed by formula value
@@ -510,7 +542,7 @@ FORMULA_CACHE_SIZE = 1024
 def _compiled_formula(phi) -> tuple:
     """(names, at) for a formula over its own variables, in name order."""
     names = tuple(sorted(free_vars(phi)))
-    return names, _compile(phi, _index(names))
+    return names, _compile(phi, _Index(names))[0]
 
 
 def satisfies(interp: Interpretation, phi) -> bool:
@@ -524,32 +556,53 @@ def satisfies(interp: Interpretation, phi) -> bool:
 
 
 class _Core(NamedTuple):
-    """Formulas compiled over a spec, each as (level, at), where
-    ``level`` is the position of its last free variable (-1 when ground)."""
+    """Formulas compiled over a spec, each as (level, at), where ``level``
+    is the last position the formula reads (-1 when ground)."""
 
     names: tuple
-    index: dict
+    index: _Index
     choices: tuple  # per position: None, then the domain in order
     formulas: tuple
 
 
 def _core(spec: DomainSpec, formulas) -> _Core:
     names = spec.variables()
-    index = _index(names)
-    compiled = tuple(
-        (max((index[x] for x in free_vars(f)), default=-1), _compile(f, index))
-        for f in formulas
-    )
+    index = _Index(names)
+    compiled = []
+    for f in formulas:
+        at, reads = _compile(f, index)
+        level = reads.bit_length() - 1
+        if reads != (1 << level + 1) - 1:
+            # a position below the level that the formula does not read:
+            # the search reaches the level again with the same values read
+            at = _reducts_kept(at, reads)
+        compiled.append((level, at))
     choices = tuple((None,) + spec.domain_values(n) for n in names)
-    return _Core(names, index, choices, compiled)
+    return _Core(names, index, choices, tuple(compiled))
+
+
+def _reducts_kept(at, reads: int):
+    """``at`` evaluated once per value of t at the positions of ``reads``,
+    on which alone its reduct depends."""
+    key = itemgetter(*[i for i in range(reads.bit_length()) if reads >> i & 1])
+    seen = {}
+
+    def kept(t):
+        k = key(t)
+        reduct = seen.get(k)
+        if reduct is None:
+            reduct = seen[k] = at(t)
+        return reduct
+
+    return kept
 
 
 def total_models(core: _Core, prefix=()):
     """(t, the clauses of every formula's reduct at t) for each t extending
     the value ``prefix`` whose <t, t> satisfies every formula, in enumeration
-    order.  Depth-first; a formula's reduct is taken once its last free
-    variable has a value: False prunes every extension of the partial t, and
-    clauses join those carried down."""
+    order.  Depth-first; a formula's reduct is taken once the last position
+    it reads has a value (its level): False prunes every extension of the
+    partial t, and clauses join those carried down."""
     n, start = len(core.names), len(prefix)
     due = [[] for _ in range(n + 1)]  # due[k]: evaluated once positions < k are set
     for level, at in core.formulas:
@@ -622,7 +675,7 @@ def _certificates(table, names) -> dict:
     K in F(T) holds every H with <H, T> failing D.
     """
     spec, rows = table
-    index = _index(spec.variables())
+    index = _Index(spec.variables())
     positions = [index[n] for n in names]
     keep = sum(1 << p for p in positions)
 
@@ -656,14 +709,14 @@ def _stable_under(table):
     row is prepared once, with its full mask and its ``_proper_model``."""
     spec, rows = table
     names = spec.variables()
-    index = _index(names)
+    index = _Index(names)
     prepared = []
     for t, reduct in rows:
         full = _full(t)
         prepared.append((t, full, reduct, _proper_model(reduct, full)))
 
     def stable(extra=()):
-        ats = [_compile(f, index) for f in extra]
+        ats = [_compile(f, index)[0] for f in extra]
         out = []
         for t, full, reduct, proper in prepared:
             more = ()

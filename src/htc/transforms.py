@@ -7,7 +7,6 @@
   implication per subset of its head, and those implications distribute
   further into rules whose heads are disjunctions of atoms and whose bodies
   are conjunctions of literals;
-* normal form for linear constraints (constant right-hand side);
 * elimination of conditional terms: each occurrence is replaced by a fresh
   variable pinned down by five defining implications.
 """
@@ -25,7 +24,6 @@ from .syntax import (
     BoolAtom,
     Bot,
     Comparison,
-    Const,
     ConditionalTerm,
     Implies,
     LCRule,
@@ -38,7 +36,6 @@ from .syntax import (
     _theory,
     check_budget,
     conj,
-    const_expr,
     defined,
     desugar_aggregates,
     desugar_comparisons,
@@ -48,7 +45,6 @@ from .syntax import (
     le,
     linear_term_range,
     map_exprs,
-    negated_term,
     var_expr,
 )
 
@@ -230,53 +226,6 @@ def _negated_dnf(phi):
             for b in _negated_dnf(phi.rhs)
         ]
     raise TransformError(f"cannot negate body part {phi!r}")
-
-
-# --------------------------------------------------------------------------
-# Normal form
-
-
-def normalize_constraint(atom: Comparison) -> Comparison:
-    """Move non-constant terms left (negated when crossing), constants right.
-
-    Atoms whose right-hand side is already a single constant are returned
-    unchanged.  Conditional terms move branch-wise, so definedness behaviour
-    is identical before and after.
-    """
-    if atom.rel != "<=":
-        raise TransformError("normal form is defined for <= atoms")
-    if len(atom.rhs.items) == 1 and isinstance(atom.rhs.items[0], Const):
-        return atom
-    lhs_terms, lhs_const = _split_constants(atom.lhs)
-    rhs_terms, rhs_const = _split_constants(atom.rhs)
-    items = lhs_terms + [negated_term(t) for t in rhs_terms]
-    new_lhs = LinearExpr(tuple(items)) if items else const_expr(0)
-    return Comparison(new_lhs, "<=", const_expr(rhs_const - lhs_const))
-
-
-def normalize_equality(lhs: LinearExpr, rhs: LinearExpr):
-    """The pair of normal-form constraints equivalent to lhs = rhs.
-
-    Written with every term on the left: first the negated right-hand side
-    followed by the left-hand side (<= 0), then the same sum negated.
-    """
-    gamma = tuple(negated_term(t) for t in rhs.items) + lhs.items
-    neg_gamma = tuple(negated_term(t) for t in gamma)
-    zero = const_expr(0)
-    return (
-        Comparison(LinearExpr(gamma), "<=", zero),
-        Comparison(LinearExpr(neg_gamma), "<=", zero),
-    )
-
-
-def _split_constants(e: LinearExpr):
-    terms, const = [], 0
-    for item in e.items:
-        if isinstance(item, Const):
-            const += item.value
-        else:
-            terms.append(item)
-    return terms, const
 
 
 # --------------------------------------------------------------------------

@@ -3,19 +3,21 @@
 The engine works on value tuples and definedness masks and builds
 ``Valuation`` objects only where models leave it.  The helpers below read
 single terms, atoms and expressions at an interpretation ``<h, t>`` of
-Valuations, list the h below a t, and test HT validity; the test modules
+Valuations, list the h below a t, bring a linear constraint to its normal
+form (constant right-hand side), and test HT validity; the test modules
 import them from here.  ``eval_term``, ``eval_atom`` and ``expr_value`` are
 views of the compiled evaluator: they compile their input over its own
 variables and evaluate it once, so a test of them is a test of the
 engine's then/else/U rule.
 """
 
+from htc.errors import TransformError
 from htc.semantics import (
     Valuation,
     _compile_branch,
     _compile_sum,
     _full,
-    _index,
+    _Index,
     _satisfied,
     _values,
     ht_models,
@@ -35,8 +37,10 @@ from htc.syntax import (
     U,
     Undefined,
     _desugar_expr_conditions,
+    const_expr,
     free_vars,
     make_theory,
+    negated_term,
 )
 
 # --------------------------------------------------------------------------
@@ -89,7 +93,7 @@ def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
     for item in _desugar_expr_conditions(e).items:
         if type(item) is ConditionalTerm:
             names = tuple(sorted(free_vars(item.condition)))
-            at = _compile_branch(item, _index(names), item.then_term, item.else_term)
+            at, _ = _compile_branch(item, _Index(names), item.then_term, item.else_term)
             branch, reduct = at(_values(t, names))
             item = branch if _satisfied(reduct, _full(_values(h, names))) else U
         items.append(item)
@@ -99,9 +103,56 @@ def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
 def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
     """Value under h of the expression unfolded at <h, t>; U when undefined."""
     names = tuple(sorted(free_vars(e)))
-    at = _compile_sum([(1, item) for item in e.items], _index(names))
+    at, _ = _compile_sum([(1, item) for item in e.items], _Index(names))
     r = at(_values(t, names))
     return r[0] if r is not None and _satisfied(r[1], _full(_values(h, names))) else U
+
+
+# --------------------------------------------------------------------------
+# The normal form of a linear constraint (constant right-hand side)
+
+
+def normalize_constraint(atom: Comparison) -> Comparison:
+    """Move non-constant terms left (negated when crossing), constants right.
+
+    Atoms whose right-hand side is already a single constant are returned
+    unchanged.  Conditional terms move branch-wise, so definedness behaviour
+    is identical before and after.
+    """
+    if atom.rel != "<=":
+        raise TransformError("normal form is defined for <= atoms")
+    if len(atom.rhs.items) == 1 and isinstance(atom.rhs.items[0], Const):
+        return atom
+    lhs_terms, lhs_const = _split_constants(atom.lhs)
+    rhs_terms, rhs_const = _split_constants(atom.rhs)
+    items = lhs_terms + [negated_term(t) for t in rhs_terms]
+    new_lhs = LinearExpr(tuple(items)) if items else const_expr(0)
+    return Comparison(new_lhs, "<=", const_expr(rhs_const - lhs_const))
+
+
+def normalize_equality(lhs: LinearExpr, rhs: LinearExpr):
+    """The pair of normal-form constraints equivalent to lhs = rhs.
+
+    Written with every term on the left: first the negated right-hand side
+    followed by the left-hand side (<= 0), then the same sum negated.
+    """
+    gamma = tuple(negated_term(t) for t in rhs.items) + lhs.items
+    neg_gamma = tuple(negated_term(t) for t in gamma)
+    zero = const_expr(0)
+    return (
+        Comparison(LinearExpr(gamma), "<=", zero),
+        Comparison(LinearExpr(neg_gamma), "<=", zero),
+    )
+
+
+def _split_constants(e: LinearExpr):
+    terms, const = [], 0
+    for item in e.items:
+        if isinstance(item, Const):
+            const += item.value
+        else:
+            terms.append(item)
+    return terms, const
 
 
 # --------------------------------------------------------------------------

@@ -443,8 +443,8 @@ class TestDenotationLaws:
         compile_sum = semantics._compile_sum
 
         def undefined_reads_zero(signed_items, index):
-            at = compile_sum(signed_items, index)
-            return lambda t: at(t) or (0, ())
+            at, reads = compile_sum(signed_items, index)
+            return (lambda t: at(t) or (0, ())), reads
 
         monkeypatch.setattr(semantics, "_compile_sum", undefined_reads_zero)
         report = run_property_suite("denotation-laws", seed=0, count=50)

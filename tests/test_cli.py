@@ -588,3 +588,21 @@ class TestDeepInput:
             )
             result = (proc.returncode, proc.stdout, proc.stderr)
             assert result == (1, "", "htc: input nested too deeply\n"), argv
+
+    def test_nesting_below_the_limit_solves(self, tmp_path):
+        # 900 conjuncts, one nested in the next: the evaluator compiles one
+        # frame per level and must not walk the formula again per node
+        path = tmp_path / "nested.lc"
+        path.write_text("#bool a.\n" + " & ".join(["a"] * 900) + ".\n")
+        for argv, expected in (
+            (("solve", path), '{"stable_models": [{"a": true}]}\n'),
+            (("check", path, path, "--stable", "--strong"), None),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "htc.cli", *map(str, argv)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            assert expected is None or proc.stdout == expected

@@ -10,6 +10,8 @@ import pathlib
 import random
 import sys
 
+import pytest
+
 from htc import semantics
 from htc.checker import (
     DEFAULT_SUITE_SPEC,
@@ -54,6 +56,7 @@ from htc.syntax import (
     const_expr,
     desugar_comparisons,
     desugar_theory,
+    free_vars,
     le,
     make_theory,
     var_expr,
@@ -524,8 +527,8 @@ class TestReductGate:
         branch = semantics._compile_branch
 
         def unconditional(term, index, then_, else_):
-            at = branch(term, index, then_, else_)
-            return lambda t: (at(t)[0], ())
+            at, reads = branch(term, index, then_, else_)
+            return (lambda t: (at(t)[0], ())), reads
 
         item = reduct_corpus(n=1, seed=46_000_003)
         assert reduct_mismatches(item) == []
@@ -561,3 +564,85 @@ class TestReductGate:
             semantics, "total_models", horn(lambda heads: (sum(heads),) if heads else ())
         )
         assert stable() != dhead.expect
+
+
+# --------------------------------------------------------------------------
+# Compiled once, evaluated once per value of the positions a formula reads
+
+
+def count_evaluations(monkeypatch):
+    """Counts, from now on, the evaluations of every compiled formula node
+    and the formulas whose reducts ``_core`` keeps."""
+    calls = {"evaluations": 0, "kept": 0}
+    compile_, kept = semantics._compile, semantics._reducts_kept
+
+    def counted_compile(phi, index):
+        at, reads = compile_(phi, index)
+
+        def counted(t):
+            calls["evaluations"] += 1
+            return at(t)
+
+        return counted, reads
+
+    def counted_kept(at, reads):
+        calls["kept"] += 1
+        return kept(at, reads)
+
+    monkeypatch.setattr(semantics, "_compile", counted_compile)
+    monkeypatch.setattr(semantics, "_reducts_kept", counted_kept)
+    return calls
+
+
+class TestCompileAndReuse:
+    def test_a_shared_subformula_is_compiled_once(self, monkeypatch):
+        spec = DomainSpec.make({"x": (0, 2)}, ["a", "b"])
+        shared = le(var_expr("x"), const_expr(1))
+        sums = []
+        compile_sum = semantics._compile_sum
+
+        def counted(signed_items, index):
+            sums.append(signed_items)
+            return compile_sum(signed_items, index)
+
+        monkeypatch.setattr(semantics, "_compile_sum", counted)
+        _core(spec, [Implies(BoolAtom("a"), shared), Or(shared, BoolAtom("b"))])
+        assert len(sums) == 1
+
+    def test_level_is_the_last_free_variable(self):
+        # the level comes from the positions _compile gathers; the reference
+        # is the highest position among the formula's free variables
+        formulas_seen = with_unread = 0
+        for thy in prune_corpus() + reduct_corpus():
+            core_thy = desugar_theory(thy)
+            formulas = theory_formulas(core_thy)
+            index = {n: i for i, n in enumerate(core_thy.spec.variables())}
+            core = _core(core_thy.spec, formulas)
+            levels = [max((index[x] for x in free_vars(f)), default=-1) for f in formulas]
+            assert [level for level, _ in core.formulas] == levels
+            formulas_seen += len(formulas)
+            with_unread += sum(
+                len(free_vars(f)) <= level for f, level in zip(formulas, levels)
+            )
+        # the reduct gate runs on the same corpus, so it covers kept reducts
+        assert with_unread >= formulas_seen // 4, (with_unread, formulas_seen)
+
+    @pytest.mark.parametrize(
+        "family, size, expected",
+        [
+            # 246 evaluations with no reducts kept
+            ("choice", (3,), {"evaluations": 54, "kept": 5}),
+            # the search prunes every repeat of x1 here: kept, but not reused
+            ("chain", (3, 1), {"evaluations": 164, "kept": 1}),
+        ],
+    )
+    def test_evaluations_per_search(self, monkeypatch, family, size, expected):
+        # a formula that skips a position below its level is evaluated once
+        # per value of what it reads; one that reads every position up to
+        # its level cannot repeat, and keeps nothing
+        inp = getattr(load_bench_inputs(), family)(*size, 0)
+        thy = parse_theory(inp.text)
+        calls = count_evaluations(monkeypatch)
+        models = stable_models(thy)
+        assert {tuple(sorted(v.to_json().items())) for v in models} == inp.expect
+        assert calls == expected

@@ -45,8 +45,6 @@ from htc.transforms import (
     delta,
     distribute_implication,
     eliminate_conditionals,
-    normalize_constraint,
-    normalize_equality,
     phi,
     rule_formula,
     theory_formulas,
@@ -54,7 +52,13 @@ from htc.transforms import (
     unfold_rule,
 )
 
-from reference import expr_value, is_ht_tautology, subvaluations
+from reference import (
+    expr_value,
+    is_ht_tautology,
+    normalize_constraint,
+    normalize_equality,
+    subvaluations,
+)
 
 SPEC = DomainSpec.make({"x": (0, 2), "y": (0, 2)}, ["p"])
 
