@@ -12,21 +12,20 @@ the theory, does.  So the minimal sets K(t) of the rows over each T
 context Delta_K that fails exactly at the H of one side's K tells the
 sides apart (Eiter, Tompits and Woltran, IJCAI 2005).  With V all the
 variables this is HT equivalence (Lifschitz, Pearce and Valverde, 2001).
-``_stable_difference`` compares stable models under the empty context and
-then under each context of a given family; the stable check is it with an
-empty family, and ``strong_equiv_sampled`` with a sampled one (it stays for
-the benchmark's traced names only).  ``_projection`` reads every
-projection: it sorts the names, merges repeats and refuses an empty one.
+``strong_equiv_sampled`` reads the same certificates under the empty
+context and then under each context of a given family (it stays for the
+benchmark's traced names only).  ``_projection`` reads every projection: it
+sorts the names, merges repeats and refuses an empty one.
 
 Every check reads model tables from one scan of the enumeration core,
 ``_run``, which builds both sides on one pool of ``jobs`` workers:
 ``equivalent`` and the unfolding law compare the (h, t) pairs that
-``_below`` reads off the rows, the stable check reads stable models off
-them with the readers of ``_stable_under``, which prepare each side's rows
-once, and the strong check reads their certificates.  The tables keep only
-total models.  A t whose <t, t> fails the theory cannot become stable when
-a context is added, since the extended theory still contains the failing
-one; and by persistence no h below such a t satisfies the theory either.
+``_below`` reads off the rows, the stable check compares the projected
+``_stable_rows`` of both tables, and the strong checks read their
+certificates.  The tables keep only total models.  A t whose <t, t> fails
+the theory cannot become stable when a context is added, since the
+extended theory still contains the failing one; and by persistence no h
+below such a t satisfies the theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
@@ -55,22 +54,25 @@ from .parser import pretty_print
 from .semantics import (
     Interpretation,
     Valuation,
+    _Index,
     _below,
     _certificates,
     _compile,
     _compile_sum,
     _core,
     _full,
+    _holds_at,
     _pool_map,
     _restrict,
+    _projected_stable,
     _run,
     _satisfied,
-    _stable_under,
+    _stable_rows,
     _submasks,
     _supported,
     _valuation,
+    _values,
     is_supported,
-    satisfies,
     stable_models,
     substitute_value,
     total_models,
@@ -225,39 +227,19 @@ def _projection(a: Theory, b: Theory, project):
     return names
 
 
-def _stable_difference(a, b, project, contexts, budget=None, jobs=1):
-    """The projection, and a witness for the first context under which the
-    projected stable models of ``a`` and ``b`` differ (None if none does).
-
-    The empty context comes first, before ``contexts``; a witness found
-    there has ``context=None``.  Each side's model table is built once, and
-    its rows are prepared once, by ``_stable_under``, for every context.
-    """
-    a, b = desugar_theory(a), desugar_theory(b)
-    names = _projection(a, b, project)
-    stable_a, stable_b = map(_stable_under, _run([a, b], budget, jobs))
-
-    def key(v):
-        return valuation_key(a.spec, v)
-
-    for ctx in ((), *contexts):
-        ctx = tuple(desugar_comparisons(f) for f in ctx)
-        sa = {t.project(names) for t in stable_a(ctx)}
-        sb = {t.project(names) for t in stable_b(ctx)}
-        if sa != sb:
-            return names, _witness(key, sa, sb, "valuation", ctx or None)
-    return names, None
-
-
 def stable_equivalent(
     a: Theory, b: Theory, project=None, budget=None, jobs=1
 ) -> EquivReport:
     """Same stable models, after projecting onto ``project`` when given."""
-    names, w = _stable_difference(a, b, project, (), budget, jobs)
+    a, b = desugar_theory(a), desugar_theory(b)
+    names = _projection(a, b, project)
     projection = names if project is not None else None
-    if w is None:
+    tables = _run([a, b], budget, jobs)
+    sa, sb = ({v.project(names) for v in _stable_rows(table)} for table in tables)
+    if sa == sb:
         return EquivReport("equal", projection=projection)
-    return EquivReport("different", w, projection=projection)
+    witness = _witness(partial(valuation_key, a.spec), sa, sb, "valuation")
+    return EquivReport("different", witness, projection=projection)
 
 
 def strong_equivalent(
@@ -267,7 +249,7 @@ def strong_equivalent(
 
     Exact: decided by comparing the families F(T) that ``_certificates``
     reads off both tables.  The empty context comes first, read off the same
-    families (T is stable when some row has no model below it); a difference
+    families (T is stable when its family holds the empty set); a difference
     there is reported as ``stable_equivalent`` reports it, with no context
     and a projection only when one was asked for.  Otherwise the witness is
     the first T, by ``valuation_key``, whose families differ, with the
@@ -277,14 +259,8 @@ def strong_equivalent(
     a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
     fa, fb = (_certificates(table, names) for table in _run([a, b], budget, jobs))
-
-    def key(v):
-        return valuation_key(a.spec, v)
-
-    def stable(families):
-        return {_valuation(names, T) for T, fam in families.items() if frozenset() in fam}
-
-    sa, sb = stable(fa), stable(fb)
+    key = partial(valuation_key, a.spec)
+    sa, sb = _projected_stable(fa, names), _projected_stable(fb, names)
     if sa != sb:
         projection = None if project is None else names
         return EquivReport("different", _witness(key, sa, sb, "valuation"), projection)
@@ -333,22 +309,32 @@ def strong_equiv_sampled(
     """Projected stable-model equality without context and then under every
     context in the family.
 
-    Contexts are tuples of formulas over the projection variables.  The
-    empty context is always checked first; a difference there is reported
-    as ``stable_equivalent`` reports it, with no context and a projection
-    only when one was asked for.  A pass means no counterexample was found
-    within the family, nothing more.
+    Contexts are tuples of formulas over the projection variables (another
+    variable raises ValueError), read off the certificates of both sides.
+    The empty context is always checked first; a difference there is
+    reported as ``stable_equivalent`` reports it, with no context and a
+    projection only when one was asked for.  A pass means no counterexample
+    was found within the family, nothing more.
 
     The package decides strong equivalence with ``strong_equivalent``; this
     sampled check, ``context_family`` and ``MAX_CONTEXTS`` are kept because
     the traced benchmark (``perfbench/spans.py``) names them, and they go
     with the benchmark change of ROADMAP item 2.
     """
-    names, w = _stable_difference(a, b, project, contexts, budget, jobs)
-    if w is None:
-        return EquivReport("equal", projection=names)
-    projection = None if w.context is None and project is None else names
-    return EquivReport("different", w, projection=projection)
+    a, b = desugar_theory(a), desugar_theory(b)
+    names = _projection(a, b, project)
+    fa, fb = (_certificates(table, names) for table in _run([a, b], budget, jobs))
+    for ctx in ((), *contexts):
+        ctx = tuple(desugar_comparisons(f) for f in ctx)
+        outside = free_vars(conj(ctx)) - set(names)
+        if outside:
+            raise ValueError(f"context reads {', '.join(sorted(outside))}, outside the projection")
+        sa, sb = _projected_stable(fa, names, ctx), _projected_stable(fb, names, ctx)
+        if sa != sb:
+            w = _witness(partial(valuation_key, a.spec), sa, sb, "valuation", ctx or None)
+            projection = None if not ctx and project is None else names
+            return EquivReport("different", w, projection=projection)
+    return EquivReport("equal", projection=names)
 
 
 MAX_CONTEXTS = 48
@@ -710,15 +696,22 @@ def _supportedness_law(core, spec):
         for psi in unfold_rule(rule, distribute=False)
         for atoms, lits in clauses(psi)
     ]
+    names = core.spec.variables()
+    index = _Index(names)
     for t in models:
-        at_t = partial(satisfies, Interpretation(t, t))
+        world = _values(t, names)
+        full, holds = _full(world), _holds_at(index, world)
         for x in t.names():
-            if not _supported(x, rules, at_t, at_t):
+            if not _supported(x, rules, holds, holds):
                 return _unsupported(core, t, "htc-supported")
         # undefining x must leave a rule for x whose body still holds
         for x in t.names():
-            h = Valuation(p for p in t.items() if p[0] != x)
-            if not _supported(x, rules, at_t, partial(satisfies, Interpretation(h, t))):
+            below = full & ~(1 << index[x])
+
+            def body(f):
+                return _satisfied(_compile(f, index)[0](world), below)
+
+            if not _supported(x, rules, holds, body):
                 return _unsupported(core, t, "htc-supported-sharp")
     return None
 

@@ -39,9 +39,9 @@ terms lives in one place, ``_compile_branch``.
 
 The engine takes desugared theories only.  Each entry point desugars its
 input once: ``stable_models``, ``ht_models`` and ``is_supported`` here,
-``equivalent``, ``_stable_difference`` and ``strong_equivalent`` in the
-checker.  Nothing below them desugars again, and a surface formula that
-reaches ``_compile`` makes it raise.
+``equivalent``, ``stable_equivalent``, ``strong_equivalent`` and
+``strong_equiv_sampled`` in the checker.  Nothing below them desugars
+again, and a surface formula that reaches ``_compile`` makes it raise.
 
 Every model reader sits on one enumeration core over a compiled theory:
 ``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, each
@@ -66,13 +66,12 @@ pool (the workers compile the formulas themselves) and concatenates the
 rows in prefix order.  Three readers answer every question from the rows:
 ``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
 the reduct, for ``ht_models`` and the checker's HT comparisons;
-``_stable_under(table)`` prepares each row once and returns a reader
-``stable(extra)``, for ``stable_models`` (no ``extra`` formulas: the empty
-context) and the checker's stable comparisons: t is stable when ``<t, t>``
-satisfies the ``extra`` formulas and no proper submask satisfies the tabled
-reduct joined with theirs; and ``_certificates(table, names)`` reads
-``_below`` projected onto ``names``, for the checker's strong comparison
-(Eiter, Tompits and Woltran, IJCAI 2005).
+``_stable_rows(table)`` lists the t with no proper submask that satisfies
+their reduct, for ``stable_models`` and the checker's stable comparison;
+and ``_certificates(table, names)`` reads ``_below`` projected onto
+``names``, for the checker's strong comparisons (Eiter, Tompits and
+Woltran, IJCAI 2005), which read stability under any context over
+``names`` off them alone, with ``_projected_stable``.
 
 Below t, every model of a reduct contains the least fixpoint of its clauses
 with one head.  t is stable when that fixpoint is t's full mask.
@@ -81,16 +80,14 @@ fixpoint is itself a proper model and t is not stable; only a reduct with
 disjunctive heads (as in ``a := 1 ; b := 1``) makes the stability test walk
 the proper submasks above the fixpoint, stopping at the first that
 satisfies it, while ``_below`` walks them all.  Masks are walked in
-increasing order (``m = (m - full) & full``).  Joined clauses only remove
-models, so under a context only a row whose proper model, kept from this
-test, fails the context's clauses takes the test again.
+increasing order (``m = (m - full) & full``).
 
 ``Valuation`` and ``Interpretation`` objects are built only where models
 leave the core: the results of ``stable_models`` and ``ht_models``, the
 checker's witnesses, and ``satisfies``, a view of the compiled evaluator
-that compiles its formula (through a cache keyed by formula value) and
-evaluates it once.  v is in the denotation of a condition-free atom when
-``satisfies(Interpretation(v, v), atom)``.  ``_valuation`` builds a
+that compiles its formula over its own variables on every call, with no
+cache, and evaluates it once.  v is in the denotation of a condition-free
+atom when ``satisfies(Interpretation(v, v), atom)``.  ``_valuation`` builds a
 Valuation in one pass from a value tuple, whose positions are already in
 name order, and ``ht_models`` pairs each h with its t without re-checking
 that h is included in t, which holds by construction.
@@ -106,7 +103,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -132,6 +128,7 @@ from .syntax import (
     U,
     Undefined,
     check_budget,
+    conj,
     desugar_theory,
     free_vars,
     map_exprs,
@@ -534,20 +531,10 @@ def _compile_sum(signed_items, index: _Index):
     return at, reads
 
 
-# compiled formulas kept for ``satisfies``, keyed by formula value
-FORMULA_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=FORMULA_CACHE_SIZE)
-def _compiled_formula(phi) -> tuple:
-    """(names, at) for a formula over its own variables, in name order."""
-    names = tuple(sorted(free_vars(phi)))
-    return names, _compile(phi, _Index(names))[0]
-
-
 def satisfies(interp: Interpretation, phi) -> bool:
-    """<h, t> |= phi for a desugared formula."""
-    names, at = _compiled_formula(phi)
+    """<h, t> |= phi for a desugared formula, compiled over its own variables."""
+    names = tuple(sorted(free_vars(phi)))
+    at, _ = _compile(phi, _Index(names))
     return _satisfied(at(_values(interp.t, names)), _full(_values(interp.h, names)))
 
 
@@ -670,9 +657,7 @@ def _certificates(table, names) -> dict:
     the set of h|V for the proper h below t that satisfy t's reduct, and
     F(T) the minimal sets, by inclusion, among the K(t) of the rows with
     t|V = T.  A row with T itself in K(t) is stable under no context over V:
-    its walk stops there and the row is dropped.  Under a context D over V,
-    T is a projected stable model exactly when <T, T> satisfies D and some
-    K in F(T) holds every H with <H, T> failing D.
+    its walk stops there and the row is dropped.
     """
     spec, rows = table
     index = _Index(spec.variables())
@@ -703,36 +688,27 @@ def _certificates(table, names) -> dict:
     return families
 
 
-def _stable_under(table):
-    """The reader ``stable(extra=())`` of the stable models, as Valuations in
-    table order, of the tabled theory with ``extra`` formulas added.  Each
-    row is prepared once, with its full mask and its ``_proper_model``."""
+def _projected_stable(families, names, context=()) -> set:
+    """The projected stable models, as Valuations over ``names``, of the
+    theory whose certificates over ``names`` are ``families`` with the
+    desugared ``context`` formulas over ``names`` added: the T whose <T, T>
+    satisfies the context and whose F(T) has some K at every H of which the
+    context's reduct at T fails."""
+    at, _ = _compile(conj(context), _Index(names))
+    out = set()
+    for T, family in families.items():
+        reduct = at(T)
+        if reduct is not False and any(all(not _satisfied(reduct, H) for H in K) for K in family):
+            out.add(_valuation(names, T))
+    return out
+
+
+def _stable_rows(table) -> list:
+    """The table's stable models, as Valuations in table order: the t of the
+    rows whose full mask is minimal for their reduct."""
     spec, rows = table
     names = spec.variables()
-    index = _Index(names)
-    prepared = []
-    for t, reduct in rows:
-        full = _full(t)
-        prepared.append((t, full, reduct, _proper_model(reduct, full)))
-
-    def stable(extra=()):
-        ats = [_compile(f, index)[0] for f in extra]
-        out = []
-        for t, full, reduct, proper in prepared:
-            more = ()
-            for at in ats:
-                r = at(t)
-                if r is False:  # <t, t> fails the added formulas
-                    break
-                more += r
-            else:
-                if proper is None or (
-                    not _satisfied(more, proper) and _proper_model(reduct + more, full) is None
-                ):
-                    out.append(_valuation(names, t))
-        return out
-
-    return stable
+    return [_valuation(names, t) for t, reduct in rows if _proper_model(reduct, _full(t)) is None]
 
 
 def _scan(spec, formulas, prefix):
@@ -805,7 +781,7 @@ def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     variables to the enumeration alphabet.
     """
     [table] = _run([desugar_theory(theory)], budget, jobs)
-    return _stable_under(table)()
+    return _stable_rows(table)
 
 
 def ht_models(theory: Theory, budget=None, jobs=1) -> list:
@@ -842,8 +818,15 @@ def is_supported(t: Valuation, program: Theory) -> bool:
         )
         for r in program.rules
     ]
-    at_t = partial(satisfies, Interpretation(t, t))
-    return all(_supported(x, rules, at_t, at_t) for x in t.names())
+    names = program.spec.variables()
+    holds = _holds_at(_Index(names), _values(t, names))
+    return all(_supported(x, rules, holds, holds) for x in t.names())
+
+
+def _holds_at(index: _Index, world):
+    """The test "<t, t> satisfies f" for desugared f, t the value tuple
+    ``world`` over ``index``; f is compiled when first tested, once per index."""
+    return lambda f: _compile(f, index)[0](world) is not False
 
 
 def _supported(x: str, rules, head, body) -> bool:

@@ -487,32 +487,6 @@ _CHILDREN = {
 }
 
 
-def _hash_once(cls):
-    """Give an immutable node class a hash computed once per instance.
-
-    Formulas serve as cache keys on hot paths, and the generated hash walks
-    the whole tree.  The stored hash stays out of pickled state: string
-    hashes differ between processes.
-    """
-    compute = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = compute(self)
-        return h
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-
-
-for _cls in (Truth, DomainSpec, *_CHILDREN):
-    _hash_once(_cls)
-
-
 def children(node) -> tuple:
     """The immediate subnodes of a syntax node, in source order."""
     try:

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from htc import cli, semantics, transforms
+from htc import cli, transforms
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -48,7 +48,6 @@ def test_traced_functions_exist():
 
 def test_assignment_caches_are_bounded_and_report_their_size():
     caches = [(transforms, n) for n in ("phi", "def_of", "assignment_formula")]
-    caches.append((semantics, "_compiled_formula"))
     for module, name in caches:
         info = getattr(module, name).cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, name

@@ -265,6 +265,11 @@ class TestProjection:
         with pytest.raises(ValueError, match="projection names no variable"):
             strong_equivalent(a, b, project=[])
 
+    def test_context_outside_the_projection_raises(self):
+        a = bool_theory(BoolAtom("p"))
+        with pytest.raises(ValueError, match="q, outside the projection"):
+            strong_equiv_sampled(a, a, project=["p"], contexts=[(BoolAtom("q"),)])
+
     def test_repeated_name_is_projected_once(self):
         a = bool_theory(BoolAtom("p"))
         assert stable_equivalent(a, a, project=["p", "p"]).projection == ("p",)
@@ -545,17 +550,21 @@ class TestTautologySchemata:
 
 class TestTableConsistency:
     def test_table_backed_stable_matches_direct(self):
-        from htc.semantics import _run, _stable_under
+        from htc.semantics import _certificates, _projected_stable, _run
+
+        from test_reference_semantics import ref_stable_models
 
         thy = parse_theory(
             "#int x, y 0..2. #bool p. y = 2. sum{ x ; y } > 1 -> p."
         )
         core = desugar_theory(thy)
+        assert stable_models(core) == ref_stable_models(core)
+        names = core.spec.variables()
         [table] = _run([core], None, 1)
-        assert _stable_under(table)() == stable_models(core)
-        ctx = (BoolAtom("p"),)
-        extended = make_theory(core.spec, core.statements + ctx)
-        assert _stable_under(table)(ctx) == stable_models(extended)
+        families = _certificates(table, names)
+        for ctx in ((), (BoolAtom("p"),)):
+            extended = make_theory(core.spec, core.statements + ctx)
+            assert _projected_stable(families, names, ctx) == set(ref_stable_models(extended))
 
 
 class TestShrinking:

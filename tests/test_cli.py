@@ -505,7 +505,7 @@ class TestDesugarOnce:
         ycond = str(PROGRAMS / "ycond.lc")
         saved = ycond_translations(capsys, tmp_path)
         operations = [
-            # _stable_difference desugars both sides, equivalent too
+            # strong_equivalent desugars both sides, equivalent too
             (("check", ycond, saved["delta"], "--stable", "--project", "y", "--strong"), 2),
             (("check", ycond, saved["unfold"]), 2),
             (("translate", ycond, "--pass", "delta"), 0),

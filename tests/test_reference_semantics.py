@@ -25,11 +25,14 @@ from htc.semantics import (
     Interpretation,
     Valuation,
     _below,
+    _certificates,
+    _compile,
     _core,
+    _Index,
     _prefixes,
     _restrict,
     _run,
-    _stable_under,
+    _stable_rows,
     _valuation,
     enumerate_valuations,
     ht_models,
@@ -53,6 +56,7 @@ from htc.syntax import (
     Scaled,
     U,
     Undefined,
+    conj,
     const_expr,
     desugar_comparisons,
     desugar_theory,
@@ -219,7 +223,7 @@ class TestAgainstReference:
 
     def test_supportedness_agrees_without_formula_caches(self, monkeypatch):
         # without the assignment caches every call builds fresh but equal
-        # formula objects, which the compiled-formula cache must match by value
+        # formula objects, and each call compiles them over its own index
         for name in ("assignment_formula", "phi"):
             uncached = getattr(transforms, name).__wrapped__
             monkeypatch.setattr(transforms, name, uncached)
@@ -279,6 +283,45 @@ def small_corpus():
     )
 
 
+def context_mismatches(items):
+    """The (theory, context) pairs, the empty context first for each
+    theory, under which the projected stable models that
+    ``_projected_stable`` reads off the theory's certificates over all its
+    variables differ from the reference's."""
+    bad = []
+    for core, contexts in items:
+        names = core.spec.variables()
+        [table] = _run([core], None, 1)
+        families = _certificates(table, names)
+        for ctx in ((), *contexts):
+            extended = make_theory(core.spec, core.statements + ctx)
+            expected = {v.project(names) for v in ref_stable_models(extended)}
+            if semantics._projected_stable(families, names, ctx) != expected:
+                bad.append((core, ctx))
+    return bad
+
+
+def disjunctive_context_items():
+    """Theories, each with contexts drawn with "or" and "not"."""
+    corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
+    items = []
+    for i, thy in enumerate(corpus):
+        core = desugar_theory(thy)
+        rng = random.Random(47_000_003 + i)
+        contexts = [
+            (desugar_comparisons(gen_formula(rng, core.spec, conditional_budget=[0])),)
+            for _ in range(7)
+        ]
+        items.append((core, contexts))
+    p, q = BoolAtom("p"), BoolAtom("q")
+    two = DomainSpec.make({}, ["p", "q"])
+    items.append((make_theory(two, []), [(Or(p, q),)]))
+    # at T = {p, q} the disjunction leaves K = {{p}, {q}}, both failing the
+    # context, so {p, q} is stable under it
+    items.append((make_theory(two, [Or(p, q)]), [(Implies(p, q), Implies(q, p))]))
+    return items
+
+
 class TestDifferentialGate:
     def test_stable_models_agree_with_four_conditionals(self):
         for thy in conditional_corpus() + aggregate_corpus():
@@ -296,51 +339,37 @@ class TestDifferentialGate:
 
     def test_checker_table_under_contexts(self):
         corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
+        items = []
         for thy in corpus:
             core = desugar_theory(thy)
-            [table] = _run([core], None, 1)
-            stable = _stable_under(table)
-            assert stable() == ref_stable_models(core)
-            for ctx in context_family(core.spec):
-                expected = ref_stable_models(make_theory(core.spec, core.statements + ctx))
-                assert stable(ctx) == expected, ctx
+            assert stable_models(core) == ref_stable_models(core)
+            items.append((core, context_family(core.spec)))
+        assert context_mismatches(items) == []
 
     def test_checker_table_under_contexts_with_disjunctions(self, monkeypatch):
-        # the family above is Horn; contexts with "or" and "not" can join the
-        # tabled reduct into one with disjunctive heads, which only the mask
-        # walk decides
+        # the family above is Horn; contexts with "or" and "not" have
+        # reducts with disjunctive heads, tested at each H, and the tabled
+        # reduct of p | q has one, which the mask walk of _below reads
         walks = []
         submodels = semantics._submodels
 
-        def counted(*args):
-            walks.append(args)
-            return submodels(*args)
+        def counted(reduct, full, low):
+            walks.append(reduct)
+            return submodels(reduct, full, low)
 
         monkeypatch.setattr(semantics, "_submodels", counted)
-        corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
-        items = []
-        for i, thy in enumerate(corpus):
-            core = desugar_theory(thy)
-            rng = random.Random(47_000_003 + i)
-            contexts = [
-                (desugar_comparisons(gen_formula(rng, core.spec, conditional_budget=[0])),)
-                for _ in range(7)
-            ]
-            items.append((core, contexts))
-        p, q = BoolAtom("p"), BoolAtom("q")
-        two = DomainSpec.make({}, ["p", "q"])
-        items.append((make_theory(two, []), [(Or(p, q),)]))
-        # here the tabled reduct at {p, q} has the disjunctive head itself:
-        # its least model, {}, satisfies the context but not the reduct, and
-        # {p, q} is stable under the context
-        items.append((make_theory(two, [Or(p, q)]), [(Implies(p, q), Implies(q, p))]))
-        for core, contexts in items:
-            [table] = _run([core], None, 1)
-            stable = _stable_under(table)
-            for ctx in contexts:
-                expected = ref_stable_models(make_theory(core.spec, core.statements + ctx))
-                assert stable(ctx) == expected, ctx
-        assert walks
+        assert context_mismatches(disjunctive_context_items()) == []
+        assert any(len(heads) > 1 for reduct in walks for _, heads in reduct)
+
+    def test_context_gate_fails_when_the_h_test_is_skipped(self, monkeypatch):
+        # a T is kept only when the context fails at every H of some K in
+        # F(T); keeping every T whose <T, T> satisfies the context is wrong
+        def total_only(families, names, context=()):
+            at, _ = _compile(conj(context), _Index(names))
+            return {_valuation(names, T) for T in families if at(T) is not False}
+
+        monkeypatch.setattr(semantics, "_projected_stable", total_only)
+        assert context_mismatches(disjunctive_context_items()) != []
 
     def test_pretty_print_round_trip(self):
         for thy in small_corpus():
@@ -470,7 +499,7 @@ def reduct_mismatches(corpus, jobs=1):
         names = spec.variables()
         below = [list(_below(reduct, t)) for t, reduct in rows]
         if (
-            _stable_under(table)() != ref_stable_models(thy)
+            _stable_rows(table) != ref_stable_models(thy)
             or valuation_table(names, rows) != ref_table(thy)
             or any(masks != sorted(masks) for masks in below)
         ):
@@ -517,7 +546,7 @@ class TestReductGate:
         for thy in reduct_corpus():
             calls.update(fixpoint=0, walk=0)
             [table] = _run([desugar_theory(thy)], None, 1)
-            _stable_under(table)()
+            _stable_rows(table)
             fixpoint += calls["fixpoint"] > calls["walk"]
             walk += calls["walk"] > 0
         assert fixpoint >= 20 and walk >= 20, (fixpoint, walk)

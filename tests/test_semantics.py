@@ -18,13 +18,16 @@ from htc.syntax import (
     TOP,
     TRUE,
     U,
+    Assignment,
     BoolAtom,
     Comparison,
     Const,
     ConditionalTerm,
     DomainSpec,
+    LCRule,
     LinearExpr,
     Scaled,
+    conj,
     const_expr,
     desugar_comparisons,
     desugar_theory,
@@ -195,6 +198,24 @@ class TestSatisfies:
         for t in enumerate_valuations(SPEC):
             x = t.get("x")
             assert satisfies(total(t), atom) == (x is not None and x <= 4)
+
+
+class TestDeepNesting:
+    def test_satisfies_and_is_supported_take_what_solve_takes(self):
+        # 900 conjuncts, one nested in the next, as `solve` takes them; a
+        # formula is compiled one frame per level and never hashed by value
+        a = conj([BoolAtom("a")] * 900)
+        v = val(a=TRUE)
+        assert satisfies(Interpretation(v, v), a) is True
+        body = conj([le(var_expr("y"), const_expr(1))] * 900)
+        prog = make_theory(
+            DomainSpec.make({"x": (0, 1), "y": (0, 1)}, []),
+            [
+                LCRule((Assignment("y", const_expr(1), const_expr(1)),)),
+                LCRule((Assignment("x", const_expr(1), const_expr(1)),), (body,)),
+            ],
+        )
+        assert is_supported(val(x=1, y=1), prog) is True
 
 
 class TestEnumeration:
