@@ -14,8 +14,10 @@ sides apart (Eiter, Tompits and Woltran, IJCAI 2005).  With V all the
 variables this is HT equivalence (Lifschitz, Pearce and Valverde, 2001).
 ``strong_equiv_sampled`` reads the same certificates under the empty
 context and then under each context of a given family (it stays for the
-benchmark's traced names only).  ``_projection`` reads every projection: it
-sorts the names, merges repeats and refuses an empty one.
+benchmark's traced names only).  ``_projection`` reads every projection off
+the theories as given, before desugaring, so the auxiliaries of min/max are
+never compared: it sorts the names, merges repeats and refuses an empty one;
+with none given it is the declared variables.
 
 Every check reads model tables from one scan of the enumeration core,
 ``_run``, which builds both sides on one pool of ``jobs`` workers:
@@ -74,11 +76,14 @@ from .semantics import (
     _values,
     is_supported,
     stable_models,
-    substitute_value,
     total_models,
     valuation_key,
 )
 from .syntax import (
+    BOT,
+    TOP,
+    TRUE,
+    U,
     And,
     Assignment,
     BoolAtom,
@@ -93,9 +98,7 @@ from .syntax import (
     Not,
     Or,
     Scaled,
-    TOP,
     Theory,
-    U,
     children,
     conj,
     desugar_comparisons,
@@ -231,8 +234,8 @@ def stable_equivalent(
     a: Theory, b: Theory, project=None, budget=None, jobs=1
 ) -> EquivReport:
     """Same stable models, after projecting onto ``project`` when given."""
-    a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
+    a, b = desugar_theory(a), desugar_theory(b)
     projection = names if project is not None else None
     tables = _run([a, b], budget, jobs)
     sa, sb = ({v.project(names) for v in _stable_rows(table)} for table in tables)
@@ -256,8 +259,8 @@ def strong_equivalent(
     context Delta_K of ``_separating_context``, under which T is a projected
     stable model of the witness's side only.
     """
-    a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
+    a, b = desugar_theory(a), desugar_theory(b)
     fa, fb = (_certificates(table, names) for table in _run([a, b], budget, jobs))
     key = partial(valuation_key, a.spec)
     sa, sb = _projected_stable(fa, names), _projected_stable(fb, names)
@@ -321,8 +324,8 @@ def strong_equiv_sampled(
     the traced benchmark (``perfbench/spans.py``) names them, and they go
     with the benchmark change of ROADMAP item 2.
     """
-    a, b = desugar_theory(a), desugar_theory(b)
     names = _projection(a, b, project)
+    a, b = desugar_theory(a), desugar_theory(b)
     fa, fb = (_certificates(table, names) for table in _run([a, b], budget, jobs))
     for ctx in ((), *contexts):
         ctx = tuple(desugar_comparisons(f) for f in ctx)
@@ -613,7 +616,7 @@ def _denotation_law(atoms, spec):
     # condition 2: substituting a variable by its value
     relevant = sorted(free_vars(atom))
     substituted = {
-        (x, value): member(substitute_value(atom, x, value))
+        (x, value): member(_substitute(atom, x, value))
         for x in relevant
         for value in core.choices[index[x]]
     }
@@ -680,6 +683,19 @@ def _replace_occurrence(atom, k, new_item):
         return LinearExpr(tuple(new_item if next(position) == k else i for i in e.items))
 
     return map_exprs(atom, replace)
+
+
+def _substitute(atom, x, value):
+    """A condition-free atom with the variable x replaced by its value: each
+    k*x by the constant k*v, or by U when v is not an integer; the Boolean
+    atom x by #true when v is t and by #false when it is undefined."""
+    if atom == BoolAtom(x):
+        return TOP if value == TRUE else BOT
+    for k, s in _term_occurrences(atom):
+        if isinstance(s, Scaled) and s.var == x:
+            s2 = Const(s.coeff * value) if isinstance(value, int) else U
+            atom = _replace_occurrence(atom, k, s2)
+    return atom
 
 
 def _supportedness_law(core, spec):

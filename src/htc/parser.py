@@ -509,16 +509,9 @@ def print_expr(e: LinearExpr) -> str:
     return "".join(parts)
 
 
-def _strictly_negative(term) -> bool:
-    return (isinstance(term, Const) and term.value < 0) or (
-        isinstance(term, Scaled) and term.coeff < 0
-    )
-
-
-def _positive(term) -> bool:
-    return (isinstance(term, Const) and term.value > 0) or (
-        isinstance(term, Scaled) and term.coeff > 0
-    )
+def _factor(term) -> int:
+    """A linear term's constant, or its coefficient."""
+    return term.value if isinstance(term, Const) else term.coeff
 
 
 def _print_term(item, first: bool) -> str:
@@ -533,14 +526,9 @@ def _print_term(item, first: bool) -> str:
         return (" - " if item.coeff < 0 else " + ") + mag
     if isinstance(item, ConditionalTerm):
         sign = ""
-        if _strictly_negative(item.then_term) or _strictly_negative(item.else_term):
-            if not (_positive(item.then_term) or _positive(item.else_term)):
-                item = ConditionalTerm(
-                    negated_term(item.then_term),
-                    negated_term(item.else_term),
-                    item.condition,
-                )
-                sign = "-"
+        factors = (_factor(item.then_term), _factor(item.else_term))
+        if max(factors) <= 0 and min(factors) < 0:
+            item, sign = negated_term(item), "-"
         body = (
             f"({_print_term(item.then_term, True)} | "
             f"{_print_term(item.else_term, True)} : "

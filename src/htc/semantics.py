@@ -107,8 +107,6 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .syntax import (
-    BOT,
-    TOP,
     And,
     BoolAtom,
     Bot,
@@ -118,21 +116,19 @@ from .syntax import (
     Defined,
     DomainSpec,
     Implies,
-    LinearExpr,
     Not,
     Or,
     Scaled,
     Theory,
     Truth,
     TRUE,
-    U,
     Undefined,
     check_budget,
     conj,
     desugar_theory,
     free_vars,
-    map_exprs,
 )
+from .transforms import assignment_formula, phi, theory_formulas
 
 # --------------------------------------------------------------------------
 # Valuations and interpretations
@@ -272,35 +268,6 @@ def _submasks(full: int):
         yield m
         m = (m - full) & full
     yield full
-
-
-def substitute_value(atom, name: str, value):
-    """Syntactic substitution of a variable by a domain value in a
-    condition-free atom.
-
-    A scaled occurrence becomes the product constant when the value is an
-    integer and the undefined marker otherwise (t has no arithmetic value);
-    a Boolean atom becomes ``TOP`` when the value is t and ``BOT`` when it
-    is undefined.
-    """
-
-    def sub(e: LinearExpr) -> LinearExpr:
-        items = []
-        for item in e.items:
-            if isinstance(item, Scaled) and item.var == name:
-                items.append(Const(item.coeff * value) if isinstance(value, int) else U)
-            elif isinstance(item, ConditionalTerm):
-                raise ValueError("substitution expects a condition-free atom")
-            else:
-                items.append(item)
-        return LinearExpr(tuple(items))
-
-    def sub_atom(a):
-        if isinstance(a, BoolAtom) and a.name == name:
-            return TOP if value == TRUE else BOT
-        return a
-
-    return map_exprs(atom, sub, sub_atom)
 
 
 # --------------------------------------------------------------------------
@@ -756,8 +723,6 @@ def _run(theories, budget, jobs) -> list:
     starts.  Returns ``(spec, rows)`` per theory, its rows concatenated in
     prefix order.
     """
-    from .transforms import theory_formulas
-
     for thy in theories:
         check_budget(thy.spec, budget)
     owners, tasks = [], []
@@ -808,8 +773,6 @@ def is_supported(t: Valuation, program: Theory) -> bool:
     evaluate (under t) to integers enclosing t(x), no assignment to another
     variable in the same head is satisfied by t, and t satisfies the body.
     """
-    from .transforms import assignment_formula, phi
-
     program = desugar_theory(program)
     rules = [
         (

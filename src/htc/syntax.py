@@ -14,14 +14,13 @@ formulas goes through them.  ``map_exprs`` visits linear expressions lhs
 before rhs, lower before upper bound (a point assignment's bound once), and
 head before positive body before negative body.  Fresh names ``__c<k>``,
 ``__min<k>`` and ``__max<k>`` are numbered in that order, statement by
-statement, with min/max side formulas visited after all statements, first in,
-first out.
+statement; min/max side formulas, appended after all statements, hold no
+aggregate and mint no name.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Union
@@ -684,9 +683,9 @@ def desugar_minmax(agg: Aggregate, fresh: FreshNames):
 
     Returns ``(name, side_formulas)``.  The variable is defined exactly when
     some element is present, no element may be strictly smaller (min) or
-    greater (max), and some element must reach it.  The side formulas still
-    contain count aggregates and strict comparisons; they are meant to be fed
-    back through the full desugaring pass.
+    greater (max), and some element must reach it.  The side formulas count
+    elements as ``desugar_sum`` reads sum{1:f_1, ...}, so they hold no
+    aggregate; they still contain strict comparisons and def atoms.
     """
     if agg.func not in ("min", "max"):
         raise ValueError("desugar_minmax expects a min or max aggregate")
@@ -702,7 +701,7 @@ def desugar_minmax(agg: Aggregate, fresh: FreshNames):
             else:
                 sub = Comparison(s, element_rel, x)
             elements.append(AggregateElement(Const(1), conj2(el.condition, sub)))
-        cnt = LinearExpr((Aggregate("count", tuple(elements)),))
+        cnt = desugar_sum(Aggregate("sum", tuple(elements)))
         return Comparison(cnt, rel, const_expr(bound))
 
     nonempty = count_atom(">=", 1)
@@ -754,7 +753,7 @@ def desugar_aggregates(thy: Theory) -> Theory:
     """
     fresh = FreshNames(thy.spec.variables())
     spec = thy.spec
-    sides: deque = deque()
+    sides = []
     found = False
 
     def replace(e: LinearExpr) -> LinearExpr:
@@ -779,9 +778,7 @@ def desugar_aggregates(thy: Theory) -> Theory:
     statements = [map_exprs(s, replace) for s in thy.statements]
     if not found:
         return thy
-    while sides:  # side formulas are desugared first in, first out
-        statements.append(map_exprs(sides.popleft(), replace))
-    return _theory(spec, statements)
+    return _theory(spec, statements + sides)
 
 
 def desugar_theory(thy: Theory) -> Theory:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from htc.checker import (
+    _substitute,
     DEFAULT_SUITE_SPEC,
     MAX_CONTEXTS,
     EquivReport,
@@ -22,15 +23,23 @@ from htc.parser import parse_theory, pretty_print
 from htc.semantics import Valuation, satisfies, stable_models
 from htc.syntax import (
     BOT,
+    TOP,
     TRUE,
+    U,
     BoolAtom,
+    Const,
     DomainSpec,
     Implies,
+    LinearExpr,
     Not,
     Or,
+    Scaled,
+    const_expr,
     desugar_comparisons,
     desugar_theory,
+    le,
     make_theory,
+    var_expr,
 )
 from htc.transforms import eliminate_conditionals, theory_formulas
 
@@ -278,6 +287,19 @@ class TestProjection:
         assert strong_equivalent(a, a, project=["p", "p"]).projection == ("p",)
 
 
+    def test_min_max_auxiliaries_are_not_compared(self):
+        # without a projection both sides compare the declared variables;
+        # the __min0 that desugaring adds to one side is not one of them
+        a = parse_theory("#int a 0..3. min{a} <= 2.")
+        b = parse_theory("#int a 0..3. a <= 2.")
+        assert stable_equivalent(a, b).equal
+        assert strong_equivalent(a, b).projection == ("a",)
+        assert strong_equiv_sampled(a, b, contexts=[]).projection == ("a",)
+        for check in (stable_equivalent, strong_equivalent):
+            with pytest.raises(ValueError, match="variable __min0 is not declared"):
+                check(a, a, project=["__min0"])
+
+
 class TestContextFamily:
     def test_deterministic_and_capped(self):
         fam1 = context_family(BOOLS)
@@ -473,6 +495,27 @@ class TestDenotationLaws:
         report = run_property_suite("denotation-laws", seed=0, count=50)
         assert report.violations == 1
         assert report.counterexample["law"] == 4
+
+
+class TestSubstitute:
+    """The substitution of denotation condition 2: a variable by its value."""
+
+    def test_scaled_becomes_product(self):
+        atom = le(LinearExpr((Scaled(2, "x"),)), const_expr(4))
+        assert _substitute(atom, "x", 2) == le(const_expr(4), const_expr(4))
+
+    def test_undefined_becomes_marker(self):
+        atom = le(var_expr("x"), const_expr(4))
+        assert _substitute(atom, "x", None).lhs.items[0] is U
+
+    def test_boolean_atom_freezes(self):
+        assert _substitute(BoolAtom("p"), "p", TRUE) == TOP
+        assert _substitute(BoolAtom("p"), "p", None) == BOT
+
+    def test_each_occurrence_is_substituted(self):
+        atom = le(LinearExpr((Scaled(2, "x"), Scaled(1, "x"))), const_expr(4))
+        assert _substitute(atom, "x", 1) == le(LinearExpr((Const(2), Const(1))), const_expr(4))
+        assert _substitute(atom, "x", None).lhs.items == (U, U)
 
 
 class TestSupportednessSuite:

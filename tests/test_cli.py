@@ -11,6 +11,7 @@ from htc.semantics import Valuation, ht_models, stable_models, valuation_key
 from htc.syntax import TRUE, Theory, desugar_theory, nodes
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -169,6 +170,12 @@ class TestTranslate:
         assert code == 0
         thy = parse_theory(out)
         assert thy == desugar_theory(parse_theory(pathlib.Path(PROGRAMS / "ysum.lc").read_text()))
+
+    def test_desugar_pass_prints_min_max_side_formulas_last(self, capsys):
+        # pinned bytes: fresh names, statement order and the counted elements
+        code, out, _ = run(capsys, "translate", str(GOLDEN / "minmax.lc"), "--pass", "desugar")
+        assert code == 0
+        assert out == (GOLDEN / "minmax.desugar.lc").read_text()
 
     def test_delta_pass_emits_five_implications(self, capsys):
         code, out, _ = run(capsys, "translate", str(PROGRAMS / "ycond.lc"), "--pass", "delta")
@@ -361,6 +368,29 @@ class TestCheckProjection:
         code, out, err = run(capsys, "check", ycond, str(other), "--stable", *project)
         assert code == 1 and out == ""
         assert message in err
+
+
+class TestCheckMinMax:
+    """Without --project, --stable and --strong compare the declared
+    variables, never the auxiliaries that min/max desugaring adds."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "a.lc").write_text("#int a 0..3. min{a} <= 2.\n")
+        (tmp_path / "b.lc").write_text("#int a 0..3. a <= 2.\n")
+        return str(tmp_path / "a.lc"), str(tmp_path / "b.lc")
+
+    def test_one_side_with_min_shares_the_declared_spec(self, capsys, files):
+        doc = run_json(capsys, "check", *files, "--stable")
+        assert doc == {"report": {"verdict": "equal", "witness": None}}
+
+    def test_auxiliary_is_not_in_the_projection(self, capsys, files):
+        a, _ = files
+        doc = run_json(capsys, "check", a, a, "--stable", "--strong")
+        assert doc["report"]["projection"] == ["a"]
+        code, out, err = run(capsys, "check", a, a, "--stable", "--project", "__min0")
+        assert (code, out) == (1, "")
+        assert "projection variable __min0 is not declared" in err
 
 
 class TestCheckStrongOutput:

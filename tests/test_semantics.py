@@ -10,7 +10,6 @@ from htc.semantics import (
     is_supported,
     satisfies,
     stable_models,
-    substitute_value,
     valuation_key,
 )
 from htc.syntax import (
@@ -136,22 +135,6 @@ class TestDenotes:
 
     def test_undefined_side_fails(self):
         assert not satisfies(total(Valuation()), le(var_expr("x"), var_expr("x")))
-
-
-class TestSubstituteValue:
-    def test_scaled_becomes_product(self):
-        atom = le(LinearExpr((Scaled(2, "x"),)), const_expr(4))
-        out = substitute_value(atom, "x", 2)
-        assert out == le(const_expr(4), const_expr(4))
-
-    def test_undefined_becomes_marker(self):
-        atom = le(var_expr("x"), const_expr(4))
-        out = substitute_value(atom, "x", None)
-        assert out.lhs.items[0] is U
-
-    def test_boolean_atom_freezes(self):
-        assert substitute_value(BoolAtom("p"), "p", TRUE) == TOP
-        assert substitute_value(BoolAtom("p"), "p", None) == BOT
 
 
 class TestInterpretation:

@@ -33,6 +33,7 @@ from htc.syntax import (
     free_vars,
     le,
     make_theory,
+    nodes,
     var_expr,
 )
 from htc.transforms import eliminate_conditionals
@@ -207,6 +208,8 @@ class TestDesugarMinMax:
         assert isinstance(fwd, Implies) and isinstance(bwd, Implies)
         assert fwd.lhs == Defined(var_expr(name)) == bwd.rhs
         assert isinstance(bounds.rhs, And)
+        # the counts are already sums of conditional terms
+        assert not any(isinstance(n, Aggregate) for f in side for n in nodes(f))
 
     def test_fresh_collision(self):
         agg = Aggregate("max", (AggregateElement(Scaled(1, "x"), TOP),))

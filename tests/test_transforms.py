@@ -510,7 +510,6 @@ class TestModelTransfer:
         # any model of a theory extends to a model of theory + delta(tau) by
         # giving the fresh variable the value of tau at each world
         from htc.checker import gen_conditional_term, gen_formula
-        from htc.semantics import U as _U
         from htc.syntax import linear_term_range
 
         for i in range(15):
@@ -533,10 +532,10 @@ class TestModelTransfer:
                     tv = expr_value(t0, t0, e)
                     hv = expr_value(h0, t0, e)
                     t1 = Valuation(
-                        list(t0.items()) + ([("__c0", tv)] if tv is not _U else [])
+                        list(t0.items()) + ([("__c0", tv)] if tv is not U else [])
                     )
                     h1 = Valuation(
-                        list(h0.items()) + ([("__c0", hv)] if hv is not _U else [])
+                        list(h0.items()) + ([("__c0", hv)] if hv is not U else [])
                     )
                     extended = Interpretation(h1, t1)
                     assert all(satisfies(extended, f) for f in [gamma] + d), i
