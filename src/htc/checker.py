@@ -188,10 +188,16 @@ def _witness(key, sa, sb, field, context=None):
 
 
 def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
-    """Same here-and-there models?  Both theories must share one spec."""
-    a, b = desugar_theory(a), desugar_theory(b)
+    """Same here-and-there models?  Both theories must share one spec, and
+    so must their desugarings: HT models define the min/max auxiliaries."""
     if a.spec != b.spec:
         raise ValueError("theories must share a domain spec")
+    declared = set(a.spec.variables())
+    a, b = desugar_theory(a), desugar_theory(b)
+    if a.spec != b.spec:
+        aux = ", ".join(sorted(set(a.spec.variables() + b.spec.variables()) - declared))
+        raise ValueError(f"the theories desugar to different min/max auxiliaries ({aux}), "
+                         "which HT models define; compare with --stable or --strong")
     (spec, rows_a), (_, rows_b) = _run([a, b], budget, jobs)
     ma, mb = _ht_pairs(rows_a), _ht_pairs(rows_b)
     if ma == mb:

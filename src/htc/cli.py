@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
+from itertools import chain
 
 from .checker import (
     SUITE_NAMES,
@@ -23,7 +24,7 @@ from .checker import (
 )
 from .errors import BudgetError, HtcError
 from .parser import parse_theory, pretty_print
-from .semantics import ht_models, stable_models, valuation_key
+from .semantics import Interpretation, Valuation, ht_models, stable_models, valuation_key
 from .syntax import desugar_aggregates, desugar_theory
 from .transforms import eliminate_conditionals, unfold_theory
 
@@ -120,28 +121,40 @@ def _emit(doc):
     print(json.dumps(doc, sort_keys=True))
 
 
+class _Objects(dict):
+    """A Valuation's JSON object text, joined from the ``"name": value`` text
+    of its pairs; each distinct pair is encoded once, through to_json."""
+
+    def __missing__(self, pair):
+        self[pair] = json.dumps(Valuation((pair,)).to_json())[1:-1]
+        return self[pair]
+
+    def __call__(self, v) -> str:
+        return "{" + ", ".join(map(self.__getitem__, v._pairs)) + "}"
+
+
 def cmd_solve(args) -> int:
-    # The models come over the desugared spec, in enumeration order, which is
-    # valuation_key order.  Only when a projection onto the declared names
-    # drops a defined variable (a min/max auxiliary) can two models merge or
-    # change places, so only then are they deduplicated and, for stable
-    # models, sorted.
+    # A model's pairs are in spec.variables() order, the sorted() order of
+    # json.dumps(sort_keys=True), and the models come in valuation_key order,
+    # so _Objects writes each as it comes.  Only when one defines a name the
+    # file did not declare (a min/max auxiliary) are they first projected onto
+    # the declared names, deduplicated and, for stable models, sorted.
     thy = _load(args.file)
-    visible = thy.spec.variables()
-    budget = _budget(args)
-    if args.ht:
-        found = ht_models(thy, budget=budget, jobs=args.jobs)
-        pairs = [(i.h.project(visible), i.t.project(visible)) for i in found]
-        if any(p[1] is not i.t for p, i in zip(pairs, found)):
-            pairs = list(dict.fromkeys(pairs))
-        out = [{"h": h.to_json(), "t": t.to_json()} for h, t in pairs[: args.models]]
-        _emit({"ht_models": out})
-        return EXIT_OK
-    found = stable_models(thy, budget=budget, jobs=args.jobs)
-    models = [t.project(visible) for t in found]
-    if any(p is not t for p, t in zip(models, found)):
-        models = sorted(set(models), key=lambda v: valuation_key(thy.spec, v))
-    _emit({"stable_models": [v.to_json() for v in models[: args.models]]})
+    visible = set(thy.spec.variables())
+    found = (ht_models if args.ht else stable_models)(thy, budget=_budget(args), jobs=args.jobs)
+    if not visible.issuperset(chain.from_iterable((i.t if args.ht else i)._map for i in found)):
+        if args.ht:
+            pairs = (Interpretation(i.h.project(visible), i.t.project(visible)) for i in found)
+            found = list(dict.fromkeys(pairs))
+        else:
+            found = sorted({v.project(visible) for v in found}, key=partial(valuation_key, thy.spec))
+    text, items, last = _Objects(), [], None
+    for i in found[: args.models]:
+        if args.ht and i.t._pairs != last:  # ht_models lists the h below one t together
+            last, t = i.t._pairs, text(i.t)
+        items.append(f'{{"h": {text(i.h)}, "t": {t}}}' if args.ht else text(i))
+    key = "ht_models" if args.ht else "stable_models"
+    sys.stdout.write(f'{{"{key}": [{", ".join(items)}]}}\n')
     return EXIT_OK
 
 

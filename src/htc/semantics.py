@@ -186,10 +186,9 @@ class Valuation:
         return all(omap.get(n) == v for n, v in self._pairs)
 
     def project(self, names) -> "Valuation":
-        """The pairs whose name is in ``names``; self when none is dropped."""
+        """The pairs whose name is in ``names``."""
         keep = set(names)
-        pairs = tuple([p for p in self._pairs if p[0] in keep])
-        return self if len(pairs) == len(self._pairs) else Valuation._sorted(pairs)
+        return Valuation._sorted(tuple([p for p in self._pairs if p[0] in keep]))
 
     def to_json(self) -> dict:
         return {n: (True if v.__class__ is Truth else v) for n, v in self._pairs}

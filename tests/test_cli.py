@@ -1,14 +1,16 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
+from htc.checker import gen_formula, gen_program
 from htc.cli import main
-from htc.parser import parse_theory
+from htc.parser import parse_theory, pretty_print
 from htc.semantics import Valuation, ht_models, stable_models, valuation_key
-from htc.syntax import TRUE, Theory, desugar_theory, nodes
+from htc.syntax import TRUE, Theory, desugar_theory, make_theory, nodes
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -162,6 +164,67 @@ class TestSolve:
         _, out1, _ = run(capsys, "solve", str(PROGRAMS / "ycondp.lc"))
         _, out2, _ = run(capsys, "solve", str(PROGRAMS / "ycondp.lc"))
         assert out1 == out2
+
+
+WRITER_SPEC = "#int x -2..1.\n#int y 0..2.\n#bool p, q.\n"
+WRITER_AGGREGATES = ("min{ x ; y } <= 0 -> p.", "max{ x : p ; y } >= 1 | q.")
+
+
+def writer_corpus(n=10, seed=48_000_003):
+    """Seeded files over Booleans and a negative interval; every third holds
+    a min or a max, whose auxiliary solve must not print."""
+    spec = parse_theory(WRITER_SPEC).spec
+    texts = [
+        WRITER_SPEC + "x > 1.\n",  # no model of either kind
+        WRITER_SPEC + "p | not p. x := -2 :- not p. y := 1 :- p.\n",
+    ]
+    for i in range(n):
+        rng = random.Random(seed + i)
+        thy = gen_program(rng, spec) if i % 2 else make_theory(spec, [gen_formula(rng, spec)])
+        text = pretty_print(thy)
+        texts.append(text + WRITER_AGGREGATES[i % 2] + "\n" if i % 3 == 0 else text)
+    return texts
+
+
+def old_solve_doc(thy, ht, models):
+    """The listing built the direct way: every model projected onto the
+    declared names, turned into a dict by to_json, deduplicated and, for
+    stable models, sorted by valuation_key."""
+    visible = thy.spec.variables()
+    if ht:
+        pairs = [(i.h.project(visible), i.t.project(visible)) for i in ht_models(thy)]
+        out = [{"h": h.to_json(), "t": t.to_json()} for h, t in dict.fromkeys(pairs)]
+        return {"ht_models": out[:models]}
+    found = {v.project(visible) for v in stable_models(thy)}
+    found = sorted(found, key=lambda v: valuation_key(thy.spec, v))
+    return {"stable_models": [v.to_json() for v in found[:models]]}
+
+
+class TestSolveWriter:
+    """solve writes each model's JSON from its pairs; the bytes must be those
+    of json.dumps(doc, sort_keys=True) on the documents of old_solve_doc."""
+
+    @pytest.mark.parametrize("ht", [False, True])
+    def test_stdout_is_the_sorted_json_dump(self, capsys, tmp_path, ht):
+        f = tmp_path / "w.lc"
+        kinds = set()
+        for text in writer_corpus():
+            f.write_text(text)
+            thy = parse_theory(text)
+            runs = [(None, "1"), (0, "1"), (1, "1"), (None, "2")]
+            for models, jobs in runs:
+                argv = ["solve", str(f), "--jobs", jobs] + ["--ht"] * ht
+                if models is not None:
+                    argv += ["--models", str(models)]
+                code, out, err = run(capsys, *argv)
+                assert code == 0, err
+                assert out == json.dumps(old_solve_doc(thy, ht, models), sort_keys=True) + "\n"
+            rows = [i.t for i in ht_models(thy)] if ht else stable_models(thy)
+            pairs = [p for t in rows for p in t.items()]
+            kinds.add("empty" if not rows else "plain")
+            kinds.update("aux" for n, _ in pairs if n.startswith("__"))
+            kinds.update("true" if v is TRUE else "negative" for _, v in pairs if v is TRUE or v < 0)
+        assert kinds == {"empty", "plain", "aux", "true", "negative"}
 
 
 class TestTranslate:
@@ -391,6 +454,16 @@ class TestCheckMinMax:
         code, out, err = run(capsys, "check", a, a, "--stable", "--project", "__min0")
         assert (code, out) == (1, "")
         assert "projection variable __min0 is not declared" in err
+
+    def test_ht_check_names_the_auxiliaries(self, capsys, files):
+        # HT models define __min0, so plain check cannot compare this pair;
+        # the error names no spec the files did not declare
+        code, out, err = run(capsys, "check", *files)
+        assert (code, out) == (1, "")
+        assert "__min0" in err and "--stable or --strong" in err
+        assert "share a domain spec" not in err
+        a, _ = files
+        assert run_json(capsys, "check", a, a)["report"]["verdict"] == "equal"
 
 
 class TestCheckStrongOutput:
