@@ -24,7 +24,9 @@ Every check reads model tables from one scan of the enumeration core,
 ``equivalent`` and the unfolding law compare the (h, t) pairs that
 ``_below`` reads off the rows, the stable check compares the projected
 ``_stable_rows`` of both tables, and the strong checks read their
-certificates.  The tables keep only total models.  A t whose <t, t> fails
+certificates, all as value tuples; ``_pick`` builds the one witness of a
+difference, for the first model by ``_order`` that only one side has.
+The tables keep only total models.  A t whose <t, t> fails
 the theory cannot become stable when a context is added, since the
 extended theory still contains the failing one; and by persistence no h
 below such a t satisfies the theory either.
@@ -64,9 +66,12 @@ from .semantics import (
     _core,
     _full,
     _holds_at,
+    _interpretation,
+    _order,
     _pool_map,
-    _restrict,
+    _positions,
     _projected_stable,
+    _restrict,
     _run,
     _satisfied,
     _stable_rows,
@@ -77,7 +82,6 @@ from .semantics import (
     is_supported,
     stable_models,
     total_models,
-    valuation_key,
 )
 from .syntax import (
     BOT,
@@ -172,19 +176,24 @@ def _ht_pairs(rows) -> set:
     return {(m, t) for t, reduct in rows for m in (*_below(reduct, t), _full(t))}
 
 
+def _ht_interpretation(names, pair) -> Interpretation:
+    """<h, t> over ``names`` for the pair (m, t) of h's mask and t."""
+    m, t = pair
+    return _interpretation(_valuation(names, _restrict(t, m)), _valuation(names, t))
+
+
 # --------------------------------------------------------------------------
 # Equivalence checks
 
 
-def _witness(key, sa, sb, field, context=None):
-    """The first model by ``key`` that only one side has, as a witness that
-    carries it in ``field``."""
-    left = min(sa - sb, key=key, default=None)
-    right = min(sb - sa, key=key, default=None)
-    # an empty valuation is falsy, so test for absence explicitly
-    if left is not None and (right is None or key(left) <= key(right)):
-        return Witness("left-only", context=context, **{field: left})
-    return Witness("right-only", context=context, **{field: right})
+def _pick(sa, sb, build, field="valuation", key=_order, context=None) -> Witness:
+    """The witness for the first model by ``key`` that only one side has,
+    the left side's on a tie, carrying ``build(model)`` in ``field``."""
+    side, model = min(
+        [("left-only", m) for m in sa - sb] + [("right-only", m) for m in sb - sa],
+        key=lambda pick: (key(pick[1]), pick[0]),
+    )
+    return Witness(side, context=context, **{field: build(model)})
 
 
 def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
@@ -202,19 +211,13 @@ def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
     ma, mb = _ht_pairs(rows_a), _ht_pairs(rows_b)
     if ma == mb:
         return EquivReport("equal")
-    names = spec.variables()
 
-    def interpretations(pairs):
-        return {
-            Interpretation(_valuation(names, _restrict(t, m)), _valuation(names, t))
-            for m, t in pairs
-        }
+    def key(pair):  # t, then h
+        m, t = pair
+        return _order(t), _order(_restrict(t, m))
 
-    def key(i):
-        return (valuation_key(spec, i.t), valuation_key(spec, i.h))
-
-    only_a, only_b = interpretations(ma - mb), interpretations(mb - ma)
-    return EquivReport("different", _witness(key, only_a, only_b, "interpretation"))
+    witness = _pick(ma, mb, partial(_ht_interpretation, spec.variables()), "interpretation", key)
+    return EquivReport("different", witness)
 
 
 def _projection(a: Theory, b: Theory, project):
@@ -243,12 +246,14 @@ def stable_equivalent(
     names = _projection(a, b, project)
     a, b = desugar_theory(a), desugar_theory(b)
     projection = names if project is not None else None
-    tables = _run([a, b], budget, jobs)
-    sa, sb = ({v.project(names) for v in _stable_rows(table)} for table in tables)
+    projected = []
+    for spec, rows in _run([a, b], budget, jobs):
+        positions = _positions(spec, names)
+        projected.append({tuple([t[p] for p in positions]) for t in _stable_rows(rows)})
+    sa, sb = projected
     if sa == sb:
         return EquivReport("equal", projection=projection)
-    witness = _witness(partial(valuation_key, a.spec), sa, sb, "valuation")
-    return EquivReport("different", witness, projection=projection)
+    return EquivReport("different", _pick(sa, sb, partial(_valuation, names)), projection)
 
 
 def strong_equivalent(
@@ -261,23 +266,22 @@ def strong_equivalent(
     families (T is stable when its family holds the empty set); a difference
     there is reported as ``stable_equivalent`` reports it, with no context
     and a projection only when one was asked for.  Otherwise the witness is
-    the first T, by ``valuation_key``, whose families differ, with the
+    the first T, by ``_order``, whose families differ, with the
     context Delta_K of ``_separating_context``, under which T is a projected
     stable model of the witness's side only.
     """
     names = _projection(a, b, project)
     a, b = desugar_theory(a), desugar_theory(b)
     fa, fb = (_certificates(table, names) for table in _run([a, b], budget, jobs))
-    key = partial(valuation_key, a.spec)
     sa, sb = _projected_stable(fa, names), _projected_stable(fb, names)
     if sa != sb:
         projection = None if project is None else names
-        return EquivReport("different", _witness(key, sa, sb, "valuation"), projection)
+        return EquivReport("different", _pick(sa, sb, partial(_valuation, names)), projection)
     none = frozenset()
     differ = [T for T in fa.keys() | fb.keys() if fa.get(T, none) != fb.get(T, none)]
     if not differ:
         return EquivReport("equal", projection=names)
-    T = min(differ, key=lambda T: key(_valuation(names, T)))
+    T = min(differ, key=_order)
     side, context = _separating_context(a.spec, names, T, fa.get(T, none), fb.get(T, none))
     witness = Witness(side, valuation=_valuation(names, T), context=context)
     return EquivReport("different", witness, projection=names)
@@ -328,7 +332,7 @@ def strong_equiv_sampled(
     The package decides strong equivalence with ``strong_equivalent``; this
     sampled check, ``context_family`` and ``MAX_CONTEXTS`` are kept because
     the traced benchmark (``perfbench/spans.py``) names them, and they go
-    with the benchmark change of ROADMAP item 2.
+    with the benchmark change of ROADMAP item 1.
     """
     names = _projection(a, b, project)
     a, b = desugar_theory(a), desugar_theory(b)
@@ -340,7 +344,7 @@ def strong_equiv_sampled(
             raise ValueError(f"context reads {', '.join(sorted(outside))}, outside the projection")
         sa, sb = _projected_stable(fa, names, ctx), _projected_stable(fb, names, ctx)
         if sa != sb:
-            w = _witness(partial(valuation_key, a.spec), sa, sb, "valuation", ctx or None)
+            w = _pick(sa, sb, partial(_valuation, names), context=ctx or None)
             projection = None if not ctx and project is None else names
             return EquivReport("different", w, projection=projection)
     return EquivReport("equal", projection=names)
@@ -356,7 +360,7 @@ def context_family(spec: DomainSpec, names=None):
     over a few interval values), rules between Boolean atoms, and all
     pairwise unions, truncated to ``MAX_CONTEXTS``.  Kept, with
     ``strong_equiv_sampled``, for the benchmark's traced names until the
-    benchmark change of ROADMAP item 2.
+    benchmark change of ROADMAP item 1.
     """
     names = tuple(sorted(set(names if names is not None else spec.variables())))
     bools = [n for n in names if spec.is_bool(n)]
@@ -535,13 +539,6 @@ def _gen_core_formula(rng, spec):
     return desugar_comparisons(gen_formula(rng, spec))
 
 
-def _ht_detail(core, m, t) -> dict:
-    return {
-        "h": _valuation(core.names, _restrict(t, m)).to_json(),
-        "t": _valuation(core.names, t).to_json(),
-    }
-
-
 def _unpersistent(core, reduct_at):
     """The detail of the first pair (m, t) over the core's spec whose m
     satisfies the reduct ``reduct_at(t)`` while t's full mask does not;
@@ -551,7 +548,7 @@ def _unpersistent(core, reduct_at):
         if reduct is not False and not _satisfied(reduct, full):
             for m in _submasks(full):
                 if _satisfied(reduct, m):
-                    return _ht_detail(core, m, t)
+                    return _ht_interpretation(core.names, (m, t)).to_json()
     return None
 
 
@@ -568,7 +565,8 @@ def _negation_law(phi, spec):
         neg, fails = neg_at(t), not _satisfied(at(t), _full(t))
         for m in _submasks(_full(t)):
             if _satisfied(neg, m) != fails:
-                return {"formula": phi, "detail": _ht_detail(core, m, t)}
+                detail = _ht_interpretation(core.names, (m, t)).to_json()
+                return {"formula": phi, "detail": detail}
     return None
 
 

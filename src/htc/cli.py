@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from functools import cache, partial
-from itertools import chain
 
 from .checker import (
     SUITE_NAMES,
@@ -138,16 +137,20 @@ def cmd_solve(args) -> int:
     # json.dumps(sort_keys=True), and the models come in valuation_key order,
     # so _Objects writes each as it comes.  Only when one defines a name the
     # file did not declare (a min/max auxiliary) are they first projected onto
-    # the declared names, deduplicated and, for stable models, sorted.
+    # the declared names, then HT models deduplicated (an h may or may not
+    # define an auxiliary) and stable models sorted.  These need no dedupe: in
+    # a total model the side formulas of desugar_minmax make __min<k> undefined
+    # exactly when no element is present, else the least present element value
+    # (__max<k> the greatest), and elements read only declared variables.
     thy = _load(args.file)
     visible = set(thy.spec.variables())
     found = (ht_models if args.ht else stable_models)(thy, budget=_budget(args), jobs=args.jobs)
-    if not visible.issuperset(chain.from_iterable((i.t if args.ht else i)._map for i in found)):
+    if {n for i in found for n, _ in (i.t if args.ht else i)._pairs} - visible:
         if args.ht:
             pairs = (Interpretation(i.h.project(visible), i.t.project(visible)) for i in found)
             found = list(dict.fromkeys(pairs))
         else:
-            found = sorted({v.project(visible) for v in found}, key=partial(valuation_key, thy.spec))
+            found = sorted([v.project(visible) for v in found], key=partial(valuation_key, thy.spec))
     text, items, last = _Objects(), [], None
     for i in found[: args.models]:
         if args.ht and i.t._pairs != last:  # ht_models lists the h below one t together

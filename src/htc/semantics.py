@@ -66,7 +66,7 @@ pool (the workers compile the formulas themselves) and concatenates the
 rows in prefix order.  Three readers answer every question from the rows:
 ``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
 the reduct, for ``ht_models`` and the checker's HT comparisons;
-``_stable_rows(table)`` lists the t with no proper submask that satisfies
+``_stable_rows(rows)`` lists the t with no proper submask that satisfies
 their reduct, for ``stable_models`` and the checker's stable comparison;
 and ``_certificates(table, names)`` reads ``_below`` projected onto
 ``names``, for the checker's strong comparisons (Eiter, Tompits and
@@ -82,18 +82,19 @@ the proper submasks above the fixpoint, stopping at the first that
 satisfies it, while ``_below`` walks them all.  Masks are walked in
 increasing order (``m = (m - full) & full``).
 
-``Valuation`` and ``Interpretation`` objects are built only where models
-leave the core: the results of ``stable_models`` and ``ht_models``, the
-checker's witnesses, and ``satisfies``, a view of the compiled evaluator
-that compiles its formula over its own variables on every call, with no
-cache, and evaluates it once.  v is in the denotation of a condition-free
-atom when ``satisfies(Interpretation(v, v), atom)``.  ``_valuation`` builds a
-Valuation in one pass from a value tuple, whose positions are already in
+Models stay value tuples through the readers and the checker, ordered by
+``_order``: per position, undefined first, then the domain in order, which
+is the order ``total_models`` yields them in.  ``Valuation`` and
+``Interpretation`` objects are built only where models leave the library:
+the results of ``stable_models`` and ``ht_models``, the witness a check
+reports, the detail of a property violation, and ``satisfies``, a view of
+the compiled evaluator that compiles its formula over its own variables on
+every call, with no cache, and evaluates it once.  v is in the denotation of a condition-free
+atom when ``satisfies(Interpretation(v, v), atom)``.  A Valuation holds
+only its defined (name, value) pairs, in name order; ``_valuation`` builds
+one in a single pass from a value tuple, whose positions are already in
 name order, and ``ht_models`` pairs each h with its t without re-checking
 that h is included in t, which holds by construction.
-``Valuation.project`` returns the valuation itself when it drops no
-defined name, so ``solve`` on a spec that desugaring did not extend prints
-the rows as they come: distinct, and in ``valuation_key`` order.
 
 The enumeration is exhaustive by design and refuses domain specs whose
 interpretation count exceeds a budget (default 10**7).
@@ -121,7 +122,6 @@ from .syntax import (
     Scaled,
     Theory,
     Truth,
-    TRUE,
     Undefined,
     check_budget,
     conj,
@@ -135,32 +135,25 @@ from .transforms import assignment_formula, phi, theory_formulas
 
 
 class Valuation:
-    """Immutable partial map from variables to domain values.
+    """Immutable partial map from variables to domain values, kept as the
+    (name, value) pairs of its defined variables in name order; undefined
+    variables are simply absent."""
 
-    Undefined variables are simply absent, so subset comparison is plain
-    set inclusion on the defined pairs.
-    """
-
-    __slots__ = ("_pairs", "_map", "_hash")
+    __slots__ = ("_pairs",)
 
     def __init__(self, pairs=()):
-        self._set(tuple(sorted(dict(pairs).items())))
+        self._pairs = tuple(sorted(dict(pairs).items()))
 
     @classmethod
     def _sorted(cls, pairs: tuple) -> "Valuation":
         """The Valuation of ``pairs``, already in name order, no name twice."""
         v = cls.__new__(cls)
-        v._set(pairs)
+        v._pairs = pairs
         return v
-
-    def _set(self, pairs: tuple):
-        self._pairs = pairs
-        self._map = dict(pairs)
-        self._hash = hash(pairs)
 
     def get(self, name):
         """The value of ``name``, or None when undefined."""
-        return self._map.get(name)
+        return dict(self._pairs).get(name)
 
     def names(self) -> tuple:
         return tuple(n for n, _ in self._pairs)
@@ -175,15 +168,11 @@ class Valuation:
         return isinstance(other, Valuation) and self._pairs == other._pairs
 
     def __hash__(self):
-        return self._hash
+        return hash(self._pairs)
 
     def __repr__(self):
         inner = ", ".join(f"{n}={v!r}" for n, v in self._pairs)
         return "{" + inner + "}"
-
-    def subset_of(self, other: "Valuation") -> bool:
-        omap = other._map
-        return all(omap.get(n) == v for n, v in self._pairs)
 
     def project(self, names) -> "Valuation":
         """The pairs whose name is in ``names``."""
@@ -200,26 +189,22 @@ class Interpretation:
     t: Valuation
 
     def __post_init__(self):
-        if not self.h.subset_of(self.t):
+        if not set(self.h._pairs) <= set(self.t._pairs):
             raise ValueError("h must be a subset of t")
 
     def to_json(self) -> dict:
         return {"h": self.h.to_json(), "t": self.t.to_json()}
 
 
+def _order(world) -> tuple:
+    """Sort key of a value tuple: per position, undefined first, then the
+    domain in order, as ``total_models`` assigns values."""
+    return tuple([(v is not None, v) for v in world])
+
+
 def valuation_key(spec: DomainSpec, v: Valuation) -> tuple:
-    """Sort key: variables in name order, values ordered u < lo < .. < hi, u < t."""
-    key = []
-    for name in spec.variables():
-        val = v.get(name)
-        if val is None:
-            key.append(0)
-        elif val == TRUE:
-            key.append(1)
-        else:
-            lo, _ = spec.interval(name)
-            key.append(1 + val - lo)
-    return tuple(key)
+    """Sort key: ``_order`` of v's values over the spec's variables."""
+    return _order(_values(v, spec.variables()))
 
 
 def enumerate_valuations(spec: DomainSpec, budget=None):
@@ -246,7 +231,7 @@ def _interpretation(h: Valuation, t: Valuation) -> Interpretation:
 
 def _values(v: Valuation, names) -> list:
     """The values of ``names`` under v, None where undefined."""
-    get = v._map.get
+    get = dict(v._pairs).get
     return [get(n) for n in names]
 
 
@@ -626,8 +611,7 @@ def _certificates(table, names) -> dict:
     its walk stops there and the row is dropped.
     """
     spec, rows = table
-    index = _Index(spec.variables())
-    positions = [index[n] for n in names]
+    positions = _positions(spec, names)
     keep = sum(1 << p for p in positions)
 
     def over_names(m):
@@ -654,8 +638,13 @@ def _certificates(table, names) -> dict:
     return families
 
 
+def _positions(spec: DomainSpec, names) -> list:
+    """The position of each of ``names`` in the spec's value tuples."""
+    return [spec.variables().index(n) for n in names]
+
+
 def _projected_stable(families, names, context=()) -> set:
-    """The projected stable models, as Valuations over ``names``, of the
+    """The projected stable models, as value tuples over ``names``, of the
     theory whose certificates over ``names`` are ``families`` with the
     desugared ``context`` formulas over ``names`` added: the T whose <T, T>
     satisfies the context and whose F(T) has some K at every H of which the
@@ -665,16 +654,14 @@ def _projected_stable(families, names, context=()) -> set:
     for T, family in families.items():
         reduct = at(T)
         if reduct is not False and any(all(not _satisfied(reduct, H) for H in K) for K in family):
-            out.add(_valuation(names, T))
+            out.add(T)
     return out
 
 
-def _stable_rows(table) -> list:
-    """The table's stable models, as Valuations in table order: the t of the
-    rows whose full mask is minimal for their reduct."""
-    spec, rows = table
-    names = spec.variables()
-    return [_valuation(names, t) for t, reduct in rows if _proper_model(reduct, _full(t)) is None]
+def _stable_rows(rows) -> list:
+    """The stable models of a table's rows, in table order: the t whose full
+    mask is minimal for their reduct."""
+    return [t for t, reduct in rows if _proper_model(reduct, _full(t)) is None]
 
 
 def _scan(spec, formulas, prefix):
@@ -744,8 +731,8 @@ def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     theory is desugared first, so min/max aggregates add their auxiliary
     variables to the enumeration alphabet.
     """
-    [table] = _run([desugar_theory(theory)], budget, jobs)
-    return _stable_rows(table)
+    [(spec, rows)] = _run([desugar_theory(theory)], budget, jobs)
+    return [_valuation(spec.variables(), t) for t in _stable_rows(rows)]
 
 
 def ht_models(theory: Theory, budget=None, jobs=1) -> list:

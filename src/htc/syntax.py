@@ -249,10 +249,6 @@ class LinearExpr:
         return iter(self.items)
 
 
-def expr(*items) -> LinearExpr:
-    return LinearExpr(tuple(items))
-
-
 def var_expr(name: str) -> LinearExpr:
     return LinearExpr((Scaled(1, name),))
 

@@ -14,13 +14,14 @@ from htc.checker import (
     context_family,
     equivalent,
     gen_formula,
+    gen_program,
     run_property_suite,
     stable_equivalent,
     strong_equiv_sampled,
     strong_equivalent,
 )
 from htc.parser import parse_theory, pretty_print
-from htc.semantics import Valuation, satisfies, stable_models
+from htc.semantics import Valuation, ht_models, satisfies, stable_models, valuation_key
 from htc.syntax import (
     BOT,
     TOP,
@@ -298,6 +299,108 @@ class TestProjection:
         for check in (stable_equivalent, strong_equivalent):
             with pytest.raises(ValueError, match="variable __min0 is not declared"):
                 check(a, a, project=["__min0"])
+
+
+def first_only(left, right, key):
+    """(side, model): the least model by ``key`` that only one side has, the
+    left side's on a tie; None when the sides agree."""
+    only = [(key(m), 0, "left-only", m) for m in set(left) - set(right)]
+    only += [(key(m), 1, "right-only", m) for m in set(right) - set(left)]
+    if not only:
+        return None
+    _, _, side, model = min(only, key=lambda c: c[:2])
+    return side, model
+
+
+def projected_stable(thy, names):
+    return [v.project(names) for v in stable_models(thy)]
+
+
+def witness_pairs():
+    """Seeded pairs over one spec, then two written out: one whose first
+    differing models are empty, and one with a min on one side only."""
+    pairs = []
+    for i in range(6):
+        rng = random.Random(52_000_003 + i)
+        pairs.append((gen_program(rng, DEFAULT_SUITE_SPEC), gen_program(rng, DEFAULT_SUITE_SPEC)))
+    for i in range(3):
+        rng = random.Random(53_000_003 + i)
+        a, b = (gen_formula(rng, DEFAULT_SUITE_SPEC, depth=2) for _ in range(2))
+        pairs.append((make_theory(DEFAULT_SUITE_SPEC, [a]), make_theory(DEFAULT_SUITE_SPEC, [b])))
+    pairs.append((bool_theory(), bool_theory(BoolAtom("p"))))
+    pairs.append((
+        parse_theory("#int x, y 0..2. x := 0..2. y := 1..2. min{ x ; y } >= 1."),
+        parse_theory("#int x, y 0..2. x := 0..2. y := 1..2. x >= 2."),
+    ))
+    return pairs
+
+
+class TestWitnessPick:
+    """Every check reports the first model, by valuation_key, that only one
+    side has, the left side's on a tie; HT pairs order by t, then h."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_witness_is_the_first_model_one_side_has(self, jobs):
+        kinds = set()
+        for a, b in witness_pairs():
+            spec = a.spec
+            if desugar_theory(a).spec == desugar_theory(b).spec:
+                key = lambda i: (valuation_key(spec, i.t), valuation_key(spec, i.h))
+                pick = first_only(ht_models(a), ht_models(b), key)
+                report = equivalent(a, b, jobs=jobs)
+                assert (report.witness.side, report.witness.interpretation) == pick
+                kinds.add("empty-ht" if not pick[1].t else "ht")
+            for project in (None, ("x",), ("p", "y")):
+                names = spec.variables() if project is None else project
+                if not set(names) <= set(spec.variables()):
+                    continue
+                key = lambda v: valuation_key(spec, v)
+                pick = first_only(projected_stable(a, names), projected_stable(b, names), key)
+                stable = stable_equivalent(a, b, project, jobs=jobs)
+                if pick is None:
+                    assert stable.equal
+                    continue
+                kinds.add("empty" if not pick[1] else "stable")
+                kinds.update("min" for n in desugar_theory(a).spec.variables() if "min" in n)
+                contexts = context_family(spec, names)
+                for report in (
+                    stable,
+                    strong_equivalent(a, b, project, jobs=jobs),
+                    strong_equiv_sampled(a, b, project, contexts=contexts, jobs=jobs),
+                ):
+                    assert report.witness.context is None
+                    assert (report.witness.side, report.witness.valuation) == pick
+        assert kinds == {"ht", "empty-ht", "stable", "empty", "min"}
+
+    def test_valuations_are_built_only_for_the_witness(self, monkeypatch):
+        # a Valuation is built by its constructor or, from sorted pairs, by
+        # Valuation._sorted
+        built, init, from_sorted = [], Valuation.__init__, Valuation._sorted.__func__
+
+        def counted_init(self, pairs=()):
+            built.append(pairs)
+            init(self, pairs)
+
+        def counted_sorted(cls, pairs):
+            built.append(pairs)
+            return from_sorted(cls, pairs)
+
+        choice = "#int x, y 0..4. #bool p, q. x := 0..4. y := 0..4."
+        a = parse_theory(choice + " p | q.")
+        assert len(stable_models(a)) == 50
+        cases = [  # (b, stable verdict, strong verdict)
+            (a, "equal", "equal"),
+            (parse_theory(choice + " p | q. x + y <= 8."), "equal", "equal"),
+            (parse_theory(choice + " p | q. x + y <= 7."), "different", "different"),
+            (parse_theory(choice + " not q -> p. not p -> q."), "equal", "different"),
+        ]
+        monkeypatch.setattr(Valuation, "__init__", counted_init)
+        monkeypatch.setattr(Valuation, "_sorted", classmethod(counted_sorted))
+        for b, *verdicts in cases:
+            for check, verdict in zip((stable_equivalent, strong_equivalent), verdicts):
+                built.clear()
+                assert check(a, b).verdict == verdict
+                assert len(built) == (verdict == "different"), (check.__name__, b)
 
 
 class TestContextFamily:
@@ -593,7 +696,7 @@ class TestTautologySchemata:
 
 class TestTableConsistency:
     def test_table_backed_stable_matches_direct(self):
-        from htc.semantics import _certificates, _projected_stable, _run
+        from htc.semantics import _certificates, _projected_stable, _run, _values
 
         from test_reference_semantics import ref_stable_models
 
@@ -607,7 +710,8 @@ class TestTableConsistency:
         families = _certificates(table, names)
         for ctx in ((), (BoolAtom("p"),)):
             extended = make_theory(core.spec, core.statements + ctx)
-            assert _projected_stable(families, names, ctx) == set(ref_stable_models(extended))
+            expected = {tuple(_values(v, names)) for v in ref_stable_models(extended)}
+            assert _projected_stable(families, names, ctx) == expected
 
 
 class TestShrinking:

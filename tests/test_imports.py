@@ -1,8 +1,10 @@
 """Every name a package module imports is referenced in that module, so a
 deleted function cannot leave its imports behind; every private
 module-level name is referenced somewhere in the package outside its own
-definition, so a replaced helper cannot stay behind unused; and importing
-the command line loads no process-pool machinery."""
+definition, so a replaced helper cannot stay behind unused; every public
+top-level function or class is referenced in the package or used by the
+tests or the benchmark, so dead code cannot hide behind a public name; and
+importing the command line loads no process-pool machinery."""
 
 import ast
 import os
@@ -12,7 +14,8 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "htc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "htc"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -29,23 +32,29 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """(module, name) for each module-level name starting with a single
-    underscore that no statement of any module references, apart from the
-    statement that defines it."""
+def references(node) -> set:
+    """The names a syntax tree reads, imports or reads as attributes."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def unreferenced_names(sources: dict, wanted) -> list:
+    """(module, name) for each module-level name, defined by a statement
+    ``stmt`` with ``wanted(stmt, name)``, that no top-level statement of any
+    module references, apart from the statement that defines it."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    refs = []  # (module, top-level statement index, names it references)
-    for module, tree in trees.items():
-        for i, stmt in enumerate(tree.body):
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
-            refs.append((module, i, names))
+    refs = [
+        (module, i, references(stmt))
+        for module, tree in trees.items()
+        for i, stmt in enumerate(tree.body)
+    ]
     out = []
     for module, tree in trees.items():
         for i, stmt in enumerate(tree.body):
@@ -56,11 +65,42 @@ def unreferenced_private_names(sources: dict) -> list:
             else:
                 continue
             for name in defined:
-                if name.startswith("_") and not name.startswith("__") and not any(
+                if wanted(stmt, name) and not any(
                     name in names for m, k, names in refs if (m, k) != (module, i)
                 ):
                     out.append((module, name))
     return sorted(out)
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) for each module-level name starting with a single
+    underscore that no statement of any module references, apart from the
+    statement that defines it."""
+    return unreferenced_names(
+        sources, lambda stmt, name: name.startswith("_") and not name.startswith("__")
+    )
+
+
+def unreferenced_public_names(sources: dict, used_outside: set) -> list:
+    """(module, name) for each public top-level function or class that no
+    other top-level statement of any module references and that is not in
+    ``used_outside``."""
+
+    def public(stmt, name):
+        return isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")
+
+    return [(m, n) for m, n in unreferenced_names(sources, public) if n not in used_outside]
+
+
+def imported_or_read(source: str) -> set:
+    """The names a file imports or reads as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
 
 
 def test_modules_are_found():
@@ -88,6 +128,23 @@ def test_an_unreferenced_private_name_is_reported():
         "b.py": "from .a import _used\n_used()\n",
     }
     assert unreferenced_private_names(sources) == [("a.py", "_LIMIT"), ("a.py", "_dead")]
+
+
+def test_every_public_name_is_used():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    outside = [p for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")]
+    used_outside = set().union(*(imported_or_read(p.read_text()) for p in outside))
+    assert unreferenced_public_names(sources, used_outside) == []
+
+
+def test_an_unused_public_name_is_reported():
+    sources = {
+        "a.py": "def helper(): pass\ndef dead(n): return dead(n - 1)\nclass Kept: pass\n"
+        "def exported(): pass\ndef tested(): pass\nLIMIT = 3\n",
+        "b.py": "from .a import exported\nhelper()\n",
+    }
+    outside = imported_or_read("from a import tested\nimport a\na.Kept()\n")
+    assert unreferenced_public_names(sources, outside) == [("a.py", "dead")]
 
 
 def test_the_command_line_imports_no_process_pool():

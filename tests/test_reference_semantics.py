@@ -34,6 +34,7 @@ from htc.semantics import (
     _run,
     _stable_rows,
     _valuation,
+    _values,
     enumerate_valuations,
     ht_models,
     is_supported,
@@ -295,7 +296,7 @@ def context_mismatches(items):
         families = _certificates(table, names)
         for ctx in ((), *contexts):
             extended = make_theory(core.spec, core.statements + ctx)
-            expected = {v.project(names) for v in ref_stable_models(extended)}
+            expected = {tuple(_values(v, names)) for v in ref_stable_models(extended)}
             if semantics._projected_stable(families, names, ctx) != expected:
                 bad.append((core, ctx))
     return bad
@@ -366,7 +367,7 @@ class TestDifferentialGate:
         # F(T); keeping every T whose <T, T> satisfies the context is wrong
         def total_only(families, names, context=()):
             at, _ = _compile(conj(context), _Index(names))
-            return {_valuation(names, T) for T in families if at(T) is not False}
+            return {T for T in families if at(T) is not False}
 
         monkeypatch.setattr(semantics, "_projected_stable", total_only)
         assert context_mismatches(disjunctive_context_items()) != []
@@ -376,6 +377,21 @@ class TestDifferentialGate:
             assert parse_theory(pretty_print(thy)) == thy
             core = desugar_theory(thy)
             assert parse_theory(pretty_print(core)) == core
+
+
+class TestMinMaxProjection:
+    def test_projected_stable_models_are_distinct(self):
+        # a total model fixes each min/max auxiliary from the declared
+        # variables, so solve projects the auxiliaries away without merging
+        # stable models
+        aux = 0
+        for thy in [parse_theory(t) for t in AGGREGATE_PROGRAMS if "min" in t or "max" in t]:
+            names = thy.spec.variables()
+            models = stable_models(thy)
+            projected = [v.project(names) for v in models]
+            assert len(set(projected)) == len(projected)
+            aux += sum(len(v) > len(p) for v, p in zip(models, projected))
+        assert aux > 0
 
 
 class TestConditionalBranches:
@@ -499,7 +515,7 @@ def reduct_mismatches(corpus, jobs=1):
         names = spec.variables()
         below = [list(_below(reduct, t)) for t, reduct in rows]
         if (
-            _stable_rows(table) != ref_stable_models(thy)
+            [_valuation(names, t) for t in _stable_rows(rows)] != ref_stable_models(thy)
             or valuation_table(names, rows) != ref_table(thy)
             or any(masks != sorted(masks) for masks in below)
         ):
@@ -545,8 +561,8 @@ class TestReductGate:
         fixpoint = walk = 0
         for thy in reduct_corpus():
             calls.update(fixpoint=0, walk=0)
-            [table] = _run([desugar_theory(thy)], None, 1)
-            _stable_rows(table)
+            [(_, rows)] = _run([desugar_theory(thy)], None, 1)
+            _stable_rows(rows)
             fixpoint += calls["fixpoint"] > calls["walk"]
             walk += calls["walk"] > 0
         assert fixpoint >= 20 and walk >= 20, (fixpoint, walk)

@@ -5,11 +5,15 @@ from htc.parser import parse_theory
 from htc.semantics import (
     Interpretation,
     Valuation,
+    _core,
+    _order,
+    _valuation,
     enumerate_valuations,
     ht_models,
     is_supported,
     satisfies,
     stable_models,
+    total_models,
     valuation_key,
 )
 from htc.syntax import (
@@ -215,10 +219,23 @@ class TestEnumeration:
         assert len(list(enumerate_valuations(spec))) == 4 * 3 * 2
 
     def test_order_matches_valuation_key(self):
-        spec = DomainSpec.make({"x": (0, 1)}, ["p"])
-        vals = list(enumerate_valuations(spec))
-        keys = [valuation_key(spec, v) for v in vals]
-        assert keys == sorted(keys)
+        # negative values, Booleans, and an auxiliary that sorts between the
+        # declared names (A < __min0 < b): the valuations come in key order,
+        # as the search's value tuples come in _order
+        for spec in (
+            DomainSpec.make({"x": (0, 1)}, ["p"]),
+            desugar_theory(
+                parse_theory("#int A -2..1. #int b 0..2. #bool p, q. min{ A ; b } <= 0.")
+            ).spec,
+        ):
+            names = spec.variables()
+            vals = list(enumerate_valuations(spec))
+            keys = [valuation_key(spec, v) for v in vals]
+            assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+            worlds = [t for t, _ in total_models(_core(spec, ()))]
+            assert [_valuation(names, t) for t in worlds] == vals
+            assert [_order(t) for t in worlds] == keys
+        assert names == ("A", "__min0", "b", "p", "q") and len(vals) == 5 * 6 * 4 * 2 * 2
 
     def test_subvaluations(self):
         t = val(y=5)
