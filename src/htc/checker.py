@@ -555,7 +555,7 @@ def _unpersistent(core, reduct_at):
 def _persistence_law(phi, spec):
     core = _core(spec, ())
     detail = _unpersistent(core, _compile(phi, core.index)[0])
-    return detail and {"formula": phi, "detail": detail}
+    return detail and {"formula": pretty_print(phi), "detail": detail}
 
 
 def _negation_law(phi, spec):
@@ -566,7 +566,7 @@ def _negation_law(phi, spec):
         for m in _submasks(_full(t)):
             if _satisfied(neg, m) != fails:
                 detail = _ht_interpretation(core.names, (m, t)).to_json()
-                return {"formula": phi, "detail": detail}
+                return {"formula": pretty_print(phi), "detail": detail}
     return None
 
 
@@ -737,7 +737,7 @@ def _supportedness_law(core, spec):
 
 
 def _unsupported(core, t, law):
-    return {"theory": core, "detail": {"model": t.to_json(), "law": law}}
+    return {"theory": pretty_print(core), "detail": {"model": t.to_json(), "law": law}}
 
 
 def _unfolding_law(core, spec):
@@ -745,7 +745,7 @@ def _unfolding_law(core, spec):
     base, *unfolded = (_ht_pairs(rows) for _, rows in _run(theories, None, 1))
     for distribute, pairs in zip((False, True), unfolded):
         if pairs != base:
-            return {"theory": core, "detail": {"distribute": distribute}}
+            return {"theory": pretty_print(core), "detail": {"distribute": distribute}}
     return None
 
 
@@ -755,7 +755,7 @@ def _delta_law(thy, spec):
     if report.equal:
         return None
     context = [pretty_print(f) for f in report.witness.context or ()]
-    return {"theory": thy, "detail": {"context": context}}
+    return {"theory": pretty_print(thy), "detail": {"context": context}}
 
 
 def _suite_corpus_item(suite: str, seed: int, i: int, spec: DomainSpec):
@@ -794,17 +794,7 @@ def run_property_suite(
         )
         violation = law(item, spec)
     violation["item"] = i
-    return SuiteReport(suite, seed, count, i + 1, 1, _render_violation(violation))
-
-
-def _render_violation(v: dict) -> dict:
-    out = {}
-    for key, value in v.items():
-        if isinstance(value, Theory) or key == "formula":
-            out[key] = pretty_print(value)
-        else:
-            out[key] = value
-    return out
+    return SuiteReport(suite, seed, count, i + 1, 1, violation)
 
 
 def _still_fails(law, item, spec) -> bool:
@@ -830,9 +820,9 @@ def _shrink_theory(thy: Theory, fails) -> Theory:
                 break
     thy = make_theory(thy.spec, statements)
     used = free_vars(thy)
-    ints = {n: (lo, hi) for n, lo, hi in thy.spec.int_vars if n in used}
-    bools = [n for n in thy.spec.bool_vars if n in used]
-    cand = make_theory(DomainSpec.make(ints, bools), statements)
+    ints = tuple(v for v in thy.spec.int_vars if v[0] in used)
+    bools = tuple(used.intersection(thy.spec.bool_vars))
+    cand = make_theory(DomainSpec(ints, bools), statements)
     if fails(cand):
         return cand
     return thy
@@ -855,7 +845,7 @@ class _Suite(NamedTuple):
     """A law over generated corpus items, and how to shrink a failing item."""
 
     generate: Callable  # (rng, spec) -> item
-    law: Callable  # (item, spec) -> violation dict, or None when the law holds
+    law: Callable  # (item, spec) -> violation dict of printable values, or None
     shrink: Optional[Callable] = None  # (item, still_fails) -> smaller item
 
 

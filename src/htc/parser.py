@@ -64,12 +64,11 @@ class _Token:
         self.line = line
         self.col = col
 
-    def __repr__(self):
-        return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
-
-def _tokenize(text: str):
-    tokens = []
+def _statement_runs(text: str):
+    """The text's tokens as runs, each ending at a '.' token and then an
+    eof token at the same place."""
+    runs, current = [], []
     pos, line, line_start = 0, 1, 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -77,7 +76,6 @@ def _tokenize(text: str):
             raise ParseError(
                 f"unexpected character {text[pos]!r}", line, pos - line_start + 1
             )
-        col = pos - line_start + 1
         kind = m.lastgroup
         value = m.group()
         if kind == "name" and value in _KEYWORDS:
@@ -85,14 +83,21 @@ def _tokenize(text: str):
         elif kind == "sym":
             kind = value
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
+            current.append(tok := _Token(kind, value, line, pos - line_start + 1))
+            if kind == ".":
+                current.append(_Token("eof", "", line, tok.col))
+                runs.append(current)
+                current = []
         nl = value.count("\n")
         if nl:
             line += nl
             line_start = pos + value.rindex("\n") + 1
         pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    if current:
+        raise ParseError(
+            "statement is missing the final '.'", line, len(text) - line_start + 1
+        )
+    return runs
 
 
 class _Parser:
@@ -130,29 +135,27 @@ class _Parser:
 
     # -- declarations ----------------------------------------------------------
 
-    def parse_declaration(self, ints: dict, bools: dict):
-        """Read one ``#int``/``#bool`` run into ``{name: ((lo, hi), token)}``
-        and ``{name: token}``."""
+    def parse_declaration(self, decls: dict):
+        """Read one ``#int``/``#bool`` run into ``{name: (token, interval)}``,
+        the interval ``(lo, hi)``, or None for a Boolean."""
         kind = self.peek().kind
         self.pos += 1
         names = [self.expect("name", "expected a variable name")]
         while self.accept(","):
             names.append(self.expect("name", "expected a variable name"))
-        lo, hi = DEFAULT_INTERVAL
+        interval = DEFAULT_INTERVAL if kind == "#int" else None
         if kind == "#int" and not self.at("."):
             lo = self.parse_number()
             self.expect("..", "expected '..'")
             hi = self.parse_number()
             if lo > hi:
                 self.error(f"empty interval {lo}..{hi}", names[0])
+            interval = (lo, hi)
         self.expect(".", f"unexpected {self.peek().text!r}")
         for tok in names:
-            if tok.text in ints or tok.text in bools:
+            if tok.text in decls:
                 self.error(f"variable {tok.text} declared twice", tok)
-            if kind == "#int":
-                ints[tok.text] = ((lo, hi), tok)
-            else:
-                bools[tok.text] = tok
+            decls[tok.text] = (tok, interval)
 
     def parse_number(self) -> int:
         sign = -1 if self.accept("-") else 1
@@ -368,38 +371,19 @@ class _Parser:
 # Source files
 
 
-def _split_statements(tokens):
-    """Group tokens into runs, each ending at a '.' token and then an eof
-    token at the same place."""
-    runs, current = [], []
-    for tok in tokens:
-        if tok.kind == "eof":
-            if current:
-                raise ParseError("statement is missing the final '.'", tok.line, tok.col)
-            break
-        current.append(tok)
-        if tok.kind == ".":
-            runs.append(current + [_Token("eof", "", tok.line, tok.col)])
-            current = []
-    return runs
-
-
 def parse_theory(text: str) -> Theory:
     """Parse source text into a Theory."""
-    ints, bools = {}, {}
-    statement_runs = []
-    for run in _split_statements(_tokenize(text)):
+    decls, statement_runs = {}, []
+    for run in _statement_runs(text):
         if run[0].kind in ("#int", "#bool"):
-            _Parser(run, None).parse_declaration(ints, bools)
+            _Parser(run, None).parse_declaration(decls)
         else:
             statement_runs.append(run)
-    spec = DomainSpec.make(
-        {n: interval for n, (interval, _) in ints.items()}, bools.keys()
-    )
+    ints = {n: iv for n, (_, iv) in decls.items() if iv is not None}
+    spec = DomainSpec.make(ints, decls.keys() - ints)
     families = set()
     statements = [_Parser(run, spec, families).parse_statement() for run in statement_runs]
-    decls = {**{n: tok for n, (_, tok) in ints.items()}, **bools}
-    for name, tok in sorted(decls.items()):
+    for name, (tok, _) in sorted(decls.items()):
         m = RESERVED_NAME_RE.match(name)
         if m and name[2 : len(name.rstrip("0123456789"))] in families:
             raise ParseError(

@@ -208,7 +208,11 @@ def valuation_key(spec: DomainSpec, v: Valuation) -> tuple:
 
 
 def enumerate_valuations(spec: DomainSpec, budget=None):
-    """Every valuation over the spec exactly once, in lexicographic order."""
+    """Every valuation over the spec exactly once, in lexicographic order.
+
+    A plain product on purpose: the reference semantics of the tests draws
+    its candidates from it, and built on ``total_models`` that oracle would
+    share the search it checks."""
     check_budget(spec, budget)
     names = spec.variables()
     choices = [(None,) + spec.domain_values(n) for n in names]

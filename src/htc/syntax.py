@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .errors import BudgetError, DomainError, FreshNameError
@@ -67,7 +68,8 @@ class DomainSpec:
     """Finite enumeration universe: integer variables with intervals, Boolean variables.
 
     ``int_vars`` is a name-sorted tuple of ``(name, lo, hi)``; ``bool_vars``
-    a name-sorted tuple of names.  Boolean variables range over {t}.
+    a name-sorted tuple of names, whatever order they are given in.
+    Boolean variables range over {t}.
     """
 
     int_vars: tuple = ()
@@ -75,7 +77,8 @@ class DomainSpec:
 
     def __post_init__(self):
         seen = set()
-        for name, lo, hi in self.int_vars:
+        # a Boolean variable is checked as if over the interval 0..0
+        for name, lo, hi in (*self.int_vars, *((n, 0, 0) for n in self.bool_vars)):
             if not _NAME_RE.match(name):
                 raise DomainError(f"bad variable name {name!r}")
             _check_int(lo, "interval bound")
@@ -85,20 +88,14 @@ class DomainSpec:
             if name in seen:
                 raise DomainError(f"variable {name} declared twice")
             seen.add(name)
-        for name in self.bool_vars:
-            if not _NAME_RE.match(name):
-                raise DomainError(f"bad variable name {name!r}")
-            if name in seen:
-                raise DomainError(f"variable {name} declared twice")
-            seen.add(name)
+        object.__setattr__(self, "int_vars", tuple(sorted(self.int_vars, key=itemgetter(0))))
+        object.__setattr__(self, "bool_vars", tuple(sorted(self.bool_vars)))
 
     @classmethod
     def make(cls, ints=None, bools=()) -> "DomainSpec":
         """Build a spec from ``{name: (lo, hi)}`` and an iterable of Boolean names."""
-        ints = dict(ints or {})
-        int_vars = tuple(sorted((n, lo, hi) for n, (lo, hi) in ints.items()))
-        bool_vars = tuple(sorted(bools))
-        return cls(int_vars, bool_vars)
+        ints = dict(ints or {}).items()
+        return cls(tuple((n, lo, hi) for n, (lo, hi) in ints), tuple(bools))
 
     def variables(self) -> tuple:
         """All declared names, sorted."""
@@ -127,11 +124,7 @@ class DomainSpec:
         return tuple(range(lo, hi + 1))
 
     def with_int_var(self, name: str, lo: int, hi: int) -> "DomainSpec":
-        if self.is_declared(name):
-            raise DomainError(f"variable {name} declared twice")
-        return DomainSpec(
-            tuple(sorted(self.int_vars + ((name, lo, hi),))), self.bool_vars
-        )
+        return DomainSpec(self.int_vars + ((name, lo, hi),), self.bool_vars)
 
     def interpretation_count(self) -> int:
         """Number of here-and-there pairs over this spec: prod(2*|D_x| + 1)."""
@@ -728,10 +721,9 @@ def linear_term_range(term: LinearTerm, spec: DomainSpec) -> tuple:
     raise TypeError(f"not a linear term: {term!r}")
 
 
-def _aggregate_hull(agg: Aggregate, spec: DomainSpec) -> tuple:
-    ranges = [linear_term_range(el.term, spec) for el in agg.elements]
-    if not ranges:
-        return (0, 0)
+def terms_hull(terms, spec: DomainSpec) -> tuple:
+    """Value hull of several linear terms over a spec; (0, 0) for none."""
+    ranges = [linear_term_range(t, spec) for t in terms] or [(0, 0)]
     return (min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
 
 
@@ -764,9 +756,9 @@ def desugar_aggregates(thy: Theory) -> Theory:
             if agg.func == "sum":
                 items.extend(desugar_sum(agg).items)
             else:
-                lo, hi = _aggregate_hull(agg, spec)
+                hull = terms_hull([el.term for el in agg.elements], spec)
                 name, side = desugar_minmax(agg, fresh)
-                spec = spec.with_int_var(name, lo, hi)
+                spec = spec.with_int_var(name, *hull)
                 sides.extend(side)
                 items.append(Scaled(1, name))
         return LinearExpr(tuple(items))

@@ -43,8 +43,8 @@ from .syntax import (
     eq_pair,
     FreshNames,
     le,
-    linear_term_range,
     map_exprs,
+    terms_hull,
     var_expr,
 )
 
@@ -298,9 +298,8 @@ def eliminate_conditionals(theory: Theory, budget=None) -> DeltaResult:
         for item in e.items:
             if type(item) is ConditionalTerm:
                 name = fresh.fresh("c")
-                lo1, hi1 = linear_term_range(item.then_term, spec)
-                lo2, hi2 = linear_term_range(item.else_term, spec)
-                spec = spec.with_int_var(name, min(lo1, lo2), max(hi1, hi2))
+                hull = terms_hull((item.then_term, item.else_term), spec)
+                spec = spec.with_int_var(name, *hull)
                 mapping.append((item, name))
                 side.extend(delta(item, name))
                 items.append(Scaled(1, name))

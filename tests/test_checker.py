@@ -27,7 +27,9 @@ from htc.syntax import (
     TOP,
     TRUE,
     U,
+    And,
     BoolAtom,
+    Comparison,
     Const,
     DomainSpec,
     Implies,
@@ -35,6 +37,7 @@ from htc.syntax import (
     Not,
     Or,
     Scaled,
+    children,
     const_expr,
     desugar_comparisons,
     desugar_theory,
@@ -459,7 +462,7 @@ class TestSuites:
 
             empty = Interpretation(Valuation(), Valuation())
             if not satisfies(empty, phi):
-                return {"formula": phi, "detail": None}
+                return {"formula": pretty_print(phi), "detail": None}
             return None
 
         chk._SUITES["broken"] = chk._Suite(generate, broken, chk._shrink_formula)
@@ -490,6 +493,27 @@ class TestSuites:
         monkeypatch.setattr(chk, "_run", crashing_run)
         with pytest.raises(ValueError, match="engine crash"):
             run_property_suite("unfolding", seed=0, count=1)
+
+    def test_a_rejected_shrink_candidate_is_not_a_shrink(self, monkeypatch):
+        # the package rejects both subformulas of the failing item, so
+        # shrinking keeps the item itself
+        from htc import checker as chk
+        from htc.errors import TransformError
+
+        item = And(BoolAtom("p"), Not(BoolAtom("p")))
+        rejected = []
+
+        def law(phi, spec):
+            if phi == item:
+                return {"formula": pretty_print(phi), "detail": None}
+            rejected.append(phi)
+            raise TransformError("rejected")
+
+        suite = chk._Suite(lambda rng, spec: item, law, chk._shrink_formula)
+        monkeypatch.setitem(chk._SUITES, "broken", suite)
+        report = run_property_suite("broken", seed=0, count=1)
+        assert report.counterexample == {"formula": "p & not p", "detail": None, "item": 0}
+        assert rejected == [BoolAtom("p"), Not(BoolAtom("p"))]
 
 
 # With one of delta's five implications left out, the first violation of
@@ -599,6 +623,45 @@ class TestDenotationLaws:
         assert report.violations == 1
         assert report.counterexample["law"] == 4
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_suite_reports_an_atom_reading_another_variable(self, monkeypatch, seed):
+        # condition 3: an evaluator that fails every atom where p is
+        # undefined makes atoms over x and y depend on p
+        from htc import checker as chk
+
+        compile_ = chk._compile
+
+        def p_undefined_fails(phi, index):
+            at, reads = compile_(phi, index)
+            p = index["p"]
+            return (lambda t: False if t[p] is None else at(t)), reads
+
+        monkeypatch.setattr(chk, "_compile", p_undefined_fails)
+        report = run_property_suite("denotation-laws", seed=seed, count=50)
+        assert report.violations == 1
+        assert report.counterexample["law"] == 3
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_suite_reports_terms_of_equal_value_told_apart(self, monkeypatch, seed):
+        # condition 5: an evaluator that lets every atom with a negative
+        # constant hold tells -1 from -x at x = 1
+        from htc import checker as chk
+
+        compile_ = chk._compile
+
+        def negative_constant_holds(phi, index):
+            at, reads = compile_(phi, index)
+            if type(phi) is Comparison and any(
+                type(i) is Const and i.value < 0 for e in children(phi) for i in e.items
+            ):
+                return (lambda t: ()), reads
+            return at, reads
+
+        monkeypatch.setattr(chk, "_compile", negative_constant_holds)
+        report = run_property_suite("denotation-laws", seed=seed, count=50)
+        assert report.violations == 1
+        assert report.counterexample["law"] == 5
+
 
 class TestSubstitute:
     """The substitution of denotation condition 2: a variable by its value."""
@@ -669,6 +732,21 @@ class TestSupportednessLaw:
         assert violation["detail"] == {
             "model": models[-1].to_json(),
             "law": "htc-supported",
+        }
+
+    def test_sharp_law_fails_on_a_self_supported_model(self, monkeypatch):
+        # x's only rule needs x itself: its body holds at {x=1}, but no
+        # longer once x is undefined
+        from htc import checker as chk
+
+        model = Valuation({"x": 1})
+        monkeypatch.setattr(chk, "stable_models", lambda core: [model])
+        monkeypatch.setattr(chk, "is_supported", lambda t, core: True)
+        core = desugar_theory(parse_theory("#int x 0..3. x := 1 :- x >= 1."))
+        violation = chk._supportedness_law(core, core.spec)
+        assert violation == {
+            "theory": "#int x 0..3.\nx := 1 :- 1 <= x.\n",
+            "detail": {"model": {"x": 1}, "law": "htc-supported-sharp"},
         }
 
 

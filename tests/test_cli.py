@@ -344,6 +344,17 @@ class TestProps:
 
 
 class TestEntryPoint:
+    def test_readme_library_snippet(self, monkeypatch, capsys):
+        # the Library section's code prints what its comments say
+        readme = (PROGRAMS.parent / "README.md").read_text()
+        section = readme.split("## Library", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(PROGRAMS.parent)
+        exec(code, {})
+        printed = capsys.readouterr().out.splitlines()
+        shown = [line.split("# ", 1)[1] for line in code.splitlines() if "print(" in line]
+        assert printed == shown == ["[{y=5}]", "[{__c0=5, y=5}]"]
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "htc.cli", "solve", str(PROGRAMS / "ycond.lc")],

@@ -64,6 +64,21 @@ class TestDomainSpec:
     def test_variables_sorted(self):
         assert SPEC.variables() == ("p", "x", "y")
 
+    def test_given_order_does_not_matter(self):
+        # a spec keeps its variables sorted by name however they come
+        from htc.checker import equivalent
+
+        given = DomainSpec((("y", 0, 1), ("x", 0, 1)), ("q", "p"))
+        made = DomainSpec.make({"x": (0, 1), "y": (0, 1)}, ["p", "q"])
+        assert given == made and hash(given) == hash(made)
+        thy = parse_theory("#int x, y 0..1. #bool p, q. x <= y.")
+        assert equivalent(thy, make_theory(given, thy.statements)).verdict == "equal"
+        assert pretty_print(make_theory(given, ())).startswith("#int x 0..1.\n#int y")
+        listed = DomainSpec([("y", 0, 1), ("x", 0, 1)])
+        assert hash(listed) == hash(DomainSpec.make({"x": (0, 1), "y": (0, 1)}))
+        with pytest.raises(TypeError, match="interval bound must be an int"):
+            DomainSpec((("y", 0, 1), ("x", "0", 1)))
+
 
 class TestTermInvariants:
     def test_zero_coefficient_is_kept_distinct(self):
@@ -135,6 +150,14 @@ class TestDesugarComparisons:
         out = desugar_comparisons(phi)
         cond = out.lhs.items[0].condition
         assert cond == le(var_expr("x"), var_expr("x"))
+
+    def test_recurses_into_aggregate_elements(self):
+        # the aggregate stays; its element conditions are expanded
+        def statement(text):
+            return parse_theory("#int x 0..3. " + text).statements[0]
+
+        got = desugar_comparisons(statement("sum{x : x < 2} <= 3."))
+        assert got == statement("sum{x : x <= 2 & not 2 <= x} <= 3.")
 
     def test_idempotent(self):
         phi = atom(var_expr("x"), "!=", var_expr("y"))
