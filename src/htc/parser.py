@@ -30,6 +30,7 @@ from .syntax import (
     DomainSpec,
     DEFAULT_INTERVAL,
     Implies,
+    KEYWORDS,
     LCRule,
     LinearExpr,
     Or,
@@ -41,84 +42,77 @@ from .syntax import (
     negated_term,
 )
 
-_KEYWORDS = ("not", "def") + AGGREGATES
+_SYMBOLS = ("#int", "#bool", "#true", "#false", ":-", ":=", "..", "->", "<=", ">=", "!=",
+            *"-+*.,;:(){}&|<>=")
+# A symbol or keyword is its own kind; other tokens take their group's name.
+_KINDS = {t: t for t in _SYMBOLS + KEYWORDS}
+_RELATIONS = frozenset(RELATIONS)
 
+# Whitespace and comments are skipped inside each token's match.  Every
+# match ends at a token, a character no token starts with, or the end of the
+# text, so the skip never backtracks into a comment and matches are adjacent.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>%[^\n]*)
-    | (?P<number>\d+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<sym>\#int|\#bool|\#true|\#false|:-|:=|\.\.|->|<=|>=|!=|[-+*.,;:(){}&|<>=])
-    """,
-    re.VERBOSE,
+    r"(?:[ \t\r\n]|%[^\n]*)*"
+    r"(?:(?P<number>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>"
+    + "|".join(map(re.escape, _SYMBOLS))
+    + r")|\Z|(?P<bad>(?s:.)))"
 )
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "offset")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, offset):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.offset = offset
+
+
+class _Error(Exception):
+    """A ParseError whose position is still a text offset: (message, offset)."""
 
 
 def _statement_runs(text: str):
     """The text's tokens as runs, each ending at a '.' token and then an
     eof token at the same place."""
     runs, current = [], []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "name" and value in _KEYWORDS:
-            kind = value
-        elif kind == "sym":
-            kind = value
-        if kind not in ("ws", "comment"):
-            current.append(tok := _Token(kind, value, line, pos - line_start + 1))
-            if kind == ".":
-                current.append(_Token("eof", "", line, tok.col))
-                runs.append(current)
-                current = []
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group is None:  # the end of the text
+            break
+        value = m[group]
+        if group == "bad":
+            raise _Error(f"unexpected character {value!r}", m.start(group))
+        current.append(tok := _Token(_KINDS.get(value, group), value, m.start(group)))
+        if value == ".":
+            current.append(_Token("eof", "", tok.offset))
+            runs.append(current)
+            current = []
     if current:
-        raise ParseError(
-            "statement is missing the final '.'", line, len(text) - line_start + 1
-        )
+        raise _Error("statement is missing the final '.'", len(text))
     return runs
 
 
 class _Parser:
-    def __init__(self, tokens, spec: DomainSpec, families=None):
+    def __init__(self, tokens, decls=None, families=None):
         self.tokens = tokens
         self.pos = 0
-        self.spec = spec
+        self.decls = decls  # {name: (token, interval or None for a Boolean)}
         self.in_condition = False
         self.families = families  # reserved-name families desugaring draws from
 
     # -- token household ----------------------------------------------------
 
     def peek(self, k=0) -> _Token:
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+        # every run ends in '.' and eof, and nothing moves past eof
+        return self.tokens[self.pos + k]
 
     def at(self, kind) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def accept(self, kind):
-        if self.at(kind):
-            tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:
             self.pos += 1
             return tok
         return None
@@ -130,8 +124,7 @@ class _Parser:
         return tok
 
     def error(self, message, token=None):
-        tok = token or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise _Error(message, (token or self.peek()).offset)
 
     # -- declarations ----------------------------------------------------------
 
@@ -198,7 +191,8 @@ class _Parser:
 
     def parse_assignment(self) -> Assignment:
         tok = self.expect("name")
-        if not self.spec.is_int(tok.text):
+        decl = self.decls.get(tok.text)
+        if decl is None or decl[1] is None:
             self.error(f"assignment target {tok.text} is not an integer variable", tok)
         self.expect(":=")
         lower = self.parse_expr()
@@ -215,31 +209,33 @@ class _Parser:
 
     def parse_disjunction(self):
         f = self.parse_conjunction()
-        while self.accept("|"):
+        while self.tokens[self.pos].kind == "|":
+            self.pos += 1
             f = Or(f, self.parse_conjunction())
         return f
 
     def parse_conjunction(self):
         f = self.parse_unary()
-        while self.accept("&"):
+        while self.tokens[self.pos].kind == "&":
+            self.pos += 1
             f = And(f, self.parse_unary())
         return f
 
     def parse_unary(self):
-        if self.accept("not"):
+        kind = self.tokens[self.pos].kind
+        if kind not in ("not", "#true", "#false"):
+            return self.parse_body_atom()
+        self.pos += 1
+        if kind == "not":
             return Implies(self.parse_unary(), BOT)
-        if self.accept("#true"):
-            return TOP
-        if self.accept("#false"):
-            return BOT
-        return self.parse_body_atom()
+        return TOP if kind == "#true" else BOT
 
     def parse_body_atom(self):
-        if self.at("("):
+        if self.tokens[self.pos].kind == "(":
             save = self.pos
             try:
                 return self.parse_atom()
-            except ParseError:
+            except _Error:
                 self.pos = save
             self.expect("(")
             f = self.parse_formula()
@@ -248,20 +244,21 @@ class _Parser:
         return self.parse_atom()
 
     def parse_atom(self):
-        if self.at("def"):
-            self.accept("def")
+        if self.tokens[self.pos].kind == "def":
+            self.pos += 1
             self.expect("(")
             e = self.parse_expr()
             self.expect(")")
             return Defined(e)
         tok = self.peek()
         e = self.parse_expr()
-        for rel in RELATIONS:
-            if self.accept(rel):
-                return Comparison(e, rel, self.parse_expr())
+        rel = self.tokens[self.pos].kind
+        if rel in _RELATIONS:
+            self.pos += 1
+            return Comparison(e, rel, self.parse_expr())
         item = e.items[0]
         if len(e.items) == 1 and isinstance(item, Scaled) and item.coeff == 1:
-            if not self.spec.is_bool(item.var):
+            if self.decls[item.var][1] is not None:
                 self.error(f"{item.var} is not a Boolean variable", tok)
             return BoolAtom(item.var)
         self.error("expected a comparison operator", tok)
@@ -270,17 +267,14 @@ class _Parser:
 
     def parse_expr(self) -> LinearExpr:
         items = list(self.parse_signed_term(False))
-        while True:
-            if self.accept("+"):
-                items.extend(self.parse_signed_term(False))
-            elif self.accept("-"):
-                items.extend(self.parse_signed_term(True))
-            else:
-                break
+        while (kind := self.tokens[self.pos].kind) in ("+", "-"):
+            self.pos += 1
+            items.extend(self.parse_signed_term(kind == "-"))
         return LinearExpr(tuple(items))
 
     def parse_signed_term(self, negate: bool):
-        if self.accept("-"):
+        if self.tokens[self.pos].kind == "-":
+            self.pos += 1
             negate = not negate
         tok = self.peek()
         items = self.parse_primary_term()
@@ -293,23 +287,25 @@ class _Parser:
 
     def parse_primary_term(self) -> tuple:
         """One additive operand; sum aggregates contribute a single item too."""
-        tok = self.peek()
-        if self.accept("number"):
-            if self.accept("*"):
-                name = self.parse_var_name()
-                return (Scaled(int(tok.text), name),)
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "number":
+            self.pos += 1
+            if self.tokens[self.pos].kind == "*":
+                self.pos += 1
+                return (Scaled(int(tok.text), self.parse_var_name()),)
             return (Const(int(tok.text)),)
-        if self.at("name"):
+        if kind == "name":
             return (Scaled(1, self.parse_var_name()),)
-        if self.at("("):
+        if kind == "(":
             return (self.parse_conditional_term(),)
-        if self.peek().kind in AGGREGATES:
+        if kind in AGGREGATES:
             return (self.parse_aggregate(),)
         self.error(f"expected a term, found {tok.text!r}")
 
     def parse_var_name(self) -> str:
         tok = self.expect("name")
-        if not self.spec.is_declared(tok.text):
+        if tok.text not in self.decls:
             self.error(f"undeclared variable {tok.text}", tok)
         return tok.text
 
@@ -373,23 +369,23 @@ class _Parser:
 
 def parse_theory(text: str) -> Theory:
     """Parse source text into a Theory."""
-    decls, statement_runs = {}, []
-    for run in _statement_runs(text):
-        if run[0].kind in ("#int", "#bool"):
-            _Parser(run, None).parse_declaration(decls)
-        else:
-            statement_runs.append(run)
+    decls, statement_runs, families = {}, [], set()
+    try:
+        for run in _statement_runs(text):
+            if run[0].kind in ("#int", "#bool"):
+                _Parser(run).parse_declaration(decls)
+            else:
+                statement_runs.append(run)
+        statements = [_Parser(run, decls, families).parse_statement() for run in statement_runs]
+        for name, (tok, _) in sorted(decls.items()):
+            if RESERVED_NAME_RE.fullmatch(name) and name[2:].rstrip("0123456789") in families:
+                raise _Error(f"declared name {name} collides with generated names", tok.offset)
+    except _Error as exc:
+        message, offset = exc.args
+        line = text.count("\n", 0, offset) + 1
+        raise ParseError(message, line, offset - text.rfind("\n", 0, offset)) from None
     ints = {n: iv for n, (_, iv) in decls.items() if iv is not None}
-    spec = DomainSpec.make(ints, decls.keys() - ints)
-    families = set()
-    statements = [_Parser(run, spec, families).parse_statement() for run in statement_runs]
-    for name, (tok, _) in sorted(decls.items()):
-        m = RESERVED_NAME_RE.match(name)
-        if m and name[2 : len(name.rstrip("0123456789"))] in families:
-            raise ParseError(
-                f"declared name {name} collides with generated names", tok.line, tok.col
-            )
-    return _theory(spec, statements)
+    return _theory(DomainSpec.make(ints, decls.keys() - ints), statements)
 
 
 # --------------------------------------------------------------------------

@@ -51,8 +51,8 @@ class Undefined:
 TRUE = Truth()
 U = Undefined()
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-RESERVED_NAME_RE = re.compile(r"^__(?:min|max|c)\d+$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+RESERVED_NAME_RE = re.compile(r"__(?:min|max|c)[0-9]+")
 
 DEFAULT_INTERVAL = (0, 9)
 
@@ -79,7 +79,7 @@ class DomainSpec:
         seen = set()
         # a Boolean variable is checked as if over the interval 0..0
         for name, lo, hi in (*self.int_vars, *((n, 0, 0) for n in self.bool_vars)):
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name) or name in KEYWORDS:
                 raise DomainError(f"bad variable name {name!r}")
             _check_int(lo, "interval bound")
             _check_int(hi, "interval bound")
@@ -204,6 +204,8 @@ class AggregateElement:
 
 
 AGGREGATES = ("sum", "count", "min", "max")
+# the words the concrete syntax reserves; no variable may take one as its name
+KEYWORDS = ("not", "def") + AGGREGATES
 
 
 @dataclass(frozen=True)
@@ -551,10 +553,12 @@ def is_condition_free(obj) -> bool:
 
 def is_core(obj) -> bool:
     """True when desugared: only <= atoms, Boolean atoms and connectives remain."""
-    return not any(
-        isinstance(n, (Aggregate, Defined)) or (type(n) is Comparison and n.rel != "<=")
-        for n in nodes(obj)
-    )
+    return not any(map(_is_sugar, nodes(obj)))
+
+
+def _is_sugar(node) -> bool:
+    """An aggregate, a def atom or a comparison other than <=."""
+    return type(node) in (Aggregate, Defined) or (type(node) is Comparison and node.rel != "<=")
 
 
 # --------------------------------------------------------------------------
@@ -739,19 +743,19 @@ def desugar_aggregates(thy: Theory) -> Theory:
     term ranges, with their defining formulas appended after the original
     statements.  Idempotent: a theory without aggregates comes back as it is.
     """
+    if not any(type(n) is Aggregate for n in nodes(thy)):
+        return thy
     fresh = FreshNames(thy.spec.variables())
     spec = thy.spec
     sides = []
-    found = False
 
     def replace(e: LinearExpr) -> LinearExpr:
-        nonlocal spec, found
+        nonlocal spec
         items = []
         for item in e.items:
             if type(item) is not Aggregate:
                 items.append(item)
                 continue
-            found = True
             agg = desugar_count(item) if item.func == "count" else item
             if agg.func == "sum":
                 items.extend(desugar_sum(agg).items)
@@ -764,8 +768,6 @@ def desugar_aggregates(thy: Theory) -> Theory:
         return LinearExpr(tuple(items))
 
     statements = [map_exprs(s, replace) for s in thy.statements]
-    if not found:
-        return thy
     return _theory(spec, statements + sides)
 
 
@@ -776,7 +778,9 @@ def desugar_theory(thy: Theory) -> Theory:
     conditional terms), Boolean atoms and connectives.  Idempotent: a core
     theory comes back as it is.
     """
-    if is_core(thy):
+    sugar = {type(n) for n in nodes(thy) if _is_sugar(n)}
+    if not sugar:
         return thy
-    thy = desugar_aggregates(thy)
+    if Aggregate in sugar:
+        thy = desugar_aggregates(thy)
     return _theory(thy.spec, [desugar_comparisons(s) for s in thy.statements])

@@ -194,6 +194,24 @@ class TestParseErrors:
                 1,
                 6,
             ),
+            # numbers are ASCII digits only, like names
+            ("#int x 0..\u0663. x := \uff13.", "unexpected character '\u0663'", 1, 11),
+            # a comment at the end of the text is skipped whole, with or
+            # without its newline, after a complete or an unterminated statement
+            (
+                " #int x - 2 .. 2 . #bool p . :- x != 0 , not not p . % a comment\n",
+                "expected a term, found 'not'",
+                1,
+                46,
+            ),
+            ("#bool p.\nnot. % a comment", "expected a term, found '.'", 2, 4),
+            ("#bool p.\np % a comment", "missing the final '.'", 2, 14),
+            ("p.%c", "undeclared variable p", 1, 1),
+            # a carriage return is whitespace, and a tab is one column
+            ("#int x 0..2.\r\nx <= 1 @ 2.\r\n", "unexpected character '@'", 2, 8),
+            ("#int x 0..2.\r\nx <= 1\r\n", "missing the final '.'", 3, 1),
+            ("#int x 0..2.\n\tx <=\t@ 1.", "unexpected character '@'", 2, 7),
+            ("#int x 0..2.\nx <= 1 \n \t", "missing the final '.'", 3, 3),
         ],
     )
     def test_error_message_and_position(self, text, message, line, column):

@@ -56,6 +56,14 @@ class TestDomainSpec:
         with pytest.raises(DomainError):
             DomainSpec.make({"x": (0, 1)}, ["x"])
 
+    # "x\n" would print as "#int x\n 0..1." and a keyword as text the parser refuses
+    @pytest.mark.parametrize("name", ["x\n", "not", "def", "sum", "count", "min", "max"])
+    def test_names_the_printer_cannot_round_trip_are_rejected(self, name):
+        with pytest.raises(DomainError, match="bad variable name"):
+            DomainSpec.make({name: (0, 1)})
+        with pytest.raises(DomainError, match="bad variable name"):
+            DomainSpec.make({}, [name])
+
     def test_interpretation_count(self):
         spec = DomainSpec.make({"x": (0, 1)}, ["p"])
         # per int var with 2 values: 2*2+1 pairs; per bool: 3
