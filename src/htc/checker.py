@@ -651,8 +651,7 @@ def _denotation_law(atoms, spec):
 
 
 def _gen_core_atom(rng, spec):
-    e1 = LinearExpr(tuple(_gen_linear_term(rng, spec) for _ in range(rng.randint(1, 2))))
-    e2 = LinearExpr(tuple(_gen_linear_term(rng, spec) for _ in range(rng.randint(1, 2))))
+    e1, e2 = _gen_expr(rng, spec, None), _gen_expr(rng, spec, None)
     if spec.bool_vars and rng.random() < 0.2:
         return BoolAtom(rng.choice(list(spec.bool_vars)))
     return le(e1, e2)
@@ -806,39 +805,33 @@ def _still_fails(law, item, spec) -> bool:
         return False
 
 
+def _shrink(item, smaller, fails):
+    """Replace the item by the first of its ``smaller(item)`` candidates on
+    which the violation persists, until none does."""
+    while (cand := next(filter(fails, smaller(item)), None)) is not None:
+        item = cand
+    return item
+
+
 def _shrink_theory(thy: Theory, fails) -> Theory:
     """Drop statements, then unused variables, while the violation persists."""
-    statements = list(thy.statements)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(statements)):
-            cand = make_theory(thy.spec, statements[:i] + statements[i + 1 :])
-            if fails(cand):
-                statements.pop(i)
-                changed = True
-                break
-    thy = make_theory(thy.spec, statements)
+
+    def drops(t):
+        s = t.statements
+        return (make_theory(t.spec, s[:i] + s[i + 1 :]) for i in range(len(s)))
+
+    thy = _shrink(thy, drops, fails)
     used = free_vars(thy)
     ints = tuple(v for v in thy.spec.int_vars if v[0] in used)
     bools = tuple(used.intersection(thy.spec.bool_vars))
-    cand = make_theory(DomainSpec(ints, bools), statements)
-    if fails(cand):
-        return cand
-    return thy
+    cand = make_theory(DomainSpec(ints, bools), thy.statements)
+    return cand if fails(cand) else thy
 
 
 def _shrink_formula(phi, fails):
     """Descend into subformulas while the violation persists."""
-    changed = True
-    while changed:
-        changed = False
-        for sub in children(phi) if isinstance(phi, (And, Or, Implies)) else ():
-            if fails(sub):
-                phi = sub
-                changed = True
-                break
-    return phi
+    connective = (And, Or, Implies)
+    return _shrink(phi, lambda f: children(f) if isinstance(f, connective) else (), fails)
 
 
 class _Suite(NamedTuple):

@@ -108,7 +108,10 @@ def _budget(args):
     if args.max_interps is not None:
         return args.max_interps
     env = os.environ.get("HTC_MAX_INTERPS")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ValueError(f"HTC_MAX_INTERPS must be an integer, got {env!r}") from None
 
 
 def _load(path):

@@ -396,6 +396,12 @@ _PREC_OR = 2
 _PREC_AND = 3
 _PREC_NOT = 4
 _PREC_ATOM = 5
+# a binary connective: its symbol, its precedence, and the precedence each side needs
+_BINARY = {
+    Implies: (" -> ", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
+    Or: (" | ", _PREC_OR, _PREC_OR, _PREC_AND),
+    And: (" & ", _PREC_AND, _PREC_AND, _PREC_NOT),
+}
 
 
 def pretty_print(obj) -> str:
@@ -456,18 +462,9 @@ def print_formula(phi, required=_PREC_IMPLIES) -> str:
         text, prec = "#false", _PREC_ATOM
     elif isinstance(phi, Implies) and phi.rhs == BOT:
         text, prec = "not " + print_formula(phi.lhs, _PREC_NOT), _PREC_NOT
-    elif isinstance(phi, Implies):
-        lhs = print_formula(phi.lhs, _PREC_OR)
-        rhs = print_formula(phi.rhs, _PREC_IMPLIES)
-        text, prec = f"{lhs} -> {rhs}", _PREC_IMPLIES
-    elif isinstance(phi, Or):
-        lhs = print_formula(phi.lhs, _PREC_OR)
-        rhs = print_formula(phi.rhs, _PREC_AND)
-        text, prec = f"{lhs} | {rhs}", _PREC_OR
-    elif isinstance(phi, And):
-        lhs = print_formula(phi.lhs, _PREC_AND)
-        rhs = print_formula(phi.rhs, _PREC_NOT)
-        text, prec = f"{lhs} & {rhs}", _PREC_AND
+    elif type(phi) in _BINARY:
+        symbol, prec, left, right = _BINARY[type(phi)]
+        text = print_formula(phi.lhs, left) + symbol + print_formula(phi.rhs, right)
     elif isinstance(phi, Comparison):
         text = f"{print_expr(phi.lhs)} {phi.rel} {print_expr(phi.rhs)}"
         prec = _PREC_ATOM

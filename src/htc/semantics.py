@@ -327,9 +327,9 @@ def _compile(phi, index: _Index):
     if seen is not None:
         return seen[1]
     tp = type(phi)
+    if tp is Defined or tp is Comparison and phi.rel != "<=":
+        raise ValueError("satisfaction requires a desugared formula")
     if tp is Comparison:
-        if phi.rel != "<=":
-            raise ValueError("satisfaction requires a desugared formula")
         # lhs <= rhs holds when lhs - rhs is defined and at most 0
         sum_at, reads = _compile_sum(
             [(1, i) for i in phi.lhs.items] + [(-1, i) for i in phi.rhs.items], index
@@ -382,8 +382,6 @@ def _compile(phi, index: _Index):
         found = at, l_reads | r_reads
     elif tp is Bot:
         found = (lambda t: False), 0
-    elif tp is Defined:
-        raise ValueError("satisfaction requires a desugared formula")
     else:
         raise TypeError(f"not a formula: {phi!r}")
     index.compiled[id(phi)] = phi, found
@@ -469,10 +467,7 @@ def _compile_sum(signed_items, index: _Index):
             return None
         acc, mask, conds = r[0], fixed_mask, ()
         for b_at in branches:
-            code, cond = b_at(t)
-            if code is None:
-                return None
-            pos, k = code
+            (pos, k), cond = b_at(t)
             if pos is not None:
                 v = t[pos]
                 if v.__class__ is not int:

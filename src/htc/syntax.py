@@ -240,9 +240,6 @@ class LinearExpr:
         if not self.items:
             raise ValueError("linear expressions must be non-empty")
 
-    def __iter__(self) -> Iterator:
-        return iter(self.items)
-
 
 def var_expr(name: str) -> LinearExpr:
     return LinearExpr((Scaled(1, name),))
@@ -344,12 +341,8 @@ def disj(parts) -> Formula:
 
 
 def conj2(a, b) -> Formula:
-    """Conjunction that drops #true operands, to match the usual displayed forms."""
-    if a == TOP:
-        return b
-    if b == TOP:
-        return a
-    return And(a, b)
+    """Conjunction that drops a #true first operand (``b`` is always an atom)."""
+    return b if a == TOP else And(a, b)
 
 
 def le(lhs: LinearExpr, rhs: LinearExpr) -> Comparison:
@@ -614,14 +607,12 @@ def _expand_relation(lhs, rel, rhs):
     if rel == "<":
         return And(le(lhs, rhs), Not(le(rhs, lhs)))
     if rel == "=":
-        return And(le(lhs, rhs), le(rhs, lhs))
+        return eq_pair(lhs, rhs)
     if rel == "!=":
         return Or(_expand_relation(lhs, "<", rhs), _expand_relation(rhs, "<", lhs))
     if rel == ">=":
         return le(rhs, lhs)
-    if rel == ">":
-        return _expand_relation(rhs, "<", lhs)
-    raise ValueError(rel)
+    return _expand_relation(rhs, "<", lhs)  # > is the one relation left
 
 
 def _desugar_expr_conditions(e: LinearExpr) -> LinearExpr:

@@ -448,10 +448,25 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_property_suite("nonsense")
 
-    def test_violation_reporting_and_shrinking(self):
+    def test_violation_reporting_and_shrinking(self, monkeypatch):
         # break the checker deliberately by handing it a law that fails:
         # reuse the internal machinery via a tiny fake suite
+        import concurrent.futures
+        import functools
+        import multiprocessing
+
         from htc import checker as chk
+
+        # the suite is registered in this process only, so the pool's workers
+        # must be forked from it, whatever the default start method
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            functools.partial(
+                concurrent.futures.ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("fork"),
+            ),
+        )
 
         def generate(rng, spec):
             return desugar_comparisons(gen_formula(rng, spec))

@@ -125,6 +125,11 @@ class TestSolve:
         monkeypatch.setenv("HTC_MAX_INTERPS", "1000")
         code, _, _ = run(capsys, "solve", str(f))
         assert code == 0
+        for value in ("abc", " "):
+            monkeypatch.setenv("HTC_MAX_INTERPS", value)
+            code, out, err = run(capsys, "solve", str(f))
+            assert (code, out) == (1, "")
+            assert err == f"htc: HTC_MAX_INTERPS must be an integer, got {value!r}\n"
 
     def test_removed_flags_are_usage_errors(self, capsys):
         for argv in (

@@ -306,6 +306,13 @@ class TestEdgeCases:
         assert pretty_print(thy) == "#bool p.\n" + text + "\n"
         assert parse_theory(pretty_print(thy)) == thy
 
+    def test_bare_rule_and_assignment_round_trip(self):
+        rule = parse_formula("x := 1 ; y := 0 .. x :- x < y, not p")
+        assert isinstance(rule, LCRule)
+        assert parse_formula(pretty_print(rule).removesuffix(".")) == rule
+        for a in rule.head:
+            assert parse_formula(pretty_print(a)) == LCRule(head=(a,))
+
     def test_compound_rule_body_round_trips(self):
         thy = parse_theory("#int x, y 0..3. x := 1 :- x < y, not x != y.")
         core = desugar_theory(thy)

@@ -26,6 +26,7 @@ from htc.syntax import (
     Comparison,
     Const,
     ConditionalTerm,
+    Defined,
     DomainSpec,
     LCRule,
     LinearExpr,
@@ -179,6 +180,15 @@ class TestSatisfies:
                 for h in subvaluations(t):
                     i_ht = Interpretation(h, t)
                     assert satisfies(i_ht, atom) == satisfies(total(h), eval_atom(h, t, atom))
+
+    @pytest.mark.parametrize(
+        "phi",
+        [Defined(var_expr("x")), Comparison(var_expr("x"), "<", const_expr(1))],
+        ids=["def", "lt"],
+    )
+    def test_surface_atoms_are_refused(self, phi):
+        with pytest.raises(ValueError, match="satisfaction requires a desugared formula"):
+            satisfies(total(val(x=0)), phi)
 
     def test_total_interpretation_collapses_to_denotation(self):
         atom = le(var_expr("x"), const_expr(4))

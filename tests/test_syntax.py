@@ -6,6 +6,7 @@ from htc.errors import DomainError, FreshNameError
 from htc.parser import parse_theory, pretty_print
 from htc.syntax import (
     TOP,
+    U,
     Aggregate,
     AggregateElement,
     And,
@@ -103,6 +104,34 @@ class TestTermInvariants:
         cond = atom(LinearExpr((agg,)), "<=", const_expr(1))
         with pytest.raises(ValueError):
             ConditionalTerm(Const(1), Const(0), cond)
+
+    @pytest.mark.parametrize(
+        "then_, else_, message",
+        [
+            (U, Const(0), "then_term must be a linear term, got u"),
+            (Const(1), Aggregate("count", ()), "else_term must be a linear term"),
+        ],
+    )
+    def test_conditional_branches_must_be_linear_terms(self, then_, else_, message):
+        # so every branch of a conditional term has a term code: a constant
+        # or a scaled variable, never U
+        with pytest.raises(TypeError, match=message):
+            ConditionalTerm(then_, else_, TOP)
+
+    def test_aggregate_element_invariants(self):
+        for term in (U, ConditionalTerm(Const(1), Const(0), TOP)):
+            with pytest.raises(TypeError, match="element term must be a linear term"):
+                AggregateElement(term, TOP)
+        nested = le(LinearExpr((ConditionalTerm(Const(1), Const(0), TOP),)), const_expr(1))
+        with pytest.raises(ValueError, match="element conditions must be condition-free"):
+            AggregateElement(Const(1), nested)
+
+    def test_aggregate_invariants(self):
+        with pytest.raises(ValueError, match="unknown aggregate function 'avg'"):
+            Aggregate("avg", ())
+        for term in (Const(2), Scaled(1, "x")):
+            with pytest.raises(ValueError, match="count elements carry the implicit term 1"):
+                Aggregate("count", (AggregateElement(term, TOP),))
 
     def test_empty_expression_rejected(self):
         with pytest.raises(ValueError):
