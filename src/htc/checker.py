@@ -232,9 +232,7 @@ def _projection(a: Theory, b: Theory, project):
         for spec in (a.spec, b.spec):
             if not spec.is_declared(name):
                 raise ValueError(f"projection variable {name} is not declared")
-        if a.spec.is_int(name) != b.spec.is_int(name) or (
-            a.spec.is_int(name) and a.spec.interval(name) != b.spec.interval(name)
-        ):
+        if a.spec.domain_values(name) != b.spec.domain_values(name):
             raise ValueError(f"specs disagree on projection variable {name}")
     return names
 

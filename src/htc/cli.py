@@ -93,7 +93,7 @@ def _build_parser() -> _ArgumentParser:
     for enumerating in (solve, translate, check):
         enumerating.add_argument(
             "--max-interps",
-            type=int,
+            type=_int_at_least(1),
             default=None,
             help="interpretation budget (also HTC_MAX_INTERPS)",
         )
@@ -109,9 +109,12 @@ def _budget(args):
         return args.max_interps
     env = os.environ.get("HTC_MAX_INTERPS")
     try:
-        return int(env) if env else None
+        budget = int(env) if env else None
     except ValueError:
         raise ValueError(f"HTC_MAX_INTERPS must be an integer, got {env!r}") from None
+    if budget is not None and budget < 1:  # every spec spans an interpretation or more
+        raise ValueError(f"HTC_MAX_INTERPS must be at least 1, got {env!r}")
+    return budget
 
 
 def _load(path):
@@ -167,19 +170,15 @@ def cmd_solve(args) -> int:
 def cmd_translate(args) -> int:
     thy = _load(args.file)
     budget = _budget(args)
-    if args.pass_name == "desugar":
-        result = desugar_theory(thy)
-    elif args.pass_name == "delta":
-        result = eliminate_conditionals(thy, budget=budget).theory()
-    else:
+    if args.pass_name in ("unfold", "all"):
         # unfold first on the aggregate-free surface, so a later delta still
         # sees each conditional occurrence before comparison expansion
-        result = unfold_theory(desugar_aggregates(thy), distribute=False)
-        if args.pass_name == "all":
-            result = eliminate_conditionals(result, budget=budget).theory()
-        else:
-            result = desugar_theory(result)
-    sys.stdout.write(pretty_print(result))
+        thy = unfold_theory(desugar_aggregates(thy), distribute=False)
+    if args.pass_name in ("delta", "all"):
+        thy = eliminate_conditionals(thy, budget=budget).theory()
+    else:
+        thy = desugar_theory(thy)
+    sys.stdout.write(pretty_print(thy))
     return EXIT_OK
 
 

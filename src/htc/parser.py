@@ -38,6 +38,7 @@ from .syntax import (
     RESERVED_NAME_RE,
     Scaled,
     Theory,
+    _NAME_RE,
     _theory,
     negated_term,
 )
@@ -53,7 +54,7 @@ _RELATIONS = frozenset(RELATIONS)
 # text, so the skip never backtracks into a comment and matches are adjacent.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]|%[^\n]*)*"
-    r"(?:(?P<number>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>"
+    r"(?:(?P<number>[0-9]+)|(?P<name>" + _NAME_RE.pattern + r")|(?P<sym>"
     + "|".join(map(re.escape, _SYMBOLS))
     + r")|\Z|(?P<bad>(?s:.)))"
 )
@@ -91,6 +92,21 @@ def _statement_runs(text: str):
     if current:
         raise _Error("statement is missing the final '.'", len(text))
     return runs
+
+
+_PREC_IMPLIES = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_NOT = 4
+_PREC_ATOM = 5
+# a binary connective: its symbol, its precedence, and the precedence each side needs
+_BINARY = {
+    Implies: (" -> ", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
+    Or: (" | ", _PREC_OR, _PREC_OR, _PREC_AND),
+    And: (" & ", _PREC_AND, _PREC_AND, _PREC_NOT),
+}
+# the parser's view of the same table: token kind -> (class, precedence, right side's)
+_CONNECTIVES = {sym.strip(): (cls, prec, right) for cls, (sym, prec, _, right) in _BINARY.items()}
 
 
 class _Parser:
@@ -201,24 +217,13 @@ class _Parser:
 
     # -- formulas ------------------------------------------------------------
 
-    def parse_formula(self):
-        lhs = self.parse_disjunction()
-        if self.accept("->"):
-            return Implies(lhs, self.parse_formula())
-        return lhs
-
-    def parse_disjunction(self):
-        f = self.parse_conjunction()
-        while self.tokens[self.pos].kind == "|":
-            self.pos += 1
-            f = Or(f, self.parse_conjunction())
-        return f
-
-    def parse_conjunction(self):
+    def parse_formula(self, weakest=_PREC_IMPLIES):
+        """A formula whose connectives outside parentheses bind at least as
+        tightly as ``weakest``, each side read as ``_BINARY`` prints it."""
         f = self.parse_unary()
-        while self.tokens[self.pos].kind == "&":
+        while (op := _CONNECTIVES.get(self.tokens[self.pos].kind)) and op[1] >= weakest:
             self.pos += 1
-            f = And(f, self.parse_unary())
+            f = op[0](f, self.parse_formula(op[2]))
         return f
 
     def parse_unary(self):
@@ -391,19 +396,6 @@ def parse_theory(text: str) -> Theory:
 # --------------------------------------------------------------------------
 # Pretty printing
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NOT = 4
-_PREC_ATOM = 5
-# a binary connective: its symbol, its precedence, and the precedence each side needs
-_BINARY = {
-    Implies: (" -> ", _PREC_IMPLIES, _PREC_OR, _PREC_IMPLIES),
-    Or: (" | ", _PREC_OR, _PREC_OR, _PREC_AND),
-    And: (" & ", _PREC_AND, _PREC_AND, _PREC_NOT),
-}
-
-
 def pretty_print(obj) -> str:
     """Render an AST back to concrete syntax; parse(pretty_print(x)) == x."""
     if isinstance(obj, Theory):
@@ -480,9 +472,17 @@ def print_formula(phi, required=_PREC_IMPLIES) -> str:
 
 
 def print_expr(e: LinearExpr) -> str:
-    parts = [_print_term(e.items[0], first=True)]
-    for item in e.items[1:]:
-        parts.append(_print_term(item, first=False))
+    return _print_terms(e.items)
+
+
+def _print_terms(items) -> str:
+    """The first term as ``-text`` or ``text``, each later one as ``' - text'``
+    or ``' + text'``, the text being what ``_print_term`` gives."""
+    parts = []
+    for item in items:
+        negated, text = _print_term(item)
+        parts.append((" - " if negated else " + ") if parts else ("-" if negated else ""))
+        parts.append(text)
     return "".join(parts)
 
 
@@ -491,38 +491,28 @@ def _factor(term) -> int:
     return term.value if isinstance(term, Const) else term.coeff
 
 
-def _print_term(item, first: bool) -> str:
+def _print_term(item) -> tuple:
+    """Whether a term prints negated, and the text of its magnitude."""
     if isinstance(item, Const):
-        if first:
-            return str(item.value)
-        return f" - {-item.value}" if item.value < 0 else f" + {item.value}"
+        return item.value < 0, str(abs(item.value))
     if isinstance(item, Scaled):
         mag = item.var if abs(item.coeff) == 1 else f"{abs(item.coeff)}*{item.var}"
-        if first:
-            return ("-" if item.coeff < 0 else "") + mag
-        return (" - " if item.coeff < 0 else " + ") + mag
+        return item.coeff < 0, mag
     if isinstance(item, ConditionalTerm):
-        sign = ""
         factors = (_factor(item.then_term), _factor(item.else_term))
-        if max(factors) <= 0 and min(factors) < 0:
-            item, sign = negated_term(item), "-"
-        body = (
-            f"({_print_term(item.then_term, True)} | "
-            f"{_print_term(item.else_term, True)} : "
-            f"{print_formula(item.condition)})"
-        )
-        if first:
-            return sign + body
-        return (" - " if sign else " + ") + body
+        negated = max(factors) <= 0 and min(factors) < 0
+        if negated:
+            item = negated_term(item)
+        then_t, else_t = _print_terms((item.then_term,)), _print_terms((item.else_term,))
+        return negated, f"({then_t} | {else_t} : {print_formula(item.condition)})"
     if isinstance(item, Aggregate):
         if item.func == "count":
             els = [print_formula(el.condition) for el in item.elements]
         else:
             els = [
-                _print_term(el.term, True)
+                _print_terms((el.term,))
                 + ("" if el.condition == TOP else " : " + print_formula(el.condition))
                 for el in item.elements
             ]
-        body = f"{item.func}{{ {'; '.join(els)} }}" if els else item.func + "{}"
-        return body if first else " + " + body
+        return False, f"{item.func}{{ {'; '.join(els)} }}" if els else item.func + "{}"
     raise ValueError(f"term {item!r} has no concrete syntax")

@@ -657,9 +657,7 @@ def desugar_count(agg: Aggregate) -> Aggregate:
     """count{f_1, ...} as sum{1:f_1, ...}."""
     if agg.func != "count":
         raise ValueError("desugar_count expects a count aggregate")
-    return Aggregate(
-        "sum", tuple(AggregateElement(Const(1), el.condition) for el in agg.elements)
-    )
+    return Aggregate("sum", agg.elements)  # each element's term is already 1
 
 
 def desugar_minmax(agg: Aggregate, fresh: FreshNames):
@@ -673,6 +671,7 @@ def desugar_minmax(agg: Aggregate, fresh: FreshNames):
     """
     if agg.func not in ("min", "max"):
         raise ValueError("desugar_minmax expects a min or max aggregate")
+    strict, weak = {"min": ("<", "<="), "max": (">", ">=")}[agg.func]
     name = fresh.fresh(agg.func)
     x = var_expr(name)
 
@@ -689,12 +688,8 @@ def desugar_minmax(agg: Aggregate, fresh: FreshNames):
         return Comparison(cnt, rel, const_expr(bound))
 
     nonempty = count_atom(">=", 1)
-    if agg.func == "min":
-        none_beyond = count_atom("<=", 0, "<")
-        some_reaches = count_atom(">=", 1, "<=")
-    else:
-        none_beyond = count_atom("<=", 0, ">")
-        some_reaches = count_atom(">=", 1, ">=")
+    none_beyond = count_atom("<=", 0, strict)
+    some_reaches = count_atom(">=", 1, weak)
     side = (
         Implies(Defined(x), nonempty),
         Implies(nonempty, Defined(x)),

@@ -130,6 +130,24 @@ class TestSolve:
             code, out, err = run(capsys, "solve", str(f))
             assert (code, out) == (1, "")
             assert err == f"htc: HTC_MAX_INTERPS must be an integer, got {value!r}\n"
+        # every spec spans at least one interpretation, so a budget below 1
+        # could admit nothing: it is a usage error, from the flag or the variable
+        for value in ("0", "-5"):
+            monkeypatch.setenv("HTC_MAX_INTERPS", value)
+            code, out, err = run(capsys, "solve", str(f))
+            assert (code, out) == (1, "")
+            assert err == f"htc: HTC_MAX_INTERPS must be at least 1, got {value!r}\n"
+        monkeypatch.delenv("HTC_MAX_INTERPS")
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", str(f), "--max-interps", value])
+            assert exc.value.code == 1
+            assert f"--max-interps: must be at least 1, got {value}" in capsys.readouterr().err
+        # the least budget still refuses a spec over it
+        g = tmp_path / "bool.lc"
+        g.write_text("#bool p. p.\n")
+        code, out, err = run(capsys, "solve", str(g), "--max-interps", "1")
+        assert (code, out) == (2, "") and err.startswith("htc: budget exceeded: ")
 
     def test_removed_flags_are_usage_errors(self, capsys):
         for argv in (

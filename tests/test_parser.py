@@ -4,8 +4,9 @@ import pytest
 
 from htc.checker import gen_formula, gen_lc_rule
 from htc.errors import ParseError
-from htc.parser import parse_theory, pretty_print
+from htc.parser import parse_theory, pretty_print, print_expr, print_formula
 from htc.syntax import (
+    U,
     Aggregate,
     And,
     Assignment,
@@ -15,8 +16,11 @@ from htc.syntax import (
     ConditionalTerm,
     Defined,
     DomainSpec,
+    Implies,
     LCRule,
     LinearExpr,
+    Not,
+    Or,
     Scaled,
     Theory,
     desugar_comparisons,
@@ -114,6 +118,28 @@ class TestParsing:
         phi = parse_formula("p & not p -> p | p")
         assert phi == desugar_comparisons(phi)  # no relations involved
         assert phi.lhs == And(BoolAtom("p"), parse_formula("not p"))
+        # the binding and grouping of each connective, pinned as literal ASTs:
+        # a table read the same wrong way by parser and printer still round-trips
+        p, q, r = BoolAtom("p"), BoolAtom("q"), BoolAtom("r")
+        parsed = {
+            "p -> q -> r": Implies(p, Implies(q, r)),
+            "p | q | r": Or(Or(p, q), r),
+            "p & q & r": And(And(p, q), r),
+            "p | q & r": Or(p, And(q, r)),
+            "p & q | r": Or(And(p, q), r),
+            "not p & q": And(Not(p), q),
+            "p -> q | r": Implies(p, Or(q, r)),
+        }
+        for text, ast in parsed.items():
+            assert parse_theory(f"#bool p, q, r. {text}.").statements == (ast,), text
+        printed = {
+            Implies(Implies(p, q), r): "(p -> q) -> r",
+            And(p, Or(q, r)): "p & (q | r)",
+            Or(p, Or(q, r)): "p | (q | r)",
+            Not(And(p, q)): "not (p & q)",
+        }
+        for ast, text in printed.items():
+            assert pretty_print(ast) == text
 
     def test_parenthesised_formula_vs_conditional(self):
         disj = parse_formula("(p | p)")
@@ -284,6 +310,16 @@ class TestRoundTrip:
         first = pretty_print(eliminate_conditionals(parse_theory(src)).theory())
         second = pretty_print(eliminate_conditionals(parse_theory(src)).theory())
         assert first == second and "__c0" in first
+
+
+class TestPrinterGuards:
+    def test_an_expression_is_not_a_formula(self):
+        with pytest.raises(TypeError, match=r"^not a formula: LinearExpr\("):
+            print_formula(LinearExpr((Scaled(1, "x"),)))
+
+    def test_undefined_has_no_concrete_syntax(self):
+        with pytest.raises(ValueError, match="^term u has no concrete syntax$"):
+            print_expr(LinearExpr((U,)))
 
 
 class TestEdgeCases:

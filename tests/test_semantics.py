@@ -21,6 +21,8 @@ from htc.syntax import (
     TOP,
     TRUE,
     U,
+    Aggregate,
+    AggregateElement,
     Assignment,
     BoolAtom,
     Comparison,
@@ -142,6 +144,11 @@ class TestDenotes:
         assert not satisfies(total(Valuation()), le(var_expr("x"), var_expr("x")))
 
 
+class TestValuation:
+    def test_repr_lists_the_pairs(self):
+        assert repr(Valuation({"p": TRUE, "x": 1})) == "{p=t, x=1}"
+
+
 class TestInterpretation:
     def test_h_must_be_included_in_t(self):
         with pytest.raises(ValueError, match="subset"):
@@ -189,6 +196,15 @@ class TestSatisfies:
     def test_surface_atoms_are_refused(self, phi):
         with pytest.raises(ValueError, match="satisfaction requires a desugared formula"):
             satisfies(total(val(x=0)), phi)
+
+    def test_an_expression_is_not_a_formula(self):
+        with pytest.raises(TypeError, match=r"^not a formula: LinearExpr\("):
+            satisfies(total(val(x=0)), var_expr("x"))
+
+    def test_an_aggregate_is_refused(self):
+        agg = Aggregate("sum", (AggregateElement(Scaled(1, "x"), TOP),))
+        with pytest.raises(ValueError, match=r"^expression is not desugared: Aggregate\("):
+            satisfies(total(val(x=0)), le(LinearExpr((agg,)), const_expr(1)))
 
     def test_total_interpretation_collapses_to_denotation(self):
         atom = le(var_expr("x"), const_expr(4))

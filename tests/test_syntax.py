@@ -33,6 +33,7 @@ from htc.syntax import (
     desugar_theory,
     free_vars,
     le,
+    linear_term_range,
     make_theory,
     nodes,
     var_expr,
@@ -407,3 +408,35 @@ class TestValidation:
         spec = DomainSpec.make({"x": (0, 1)})
         with pytest.raises(DomainError, match="undeclared variables: z"):
             make_theory(spec, [le(var_expr("x"), var_expr("z")), BoolAtom("x")])
+
+
+class TestGuards:
+    """Inputs each function refuses, with the message it gives."""
+
+    def test_a_boolean_has_no_interval(self):
+        with pytest.raises(DomainError, match="^p is not a declared integer variable$"):
+            SPEC.interval("p")
+
+    def test_unknown_relation(self):
+        with pytest.raises(ValueError, match="^unknown relation '<>'$"):
+            Comparison(var_expr("x"), "<>", var_expr("x"))
+
+    def test_unknown_name_family(self):
+        with pytest.raises(ValueError, match="^unknown name family 'd'$"):
+            FreshNames().fresh("d")
+
+    def test_each_aggregate_desugarer_takes_its_own_function(self):
+        agg = Aggregate("min", (AggregateElement(Const(1), TOP),))
+        with pytest.raises(ValueError, match="^desugar_sum expects a sum aggregate$"):
+            desugar_sum(agg)
+        with pytest.raises(ValueError, match="^desugar_count expects a count aggregate$"):
+            desugar_count(agg)
+        for func in ("sum", "count"):
+            with pytest.raises(
+                ValueError, match="^desugar_minmax expects a min or max aggregate$"
+            ):
+                desugar_minmax(Aggregate(func, ()), FreshNames())
+
+    def test_undefined_is_not_a_linear_term(self):
+        with pytest.raises(TypeError, match="^not a linear term: u$"):
+            linear_term_range(U, SPEC)

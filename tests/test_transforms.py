@@ -24,6 +24,7 @@ from htc.syntax import (
     Comparison,
     Const,
     ConditionalTerm,
+    Defined,
     DomainSpec,
     Implies,
     LCRule,
@@ -41,6 +42,7 @@ from htc.syntax import (
 )
 from htc.transforms import (
     assignment_formula,
+    clauses,
     def_of,
     delta,
     distribute_implication,
@@ -558,3 +560,19 @@ class TestDistributionOfDisequality:
         base = ht_models(make_theory(prog.spec, [rule]))
         unfolded = make_theory(prog.spec, unfold_rule(rule))
         assert ht_models(unfolded) == base
+
+
+class TestTransformGuards:
+    P, Q, R = BoolAtom("p"), BoolAtom("q"), BoolAtom("r")
+
+    def test_an_implication_head_is_not_distributed(self):
+        with pytest.raises(TransformError, match=r"^cannot distribute head Implies\("):
+            distribute_implication(Implies(self.P, Implies(self.Q, self.R)))
+
+    def test_an_implication_body_part_is_not_distributed(self):
+        with pytest.raises(TransformError, match=r"^cannot distribute body part Implies\("):
+            clauses(Implies(Implies(self.P, self.Q), self.R))
+
+    def test_a_negated_def_body_part_is_refused(self):
+        with pytest.raises(TransformError, match=r"^cannot negate body part Defined\("):
+            clauses(Implies(Not(Defined(var_expr("x"))), self.R))
