@@ -108,13 +108,12 @@ def _budget(args):
     if args.max_interps is not None:
         return args.max_interps
     env = os.environ.get("HTC_MAX_INTERPS")
-    try:
-        budget = int(env) if env else None
+    try:  # the rule of --max-interps: every spec spans an interpretation or more
+        return _int_at_least(1)(env) if env else None
     except ValueError:
         raise ValueError(f"HTC_MAX_INTERPS must be an integer, got {env!r}") from None
-    if budget is not None and budget < 1:  # every spec spans an interpretation or more
-        raise ValueError(f"HTC_MAX_INTERPS must be at least 1, got {env!r}")
-    return budget
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"HTC_MAX_INTERPS must be at least 1, got {env!r}") from None
 
 
 def _load(path):

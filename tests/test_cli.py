@@ -438,6 +438,14 @@ class TestCheckProjection:
         assert code == 1 and out == ""
         assert "projection names no variable" in err
 
+    @pytest.mark.parametrize("mode", ["--stable", "--strong"])
+    def test_huge_projected_interval_meets_the_budget_first(self, capsys, tmp_path, mode):
+        # comparing the two specs' domains must not list a domain the budget refuses
+        f = tmp_path / "huge.lc"
+        f.write_text("#int x 0..1000000000. x = 1.\n")
+        code, out, err = run(capsys, "check", str(f), str(f), mode, "--project", "x")
+        assert (code, out) == (2, "") and err.startswith("htc: budget exceeded: ")
+
     def test_repeated_name_is_projected_once(self, capsys):
         ycond = str(PROGRAMS / "ycond.lc")
         doc = run_json(capsys, "check", ycond, ycond, "--stable", "--project", "y,y")
@@ -453,6 +461,7 @@ class TestCheckProjection:
             ),
             (PROGRAMS / "ycond.lc", ("--project", "p"), "projection variable p is not declared"),
             ("#int y 0..3. y = 1.", ("--project", "y"), "specs disagree on projection variable y"),
+            ("#bool y. y.", ("--project", "y"), "specs disagree on projection variable y"),
         ],
     )
     def test_incomparable_projection_is_a_usage_error(
