@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -88,6 +87,8 @@ from .syntax import (
     TOP,
     TRUE,
     U,
+    _set,
+    _Value,
     And,
     Assignment,
     BoolAtom,
@@ -119,14 +120,17 @@ from .transforms import clauses, eliminate_conditionals, unfold_rule, unfold_the
 # Reports
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """Evidence for a 'different' verdict; re-checkable against both sides."""
 
-    side: str
-    interpretation: Optional[Interpretation] = None
-    valuation: Optional[Valuation] = None
-    context: Optional[tuple] = None
+    __slots__ = ("side", "interpretation", "valuation", "context")
+
+    def __init__(self, side: str, interpretation: Optional[Interpretation] = None,
+                 valuation: Optional[Valuation] = None, context: Optional[tuple] = None):
+        _set(self, "side", side)
+        _set(self, "interpretation", interpretation)
+        _set(self, "valuation", valuation)
+        _set(self, "context", context)
 
     def to_json(self) -> dict:
         out = {"side": self.side}
@@ -139,15 +143,16 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class EquivReport:
-    verdict: str
-    witness: Optional[Witness] = None
-    projection: Optional[tuple] = None
+class EquivReport(_Value):
+    __slots__ = ("verdict", "witness", "projection")
 
-    def __post_init__(self):
-        if (self.verdict == "different") != (self.witness is not None):
+    def __init__(self, verdict: str, witness: Optional[Witness] = None,
+                 projection: Optional[tuple] = None):
+        if (verdict == "different") != (witness is not None):
             raise ValueError("witness present iff verdict is 'different'")
+        _set(self, "verdict", verdict)
+        _set(self, "witness", witness)
+        _set(self, "projection", projection)
 
     @property
     def equal(self) -> bool:
@@ -517,21 +522,24 @@ DEFAULT_SUITE_SPEC = DomainSpec.make({"x": (0, 2), "y": (0, 2)}, ["p"])
 # Property suites
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    count: int
-    checked: int
-    violations: int
-    counterexample: Optional[dict] = None
+class SuiteReport(_Value):
+    __slots__ = ("suite", "seed", "count", "checked", "violations", "counterexample")
+
+    def __init__(self, suite: str, seed: int, count: int, checked: int, violations: int,
+                 counterexample: Optional[dict] = None):
+        _set(self, "suite", suite)
+        _set(self, "seed", seed)
+        _set(self, "count", count)
+        _set(self, "checked", checked)
+        _set(self, "violations", violations)
+        _set(self, "counterexample", counterexample)
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {n: getattr(self, n) for n in self.__slots__}
 
 
 def _gen_core_formula(rng, spec):

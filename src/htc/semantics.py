@@ -103,7 +103,6 @@ interpretation count exceeds a budget (default 10**7).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -123,6 +122,8 @@ from .syntax import (
     Theory,
     Truth,
     Undefined,
+    _set,
+    _Value,
     check_budget,
     conj,
     desugar_theory,
@@ -134,7 +135,7 @@ from .transforms import assignment_formula, phi, theory_formulas
 # Valuations and interpretations
 
 
-class Valuation:
+class Valuation(_Value):
     """Immutable partial map from variables to domain values, kept as the
     (name, value) pairs of its defined variables in name order; undefined
     variables are simply absent."""
@@ -142,13 +143,13 @@ class Valuation:
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs=()):
-        self._pairs = tuple(sorted(dict(pairs).items()))
+        _set(self, "_pairs", tuple(sorted(dict(pairs).items())))
 
     @classmethod
     def _sorted(cls, pairs: tuple) -> "Valuation":
         """The Valuation of ``pairs``, already in name order, no name twice."""
         v = cls.__new__(cls)
-        v._pairs = pairs
+        _set(v, "_pairs", pairs)
         return v
 
     def get(self, name):
@@ -164,12 +165,6 @@ class Valuation:
     def __len__(self):
         return len(self._pairs)
 
-    def __eq__(self, other):
-        return isinstance(other, Valuation) and self._pairs == other._pairs
-
-    def __hash__(self):
-        return hash(self._pairs)
-
     def __repr__(self):
         inner = ", ".join(f"{n}={v!r}" for n, v in self._pairs)
         return "{" + inner + "}"
@@ -183,14 +178,14 @@ class Valuation:
         return {n: (True if v.__class__ is Truth else v) for n, v in self._pairs}
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    h: Valuation
-    t: Valuation
+class Interpretation(_Value):
+    __slots__ = ("h", "t")
 
-    def __post_init__(self):
-        if not set(self.h._pairs) <= set(self.t._pairs):
+    def __init__(self, h: Valuation, t: Valuation):
+        if not set(h._pairs) <= set(t._pairs):
             raise ValueError("h must be a subset of t")
+        _set(self, "h", h)
+        _set(self, "t", t)
 
     def to_json(self) -> dict:
         return {"h": self.h.to_json(), "t": self.t.to_json()}
@@ -228,8 +223,8 @@ def _valuation(names, world) -> Valuation:
 def _interpretation(h: Valuation, t: Valuation) -> Interpretation:
     """<h, t> for an h built below t, so included in it by construction."""
     i = Interpretation.__new__(Interpretation)
-    object.__setattr__(i, "h", h)
-    object.__setattr__(i, "t", t)
+    _set(i, "h", h)
+    _set(i, "t", t)
     return i
 
 

@@ -1,6 +1,7 @@
 """Abstract syntax for theories and rules over conditional linear constraints.
 
-All nodes are immutable (frozen dataclasses), hashable and freely shareable.
+All nodes are immutable values (``_Value``), hashable and freely shareable;
+the field-less ``TRUE``, ``U`` and ``BOT`` are singletons.
 The surface language includes comparison relations beyond ``<=``, ``def``
 atoms and aggregate expressions; the desugaring pass removes all of them,
 leaving only ``<=`` atoms over linear expressions, Boolean atoms and the
@@ -21,33 +22,76 @@ aggregate and mint no name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Union
 
 from .errors import BudgetError, DomainError, FreshNameError
 
 # --------------------------------------------------------------------------
-# Domain values
+# Values
+
+_set = object.__setattr__  # how an ``__init__`` stores a field
 
 
-@dataclass(frozen=True)
+class _Value:
+    """An immutable value: its fields are its class's ``__slots__``, stored
+    once by its ``__init__`` through ``_set``.  Equal to a value of the same
+    class with equal fields, hashed by its fields, printed as
+    ``Class(field=value, ...)`` and pickled as a call of its class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Truth:
     """The Boolean domain value, kept distinct from int to avoid bool/int mixups."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "t"
 
+    def __reduce__(self):
+        return "TRUE"
 
-@dataclass(frozen=True)
+
 class Undefined:
     """Marker for an undefined term position in a substituted atom."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "u"
 
+    def __reduce__(self):
+        return "U"
 
+
+# one instance of each, equal only to itself and pickled by its name here
 TRUE = Truth()
 U = Undefined()
 
@@ -63,8 +107,7 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(_Value):
     """Finite enumeration universe: integer variables with intervals, Boolean variables.
 
     ``int_vars`` is a name-sorted tuple of ``(name, lo, hi)``; ``bool_vars``
@@ -72,13 +115,12 @@ class DomainSpec:
     Boolean variables range over {t}.
     """
 
-    int_vars: tuple = ()
-    bool_vars: tuple = ()
+    __slots__ = ("int_vars", "bool_vars")
 
-    def __post_init__(self):
+    def __init__(self, int_vars=(), bool_vars=()):
         seen = set()
         # a Boolean variable is checked as if over the interval 0..0
-        for name, lo, hi in (*self.int_vars, *((n, 0, 0) for n in self.bool_vars)):
+        for name, lo, hi in (*int_vars, *((n, 0, 0) for n in bool_vars)):
             if not _NAME_RE.fullmatch(name) or name in KEYWORDS:
                 raise DomainError(f"bad variable name {name!r}")
             _check_int(lo, "interval bound")
@@ -88,8 +130,8 @@ class DomainSpec:
             if name in seen:
                 raise DomainError(f"variable {name} declared twice")
             seen.add(name)
-        object.__setattr__(self, "int_vars", tuple(sorted(self.int_vars, key=itemgetter(0))))
-        object.__setattr__(self, "bool_vars", tuple(sorted(self.bool_vars)))
+        _set(self, "int_vars", tuple(sorted(int_vars, key=itemgetter(0))))
+        _set(self, "bool_vars", tuple(sorted(bool_vars)))
 
     @classmethod
     def make(cls, ints=None, bools=()) -> "DomainSpec":
@@ -152,55 +194,52 @@ def check_budget(spec: "DomainSpec", budget=None):
 # Terms and linear expressions
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(_Value):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        _check_int(self.value, "constant")
+    def __init__(self, value: int):
+        _set(self, "value", _check_int(value, "constant"))
 
 
-@dataclass(frozen=True)
-class Scaled:
+class Scaled(_Value):
     """coeff * var; Scaled(0, x) is kept distinct from Const(0) on purpose."""
 
-    coeff: int
-    var: str
+    __slots__ = ("coeff", "var")
 
-    def __post_init__(self):
-        _check_int(self.coeff, "coefficient")
+    def __init__(self, coeff: int, var: str):
+        _set(self, "coeff", _check_int(coeff, "coefficient"))
+        _set(self, "var", var)
 
 
 LinearTerm = Union[Const, Scaled]
 
 
-@dataclass(frozen=True)
-class ConditionalTerm:
+class ConditionalTerm(_Value):
     """(then | else : condition); the condition must be condition-free."""
 
-    then_term: LinearTerm
-    else_term: LinearTerm
-    condition: "Formula"
+    __slots__ = ("then_term", "else_term", "condition")
 
-    def __post_init__(self):
-        for kind in ("then_term", "else_term"):
-            t = getattr(self, kind)
+    def __init__(self, then_term: LinearTerm, else_term: LinearTerm, condition: "Formula"):
+        for kind, t in (("then_term", then_term), ("else_term", else_term)):
             if not isinstance(t, (Const, Scaled)):
                 raise TypeError(f"{kind} must be a linear term, got {t!r}")
-        if not is_condition_free(self.condition):
+        if not is_condition_free(condition):
             raise ValueError("nested conditional expressions are not allowed")
+        _set(self, "then_term", then_term)
+        _set(self, "else_term", else_term)
+        _set(self, "condition", condition)
 
 
-@dataclass(frozen=True)
-class AggregateElement:
-    term: LinearTerm
-    condition: "Formula"
+class AggregateElement(_Value):
+    __slots__ = ("term", "condition")
 
-    def __post_init__(self):
-        if not isinstance(self.term, (Const, Scaled)):
+    def __init__(self, term: LinearTerm, condition: "Formula"):
+        if not isinstance(term, (Const, Scaled)):
             raise TypeError("aggregate element term must be a linear term")
-        if not is_condition_free(self.condition):
+        if not is_condition_free(condition):
             raise ValueError("aggregate element conditions must be condition-free")
+        _set(self, "term", term)
+        _set(self, "condition", condition)
 
 
 AGGREGATES = ("sum", "count", "min", "max")
@@ -208,37 +247,37 @@ AGGREGATES = ("sum", "count", "min", "max")
 KEYWORDS = ("not", "def") + AGGREGATES
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(_Value):
     """Surface aggregate expression; removed entirely by desugaring.
 
     ``count`` elements carry the implicit term 1.
     """
 
-    func: str
-    elements: tuple
+    __slots__ = ("func", "elements")
 
-    def __post_init__(self):
-        if self.func not in AGGREGATES:
-            raise ValueError(f"unknown aggregate function {self.func!r}")
-        if self.func == "count":
-            for el in self.elements:
+    def __init__(self, func: str, elements: tuple):
+        if func not in AGGREGATES:
+            raise ValueError(f"unknown aggregate function {func!r}")
+        if func == "count":
+            for el in elements:
                 if el.term != Const(1):
                     raise ValueError("count elements carry the implicit term 1")
+        _set(self, "func", func)
+        _set(self, "elements", elements)
 
 
 Term = Union[Const, Scaled, ConditionalTerm, Undefined, Aggregate]
 
 
-@dataclass(frozen=True)
-class LinearExpr:
+class LinearExpr(_Value):
     """Finite ordered sum of terms; order and duplicates are significant."""
 
-    items: tuple
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        if not self.items:
+    def __init__(self, items: tuple):
+        if not items:
             raise ValueError("linear expressions must be non-empty")
+        _set(self, "items", items)
 
 
 def var_expr(name: str) -> LinearExpr:
@@ -268,50 +307,67 @@ def negated_term(term):
 RELATIONS = ("<=", "<", "=", "!=", ">=", ">")
 
 
-@dataclass(frozen=True)
 class Bot:
-    pass
+    """#false; ``BOT`` is its one instance."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "Bot()"
+
+    def __reduce__(self):
+        return "BOT"
 
 
-@dataclass(frozen=True)
-class Comparison:
-    lhs: LinearExpr
-    rel: str
-    rhs: LinearExpr
+class Comparison(_Value):
+    __slots__ = ("lhs", "rel", "rhs")
 
-    def __post_init__(self):
-        if self.rel not in RELATIONS:
-            raise ValueError(f"unknown relation {self.rel!r}")
+    def __init__(self, lhs: LinearExpr, rel: str, rhs: LinearExpr):
+        if rel not in RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+        _set(self, "lhs", lhs)
+        _set(self, "rel", rel)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Defined:
+class Defined(_Value):
     """def(e): shorthand atom for e <= e, removed by desugaring."""
 
-    arg: LinearExpr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: LinearExpr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class BoolAtom:
-    name: str
+class BoolAtom(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
+class And(_Value):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Formula", rhs: "Formula"):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
+class Or(_Value):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Formula", rhs: "Formula"):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
+class Implies(_Value):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Formula", rhs: "Formula"):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 Formula = Union[Bot, Comparison, Defined, BoolAtom, And, Or, Implies]
@@ -363,37 +419,41 @@ def eq_pair(lhs: LinearExpr, rhs: LinearExpr) -> And:
 # Assignments, rules, theories
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Value):
     """x := lower .. upper (bounds may coincide, the sugar x := e)."""
 
-    target: str
-    lower: LinearExpr
-    upper: LinearExpr
+    __slots__ = ("target", "lower", "upper")
+
+    def __init__(self, target: str, lower: LinearExpr, upper: LinearExpr):
+        _set(self, "target", target)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
 
     @property
     def point(self) -> bool:
         return self.lower == self.upper
 
 
-@dataclass(frozen=True)
-class LCRule:
+class LCRule(_Value):
     """head_1 ; ... ; head_n  :-  pos_1, ..., pos_m, not neg_1, ..., not neg_k."""
 
-    head: tuple = ()
-    pos_body: tuple = ()
-    neg_body: tuple = ()
+    __slots__ = ("head", "pos_body", "neg_body")
+
+    def __init__(self, head: tuple = (), pos_body: tuple = (), neg_body: tuple = ()):
+        _set(self, "head", head)
+        _set(self, "pos_body", pos_body)
+        _set(self, "neg_body", neg_body)
 
 
 Statement = Union[Formula, LCRule]
 
 
-@dataclass(frozen=True)
-class Theory:
-    spec: DomainSpec
-    statements: tuple = ()
+class Theory(_Value):
+    __slots__ = ("spec", "statements")
 
-    def __post_init__(self):
+    def __init__(self, spec: DomainSpec, statements: tuple = ()):
+        _set(self, "spec", spec)
+        _set(self, "statements", statements)
         used, atoms, targets = set(), [], []
         for node in nodes(self):
             if type(node) is Scaled:
@@ -404,14 +464,14 @@ class Theory:
             elif type(node) is Assignment:
                 used.add(node.target)
                 targets.append(node.target)
-        undeclared = used - set(self.spec.variables())
+        undeclared = used - set(spec.variables())
         if undeclared:
             raise DomainError(f"undeclared variables: {', '.join(sorted(undeclared))}")
         for name in atoms:
-            if not self.spec.is_bool(name):
+            if not spec.is_bool(name):
                 raise DomainError(f"{name} is used as an atom but is not Boolean")
         for name in targets:
-            if not self.spec.is_int(name):
+            if not spec.is_int(name):
                 raise DomainError(f"assignment target {name} is not an integer variable")
 
     @property
@@ -432,8 +492,8 @@ def make_theory(spec: DomainSpec, statements) -> Theory:
 def _theory(spec: DomainSpec, statements) -> Theory:
     """``make_theory`` without the declaration walk, for checked statements."""
     thy = Theory.__new__(Theory)
-    object.__setattr__(thy, "spec", spec)
-    object.__setattr__(thy, "statements", tuple(statements))
+    _set(thy, "spec", spec)
+    _set(thy, "statements", tuple(statements))
     return thy
 
 

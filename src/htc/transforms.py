@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TransformError
@@ -33,7 +32,9 @@ from .syntax import (
     Scaled,
     TOP,
     Theory,
+    _set,
     _theory,
+    _Value,
     check_budget,
     conj,
     defined,
@@ -257,8 +258,7 @@ def delta(tau: ConditionalTerm, x_name: str) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class DeltaResult:
+class DeltaResult(_Value):
     """Outcome of eliminating conditional terms from a theory.
 
     ``rewritten`` holds the input with every conditional occurrence replaced
@@ -267,9 +267,12 @@ class DeltaResult:
     occurrences in replacement order.
     """
 
-    rewritten: Theory
-    side: tuple
-    mapping: tuple
+    __slots__ = ("rewritten", "side", "mapping")
+
+    def __init__(self, rewritten: Theory, side: tuple, mapping: tuple):
+        _set(self, "rewritten", rewritten)
+        _set(self, "side", side)
+        _set(self, "mapping", mapping)
 
     def theory(self) -> Theory:
         """Rewritten statements plus side formulas, ready to solve."""

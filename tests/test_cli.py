@@ -704,7 +704,7 @@ class TestCheckedOnce:
             ("check", ycond, saved["delta"], "--stable", "--project", "y", "--strong"),
         ]
         for argv in operations:
-            code, calls = count_calls(Theory.__post_init__.__code__, main, list(argv))
+            code, calls = count_calls(Theory.__init__.__code__, main, list(argv))
             assert (code, calls) == (0, 0), argv
 
     def test_parser_walks_no_statement(self):

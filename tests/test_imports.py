@@ -4,7 +4,8 @@ module-level name is referenced somewhere in the package outside its own
 definition, so a replaced helper cannot stay behind unused; every public
 top-level function or class is referenced in the package or used by the
 tests or the benchmark, so dead code cannot hide behind a public name; and
-importing the command line loads no process-pool machinery."""
+importing the command line loads no process-pool machinery and no
+dataclasses."""
 
 import ast
 import os
@@ -147,13 +148,10 @@ def test_an_unused_public_name_is_reported():
     assert unreferenced_public_names(sources, outside) == [("a.py", "dead")]
 
 
-def test_the_command_line_imports_no_process_pool():
-    # only --jobs 2 and up needs a pool; a serial run should not pay for
-    # importing one
-    probe = (
-        "import sys, htc.cli; "
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    )
+def loaded_by_the_command_line(modules) -> str:
+    """Which of ``modules`` ``import htc.cli`` loads in a fresh interpreter
+    (pytest itself loads many modules), as the text of a sorted list."""
+    probe = f"import sys, htc.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -162,4 +160,17 @@ def test_the_command_line_imports_no_process_pool():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_the_command_line_imports_no_process_pool():
+    # only --jobs 2 and up needs a pool; a serial run should not pay for
+    # importing one
+    assert loaded_by_the_command_line(["concurrent.futures.process", "multiprocessing"]) == "[]"
+
+
+def test_the_command_line_imports_no_dataclasses():
+    # the value classes are plain slotted classes: creating dataclasses, and
+    # importing dataclasses with inspect, ast and dis behind it, took about a
+    # third of `import htc.cli`, which every htc run pays
+    assert loaded_by_the_command_line(["dataclasses", "inspect"]) == "[]"

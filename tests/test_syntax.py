@@ -1,17 +1,23 @@
 import pathlib
+import pickle
 
 import pytest
 
 from htc.errors import DomainError, FreshNameError
 from htc.parser import parse_theory, pretty_print
+from htc.checker import EquivReport, SuiteReport, Witness
+from htc.semantics import Interpretation, Valuation
 from htc.syntax import (
+    BOT,
     TOP,
+    TRUE,
     U,
     Aggregate,
     AggregateElement,
     And,
     Assignment,
     BoolAtom,
+    Bot,
     Comparison,
     Const,
     ConditionalTerm,
@@ -22,8 +28,12 @@ from htc.syntax import (
     LCRule,
     LinearExpr,
     Not,
+    Or,
     Scaled,
     Theory,
+    Truth,
+    Undefined,
+    _Value,
     const_expr,
     desugar_aggregates,
     desugar_comparisons,
@@ -440,3 +450,74 @@ class TestGuards:
     def test_undefined_is_not_a_linear_term(self):
         with pytest.raises(TypeError, match="^not a linear term: u$"):
             linear_term_range(U, SPEC)
+
+
+def _values():
+    """One value of each class: every syntax node, a spec, a theory, a
+    valuation, an interpretation, a delta result and each report."""
+    cond = ConditionalTerm(Const(2), Scaled(-1, "y"), BoolAtom("p"))
+    element = AggregateElement(Const(1), Defined(var_expr("x")))
+    assign = Assignment("x", const_expr(0), var_expr("y"))
+    rule = LCRule((assign,), (BoolAtom("p"),), (Not(BOT),))
+    thy = make_theory(SPEC, [le(LinearExpr((cond, Scaled(3, "x"))), const_expr(4)), rule])
+    t = Valuation({"p": TRUE, "x": 1})
+    ht = Interpretation(Valuation({"x": 1}), t)
+    witness = Witness("left-only", ht, t, (Or(BoolAtom("p"), TOP),))
+    return [
+        *(TRUE, U, BOT, Const(-3), Scaled(0, "x"), cond, element, Aggregate("count", (element,))),
+        *(var_expr("y"), atom(var_expr("x"), "!=", const_expr(1)), Defined(const_expr(1))),
+        *(BoolAtom("p"), And(BoolAtom("p"), BOT), Or(BOT, BOT), TOP, assign, rule, SPEC, thy),
+        *(t, ht, eliminate_conditionals(thy), witness, EquivReport("equal")),
+        *(EquivReport("different", witness, ("x",)), SuiteReport("s", 3, 10, 4, 1, {"item": 3})),
+    ]
+
+
+class TestValues:
+    """Nodes, specs, theories, interpretations and reports are immutable
+    values: equal and hashed field by field within one class, and the same
+    after a pickle round trip; TRUE, U and BOT are singletons."""
+
+    def test_every_value_class_is_covered(self):
+        assert set(_Value.__subclasses__()) | {Truth, Undefined, Bot} == set(map(type, _values()))
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for value in _values():
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value and repr(back) == repr(value)
+        for single in (TRUE, U, BOT):
+            assert pickle.loads(pickle.dumps(single, protocol)) is single
+
+    def test_fields_can_be_neither_assigned_nor_deleted(self):
+        for value in _values():
+            name = (getattr(value, "__slots__", None) or ("anything",))[0]
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    def test_repr(self):
+        cmp = Comparison(
+            LinearExpr((Scaled(2, "x"), ConditionalTerm(Const(1), Const(0), BoolAtom("p")))),
+            ">=",
+            const_expr(-3),
+        )
+        assert repr(cmp) == (
+            "Comparison(lhs=LinearExpr(items=(Scaled(coeff=2, var='x'), "
+            "ConditionalTerm(then_term=Const(value=1), else_term=Const(value=0), "
+            "condition=BoolAtom(name='p')))), rel='>=', "
+            "rhs=LinearExpr(items=(Const(value=-3),)))"
+        )
+        assert [repr(TRUE), repr(U), repr(BOT)] == ["t", "u", "Bot()"]
+
+    def test_equality_and_hash_go_by_class_and_fields(self):
+        a, b = BoolAtom("p"), le(var_expr("x"), const_expr(1))
+        assert And(a, b) != Or(a, b) and And(a, b) != Implies(a, b)
+        assert And(a, b) == And(BoolAtom("p"), le(var_expr("x"), const_expr(1)))
+        assert And(a, b) != And(b, a)
+        for value in _values():
+            if isinstance(value, SuiteReport):  # its counterexample is a dict
+                continue
+            twin = pickle.loads(pickle.dumps(value))
+            assert hash(twin) == hash(value)
+            assert value != object() and len({value, twin}) == 1
