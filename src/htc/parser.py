@@ -40,6 +40,7 @@ from .syntax import (
     Theory,
     _NAME_RE,
     _theory,
+    is_top,
     negated_term,
 )
 
@@ -448,7 +449,7 @@ def _print_body_atom(phi) -> str:
 
 
 def print_formula(phi, required=_PREC_IMPLIES) -> str:
-    if phi == TOP:
+    if is_top(phi):
         text, prec = "#true", _PREC_ATOM
     elif isinstance(phi, Bot):
         text, prec = "#false", _PREC_ATOM
@@ -511,7 +512,7 @@ def _print_term(item) -> tuple:
         else:
             els = [
                 _print_terms((el.term,))
-                + ("" if el.condition == TOP else " : " + print_formula(el.condition))
+                + ("" if is_top(el.condition) else " : " + print_formula(el.condition))
                 for el in item.elements
             ]
         return False, f"{item.func}{{ {'; '.join(els)} }}" if els else item.func + "{}"

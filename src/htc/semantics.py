@@ -19,21 +19,24 @@ m that holds exactly when ``<h, t>`` satisfies the formula (Ferraris, LPNMR
 2016); ``at(t) is False`` means that ``<t, t>`` fails it.  Compiling also
 gathers the positions the formula reads, on which alone its reduct depends,
 and a subformula that several formulas share is compiled once per search.
-At a fixed t each piece of the formula becomes:
+A reduct is a pair ``(need, rest)``: m has every bit of the mask ``need``
+(its facts ``(0, (mask,))``, ORed into one int), and for each clause
+``(body, heads)`` of ``rest``, when m has every bit of ``body`` it has every
+bit of some mask in ``heads`` (no heads: never).  At a fixed t each piece
+of the formula becomes:
 
 - False, when ``<t, t>`` fails it; by persistence so does every ``<h, t>``;
-- for a comparison: every position it reads, counting the branch each
-  conditional term takes at t, is in m, and for each conditional whose
-  condition holds at t, the reduct of that condition holds at m.  The value
-  under h is then the value at t, so no arithmetic is done per h;
-- for a Boolean atom: its bit is in m;
-- for ``and``, ``or``: the conjunction, disjunction of the two reducts;
-- for an implication that holds at t: the classical implication between
-  the reducts (an antecedent false at t makes it true);
-- for a negation: true when the negated formula's reduct is False.
+- for a comparison: the need of every position it reads, counting the
+  branch each conditional term takes at t, and for each conditional whose
+  condition holds at t, the reduct of that condition.  The value under h
+  is then the value at t, so no arithmetic is done per h;
+- for a Boolean atom: the need of its bit;
+- for ``and``: the needs ORed, the rests concatenated;
+- for ``or``, ``->``: the disjunction, the classical implication, clause by
+  clause, with the facts of the result folded into its need (an
+  antecedent false at t makes the implication ``(0, ())``, always true);
+- for a negation: ``(0, ())`` when the negated formula's reduct is False.
 
-A reduct is kept as clauses ``(body, heads)``: when m has every bit of
-``body`` it has every bit of some mask in ``heads`` (no heads: never).
 This is the package's only evaluator; the then/else/U rule of conditional
 terms lives in one place, ``_compile_branch``.
 
@@ -45,7 +48,7 @@ again, and a surface formula that reaches ``_compile`` makes it raise.
 
 Every model reader sits on one enumeration core over a compiled theory:
 ``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, each
-with the clauses of their reducts at t, which give the h below it.  Reading
+with the join of their reducts at t, which gives the h below it.  Reading
 only the h below total models loses nothing, by persistence: if ``<h, t>``
 satisfies a formula, so does ``<t, t>``.
 
@@ -54,10 +57,11 @@ order, each first undefined and then through its domain in order, so it
 yields the t in the order of ``enumerate_valuations``.  A formula's ``at``
 runs as soon as the last position it reads (condition variables included)
 is assigned, a ground formula's before any assignment: False cuts off every
-candidate that extends the prefix, and a reduct joins the clauses carried
-down to each t.  When the formula does not read some earlier position, the
-search comes back to it with the values it reads unchanged; such a formula
-keeps its reduct per value of those positions and runs once per value.
+candidate that extends the prefix, and a reduct joins the need and the
+clauses carried down to each t.  When the formula does not read some
+earlier position, the search comes back to it with the values it reads
+unchanged; such a formula keeps its reduct per value of those positions
+and runs once per value.
 
 One scan, ``_scan``, lists those pairs as the rows ``(t, reduct)`` of a
 model table; with several jobs, ``_run`` splits the search into subtrees,
@@ -73,13 +77,16 @@ and ``_certificates(table, names)`` reads ``_below`` projected onto
 Woltran, IJCAI 2005), which read stability under any context over
 ``names`` off them alone, with ``_projected_stable``.
 
-Below t, every model of a reduct contains the least fixpoint of its clauses
-with one head.  t is stable when that fixpoint is t's full mask.
-Otherwise, when every clause has at most one head (the reduct is Horn), the
-fixpoint is itself a proper model and t is not stable; only a reduct with
-disjunctive heads (as in ``a := 1 ; b := 1``) makes the stability test walk
-the proper submasks above the fixpoint, stopping at the first that
-satisfies it, while ``_below`` walks them all.  Masks are walked in
+Below t, every model of a reduct contains its need and the least fixpoint
+of its clauses with one head, run from the need.  t is stable when the
+need is t's full mask, with no fixpoint run (every row of ``x := 0..2``),
+or else when the fixpoint is.  Otherwise, when every clause has at most
+one head (the reduct is Horn), the fixpoint is itself a proper model and t
+is not stable; only a reduct with disjunctive heads (as in
+``a := 1 ; b := 1``) makes the stability test walk the proper submasks
+above the fixpoint, stopping at the first that satisfies it, while
+``_below`` walks them all.  The walk tests only the clauses with no head
+inside the fixpoint, and no mask when none is left.  Masks are walked in
 increasing order (``m = (m - full) & full``).
 
 Models stay value tuples through the readers and the checker, ordered by
@@ -93,8 +100,9 @@ every call, with no cache, and evaluates it once.  v is in the denotation of a c
 atom when ``satisfies(Interpretation(v, v), atom)``.  A Valuation holds
 only its defined (name, value) pairs, in name order; ``_valuation`` builds
 one in a single pass from a value tuple, whose positions are already in
-name order, and ``ht_models`` pairs each h with its t without re-checking
-that h is included in t, which holds by construction.
+name order, and ``ht_models`` takes each h's pairs from its t's by mask
+and pairs the two without re-checking that h is included in t, which
+holds by construction.
 
 The enumeration is exhaustive by design and refuses domain specs whose
 interpretation count exceeds a budget (default 10**7).
@@ -236,7 +244,7 @@ def _values(v: Valuation, names) -> list:
 
 def _full(t) -> int:
     """The positions a value tuple defines, as a bitmask."""
-    return sum(1 << i for i, v in enumerate(t) if v is not None)
+    return sum([1 << i for i, v in enumerate(t) if v is not None])
 
 
 def _restrict(t, m: int) -> tuple:
@@ -256,11 +264,10 @@ def _submasks(full: int):
 # --------------------------------------------------------------------------
 # Compiled satisfaction and the reduct
 
-# A world is a sequence of values indexed by variable position, None where
-# undefined, and h is t restricted to a bitmask m of positions (bit i for
-# position i).  A reduct is a tuple of clauses (body, heads) over m: when m
-# has every bit of ``body``, it has every bit of some mask in ``heads``;
-# no heads is a constraint.  ``at(t)`` is False when <t, t> fails.
+# h is t restricted to a bitmask m of positions (bit i for position i).  A
+# reduct (need, rest) holds at m when m has every bit of ``need`` and every
+# clause (body, heads) of ``rest`` holds: m has some head or misses a bit of
+# the body (no heads is a constraint).  ``at(t)`` is False when <t, t> fails.
 
 
 class _Index(dict):
@@ -276,28 +283,32 @@ class _Index(dict):
         self.compiled = {}
 
 
-def _need(mask: int) -> tuple:
-    """The reduct that asks for every bit of ``mask``."""
-    return ((0, (mask,)),) if mask else ()
+def _clauses(reduct) -> tuple:
+    """The reduct's clauses, its need as the fact (0, (need,))."""
+    need, rest = reduct
+    return ((0, (need,)),) + rest if need else rest
 
 
-def _or(a: tuple, b: tuple) -> tuple:
+def _or(a, b):
     """a or b, clause by clause: (b1 -> H1) or (b2 -> H2) is (b1 | b2) -> H1 or
-    H2.  A head inside the body makes the clause hold, so it goes."""
-    out = []
-    for b1, h1 in a:
-        for b2, h2 in b:
+    H2.  A head inside the body makes the clause hold, so it goes; the
+    facts of the result fold back into its need."""
+    need, rest = 0, {}
+    for b1, h1 in _clauses(a):
+        for b2, h2 in _clauses(b):
             body = b1 | b2
             heads = tuple(dict.fromkeys(h & ~body for h in h1 + h2))
-            if 0 not in heads:
-                out.append((body, heads))
-    return tuple(dict.fromkeys(out))
+            if not body and len(heads) == 1:
+                need |= heads[0]
+            elif 0 not in heads:
+                rest[body, heads] = None
+    return need, tuple(rest)
 
 
-def _implies(a: tuple, b: tuple) -> tuple:
+def _implies(a, b):
     """a -> b as (not a) or b, where not (body -> H) is body and no mask of H."""
-    for body, heads in a:
-        b = _or(_need(body) + tuple((h, ()) for h in heads), b)
+    for body, heads in _clauses(a):
+        b = _or((body, tuple((h, ()) for h in heads)), b)
     return b
 
 
@@ -305,7 +316,10 @@ def _satisfied(reduct, m: int) -> bool:
     """m satisfies the reduct; never when the reduct is False."""
     if reduct is False:
         return False
-    for body, heads in reduct:
+    need, rest = reduct
+    if need & m != need:
+        return False
+    for body, heads in rest:
         if body & m == body and not any(h & m == h for h in heads):
             return False
     return True
@@ -337,11 +351,11 @@ def _compile(phi, index: _Index):
         found = at, reads
     elif tp is BoolAtom:
         i = index[phi.name]
-        need = _need(1 << i)
+        need = (1 << i, ())
         found = (lambda t: need if t[i].__class__ is Truth else False), 1 << i
     elif tp is Implies and type(phi.rhs) is Bot:  # a negation: a constant at t
         l_at, reads = _compile(phi.lhs, index)
-        found = (lambda t: () if l_at(t) is False else False), reads
+        found = (lambda t: (0, ()) if l_at(t) is False else False), reads
     elif tp is And or tp is Or or tp is Implies:
         l_at, l_reads = _compile(phi.lhs, index)
         r_at, r_reads = _compile(phi.rhs, index)
@@ -352,7 +366,7 @@ def _compile(phi, index: _Index):
                 if a is False:
                     return False
                 b = r_at(t)
-                return False if b is False else a + b
+                return False if b is False else (a[0] | b[0], a[1] + b[1])
 
         elif tp is Or:
 
@@ -360,7 +374,7 @@ def _compile(phi, index: _Index):
                 a = l_at(t)
                 if a is False:
                     return r_at(t)
-                if not a:  # true at every m
+                if a == (0, ()):  # true at every m
                     return a
                 b = r_at(t)
                 return a if b is False else _or(a, b)
@@ -370,7 +384,7 @@ def _compile(phi, index: _Index):
             def at(t):
                 a = l_at(t)
                 if a is False:  # the lhs fails at t, so at every h below it
-                    return ()
+                    return (0, ())
                 b = r_at(t)
                 return False if b is False else _implies(a, b)
 
@@ -407,7 +421,7 @@ def _code_mask(codes) -> int:
 def _compile_branch(term: ConditionalTerm, index: _Index, then_, else_):
     """The branch rule of a conditional term as (at, reads): ``at(t)`` is
     (``then_``, the condition's reduct at t) when the condition holds at
-    <t, t>, else (``else_``, ()), and ``reads`` masks the condition's
+    <t, t>, else (``else_``, (0, ())), and ``reads`` masks the condition's
     positions.  At <h, t> the term takes ``then_`` when m satisfies that
     reduct, else it is undefined, and ``else_`` when the condition fails
     at t."""
@@ -415,7 +429,7 @@ def _compile_branch(term: ConditionalTerm, index: _Index, then_, else_):
 
     def at(t):
         reduct = cond_at(t)
-        return (else_, ()) if reduct is False else (then_, reduct)
+        return (else_, (0, ())) if reduct is False else (then_, reduct)
 
     return at, reads
 
@@ -442,7 +456,7 @@ def _compile_sum(signed_items, index: _Index):
         return (lambda t: None), reads
     const = sum(k for pos, k in fixed if pos is None)
     terms = tuple(code for code in fixed if code[0] is not None)
-    need = _need(fixed_mask)
+    need = fixed_mask, ()
 
     def fixed_at(t):
         acc = const
@@ -462,7 +476,7 @@ def _compile_sum(signed_items, index: _Index):
             return None
         acc, mask, conds = r[0], fixed_mask, ()
         for b_at in branches:
-            (pos, k), cond = b_at(t)
+            (pos, k), (cond_need, cond) = b_at(t)
             if pos is not None:
                 v = t[pos]
                 if v.__class__ is not int:
@@ -470,8 +484,9 @@ def _compile_sum(signed_items, index: _Index):
                 k *= v
                 mask |= 1 << pos
             acc += k
+            mask |= cond_need
             conds += cond
-        return acc, _need(mask) + conds
+        return acc, (mask, conds)
 
     return at, reads
 
@@ -530,37 +545,39 @@ def _reducts_kept(at, reads: int):
 
 
 def total_models(core: _Core, prefix=()):
-    """(t, the clauses of every formula's reduct at t) for each t extending
+    """(t, the join of every formula's reduct at t) for each t extending
     the value ``prefix`` whose <t, t> satisfies every formula, in enumeration
     order.  Depth-first; a formula's reduct is taken once the last position
     it reads has a value (its level): False prunes every extension of the
-    partial t, and clauses join those carried down."""
+    partial t, and a need and clauses join those carried down."""
     n, start = len(core.names), len(prefix)
     due = [[] for _ in range(n + 1)]  # due[k]: evaluated once positions < k are set
     for level, at in core.formulas:
         due[max(level + 1, start)].append(at)
     t = list(prefix) + [None] * (n - start)
 
-    def extend(k, clauses):
+    def extend(k, need, rest):
         for at in due[k]:
             reduct = at(t)
             if reduct is False:
                 return
-            clauses += reduct
+            need |= reduct[0]
+            rest += reduct[1]
         if k == n:
-            yield tuple(t), clauses
+            yield tuple(t), (need, rest)
             return
         for v in core.choices[k]:
             t[k] = v
-            yield from extend(k + 1, clauses)
+            yield from extend(k + 1, need, rest)
 
-    yield from extend(start, ())
+    yield from extend(start, 0, ())
 
 
 def _least_model(reduct) -> int:
-    """The least mask closed under the reduct's clauses with one head."""
-    rules = [(body, heads[0]) for body, heads in reduct if len(heads) == 1]
-    low, grew = 0, True
+    """The least mask with the reduct's need, closed under its Horn clauses."""
+    low, rest = reduct
+    rules = [(body, heads[0]) for body, heads in rest if len(heads) == 1]
+    grew = True
     while grew:
         grew = False
         for body, head in rules:
@@ -571,19 +588,23 @@ def _least_model(reduct) -> int:
 
 
 def _submodels(reduct, full: int, low: int):
-    """The proper submasks of ``full`` that contain ``low`` and satisfy the
-    reduct, in increasing order."""
+    """The proper submasks of ``full`` that contain ``low``, the reduct's
+    least model, and satisfy the reduct, in increasing order.  Each has the
+    need and every clause with a head in ``low``; the others are tested."""
     free = full & ~low
-    return (low | s for s in _submasks(free) if s != free and _satisfied(reduct, low | s))
+    kept = 0, tuple([c for c in reduct[1] if all(h & ~low for h in c[1])])
+    if not kept[1]:
+        return (low | s for s in _submasks(free) if s != free)
+    return (low | s for s in _submasks(free) if s != free and _satisfied(kept, low | s))
 
 
 def _proper_model(reduct, full: int):
     """A proper submask of ``full`` that satisfies the reduct, which ``full``
     satisfies; None when there is none, that is when ``full`` is minimal."""
-    low = _least_model(reduct)
-    if low == full:
+    # the facts alone may define all of t, with no fixpoint to run
+    if reduct[0] == full or (low := _least_model(reduct)) == full:
         return None
-    if all(len(heads) < 2 for _, heads in reduct):
+    if all(len(heads) < 2 for _, heads in reduct[1]):
         return low  # Horn: low is its least model
     return next(_submodels(reduct, full, low), None)
 
@@ -736,8 +757,10 @@ def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     out = []
     for t, reduct in rows:
         tv = _valuation(names, t)
-        below = _below(reduct, t)
-        out.extend(_interpretation(_valuation(names, _restrict(t, m)), tv) for m in below)
+        bits = [1 << i for i, v in enumerate(t) if v is not None]  # one per pair of tv
+        for m in _below(reduct, t):
+            h = Valuation._sorted(tuple(itertools.compress(tv._pairs, map(m.__and__, bits))))
+            out.append(_interpretation(h, tv))
         out.append(_interpretation(tv, tv))
     return out
 

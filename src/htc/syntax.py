@@ -380,6 +380,11 @@ def Not(phi) -> Implies:
     return Implies(phi, BOT)
 
 
+def is_top(phi) -> bool:
+    """phi is #true; ``BOT`` is the one Bot, so identity decides."""
+    return type(phi) is Implies and phi.lhs is BOT and phi.rhs is BOT
+
+
 def conj(parts) -> Formula:
     """Left-nested conjunction; empty becomes #true."""
     parts = list(parts)
@@ -398,7 +403,7 @@ def disj(parts) -> Formula:
 
 def conj2(a, b) -> Formula:
     """Conjunction that drops a #true first operand (``b`` is always an atom)."""
-    return b if a == TOP else And(a, b)
+    return b if is_top(a) else And(a, b)
 
 
 def le(lhs: LinearExpr, rhs: LinearExpr) -> Comparison:

@@ -43,6 +43,7 @@ from .syntax import (
     disj,
     eq_pair,
     FreshNames,
+    is_top,
     le,
     map_exprs,
     terms_hull,
@@ -181,7 +182,7 @@ def _head_cnf(phi):
 
 def _body_dnf(phi, wrap=lambda atom: atom):
     """Disjunctive normal form of a body, each atom ``a`` as ``wrap(a)``."""
-    if phi == TOP:
+    if is_top(phi):
         return [[]]
     if isinstance(phi, Bot):
         return []
@@ -208,7 +209,7 @@ def _negated_dnf(phi):
     negation, and not (a -> b) == not not a & not b.  The form of
     ``not not a`` is the body form of ``a`` with each atom doubly negated.
     """
-    if phi == TOP:
+    if is_top(phi):
         return []
     if isinstance(phi, Bot):
         return [[]]

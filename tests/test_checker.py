@@ -503,7 +503,7 @@ class TestSuites:
             if len(calls) > 1:
                 raise ValueError("engine crash")
             # three different tables: the unfoldings differ from the core
-            return [(None, [((k,), ())]) for k in range(len(theories))]
+            return [(None, [((k,), (0, ()))]) for k in range(len(theories))]
 
         monkeypatch.setattr(chk, "_run", crashing_run)
         with pytest.raises(ValueError, match="engine crash"):
@@ -719,7 +719,7 @@ class TestReductPersistenceSuites:
         from htc import semantics
 
         implies = semantics._implies
-        monkeypatch.setattr(semantics, "_implies", lambda a, b: implies(a, ((0, ()),)))
+        monkeypatch.setattr(semantics, "_implies", lambda a, b: implies(a, (0, ((0, ()),))))
         assert run_property_suite(suite, seed=seed, count=50).violations == 1
 
 

@@ -28,6 +28,7 @@ from htc.semantics import (
     _certificates,
     _compile,
     _core,
+    _full,
     _Index,
     _prefixes,
     _restrict,
@@ -360,7 +361,7 @@ class TestDifferentialGate:
 
         monkeypatch.setattr(semantics, "_submodels", counted)
         assert context_mismatches(disjunctive_context_items()) == []
-        assert any(len(heads) > 1 for reduct in walks for _, heads in reduct)
+        assert any(len(heads) > 1 for reduct in walks for _, heads in reduct[1])
 
     def test_context_gate_fails_when_the_h_test_is_skipped(self, monkeypatch):
         # a T is kept only when the context fails at every H of some K in
@@ -567,13 +568,37 @@ class TestReductGate:
             walk += calls["walk"] > 0
         assert fixpoint >= 20 and walk >= 20, (fixpoint, walk)
 
+    @pytest.mark.parametrize(
+        "family, size, rows_expected, fixpoints",
+        [
+            # x_i := 0..2 makes every row's facts define all of it
+            ("intchoice", (3, 2), 27, 0),
+            # a row with q_i true has the clause q_i -> p_i, not a fact,
+            # so 19 of the 27 rows need the fixpoint
+            ("choice", (3,), 27, 19),
+        ],
+    )
+    def test_fixpoint_runs_only_where_the_need_is_short(
+        self, monkeypatch, family, size, rows_expected, fixpoints
+    ):
+        # a row whose need mask is its full mask is stable without a
+        # fixpoint; every other row takes one
+        inp = getattr(load_bench_inputs(), family)(*size, 0)
+        [(spec, rows)] = _run([desugar_theory(parse_theory(inp.text))], None, 1)
+        calls, least = [], semantics._least_model
+        monkeypatch.setattr(semantics, "_least_model", lambda r: calls.append(r) or least(r))
+        stable = [_valuation(spec.variables(), t) for t in _stable_rows(rows)]
+        assert {tuple(sorted(v.to_json().items())) for v in stable} == inp.expect
+        assert len(rows) == rows_expected and len(calls) == fixpoints
+        assert calls == [reduct for t, reduct in rows if reduct[0] != _full(t)]
+
     def test_gate_fails_when_a_then_branch_drops_its_condition(self, monkeypatch):
         # at <h, t> a then-branch taken at t also needs its condition at h
         branch = semantics._compile_branch
 
         def unconditional(term, index, then_, else_):
             at, reads = branch(term, index, then_, else_)
-            return (lambda t: (at(t)[0], ())), reads
+            return (lambda t: (at(t)[0], (0, ()))), reads
 
         item = reduct_corpus(n=1, seed=46_000_003)
         assert reduct_mismatches(item) == []
@@ -594,8 +619,8 @@ class TestReductGate:
 
         def horn(join):
             def read(core, prefix=()):
-                for t, clauses in search(core, prefix):
-                    yield t, tuple((b, join(h)) for b, h in clauses)
+                for t, (need, rest) in search(core, prefix):
+                    yield t, (need, tuple((b, join(h)) for b, h in rest))
 
             return read
 
@@ -691,3 +716,10 @@ class TestCompileAndReuse:
         models = stable_models(thy)
         assert {tuple(sorted(v.to_json().items())) for v in models} == inp.expect
         assert calls == expected
+
+
+if __name__ == "__main__":
+    # the reduct gate on the first n items of its corpus (tier-1 reads 600)
+    bad = reduct_mismatches(reduct_corpus(int(sys.argv[1])))
+    print(f"{len(bad)} theories differ from the reference", bad[:20])
+    sys.exit(bool(bad))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from htc.errors import BudgetError
@@ -5,8 +7,13 @@ from htc.parser import parse_theory
 from htc.semantics import (
     Interpretation,
     Valuation,
+    _compile,
     _core,
+    _implies,
+    _Index,
+    _or,
     _order,
+    _satisfied,
     _valuation,
     enumerate_valuations,
     ht_models,
@@ -23,6 +30,7 @@ from htc.syntax import (
     U,
     Aggregate,
     AggregateElement,
+    And,
     Assignment,
     BoolAtom,
     Comparison,
@@ -30,8 +38,11 @@ from htc.syntax import (
     ConditionalTerm,
     Defined,
     DomainSpec,
+    Implies,
     LCRule,
     LinearExpr,
+    Not,
+    Or,
     Scaled,
     conj,
     const_expr,
@@ -441,3 +452,74 @@ class TestOutputOrdering:
         assert len(models) == 4  # x in 1..3, or p alone
         keys = [valuation_key(thy.spec, m) for m in models]
         assert keys == sorted(keys)
+
+
+# --------------------------------------------------------------------------
+# The reduct algebra against truth tables: a reduct is (need, rest), and a
+# fact (0, (mask,)) may also sit in rest, as an operand of the algebra
+
+BITS = 5
+FULL = (1 << BITS) - 1
+
+
+def random_reduct(rng, constraints=True):
+    """Facts and clauses over BITS bits, some facts ORed into the need and
+    the others left in rest; no constraint unless ``constraints``, so that
+    FULL satisfies the reduct."""
+    need, rest = 0, []
+    for _ in range(rng.randint(0, 3)):
+        fact = rng.randint(1, FULL)
+        if rng.random() < 0.5:
+            need |= fact
+        else:
+            rest.append((0, (fact,)))
+    for _ in range(rng.randint(0, 3)):
+        body = rng.randint(0, FULL)
+        lo = 0 if constraints and rng.random() < 0.3 else 1
+        rest.append((body, tuple(rng.randint(1, FULL) for _ in range(rng.randint(lo, 2)))))
+    rng.shuffle(rest)
+    return need, tuple(rest)
+
+
+def is_folded(reduct):
+    return not any(body == 0 and len(heads) == 1 for body, heads in reduct[1])
+
+
+class TestReductAlgebra:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_or_and_implies_are_classical_at_every_mask(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            a, b = random_reduct(rng), random_reduct(rng)
+            either, implied = _or(a, b), _implies(a, b)
+            # the facts of a result fold back into its need (a -> b is b
+            # itself when a holds at every m)
+            assert is_folded(either) and (is_folded(implied) or implied is b)
+            for m in range(FULL + 1):
+                sa, sb = _satisfied(a, m), _satisfied(b, m)
+                assert _satisfied(either, m) == (sa or sb), (a, b, m)
+                assert _satisfied(implied, m) == (not sa or sb), (a, b, m)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_compiled_connectives_agree_with_their_operands(self, seed):
+        # the operands are the reducts of a and b at a t whose full mask is
+        # FULL, each False or held at FULL; "and", "or", "->" and "not"
+        # compile to closures that join them
+        rng = random.Random(seed)
+        lhs, rhs = BoolAtom("a"), BoolAtom("b")
+        for _ in range(300):
+            a, b = (False if rng.random() < 0.2 else random_reduct(rng, False) for _ in "ab")
+            index = _Index(())
+            index.compiled[id(lhs)] = lhs, ((lambda t, r=a: r), 0)
+            index.compiled[id(rhs)] = rhs, ((lambda t, r=b: r), 0)
+            both, either, implied, neg = (
+                _compile(phi, index)[0](())
+                for phi in (And(lhs, rhs), Or(lhs, rhs), Implies(lhs, rhs), Not(lhs))
+            )
+            at_t = not _satisfied(a, FULL) or _satisfied(b, FULL)
+            for m in range(FULL + 1):
+                sa, sb = _satisfied(a, m), _satisfied(b, m)
+                assert _satisfied(both, m) == (sa and sb), (a, b, m)
+                assert _satisfied(either, m) == (sa or sb), (a, b, m)
+                assert _satisfied(implied, m) == ((not sa or sb) and at_t), (a, b, m)
+                assert _satisfied(neg, m) == (not _satisfied(a, FULL)), (a, m)
