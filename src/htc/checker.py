@@ -21,15 +21,14 @@ with none given it is the declared variables.
 
 Every check reads model tables from one scan of the enumeration core,
 ``_run``, which builds both sides on one pool of ``jobs`` workers:
-``equivalent`` and the unfolding law compare the (h, t) pairs that
-``_below`` reads off the rows, the stable check compares the projected
-``_stable_rows`` of both tables, and the strong checks read their
-certificates, all as value tuples; ``_pick`` builds the one witness of a
-difference, for the first model by ``_order`` that only one side has.
-The tables keep only total models.  A t whose <t, t> fails
-the theory cannot become stable when a context is added, since the
-extended theory still contains the failing one; and by persistence no h
-below such a t satisfies the theory either.
+``equivalent`` and the unfolding law compare the tables row by row
+(``_ht_equal``), the stable check compares the projected ``_stable_rows``,
+and the strong checks read certificates, all as value tuples; ``_pick``
+builds the one witness of a difference, for the first model by ``_order``
+that only one side has.  The tables keep only total models.  A t whose
+<t, t> fails the theory cannot become stable when a context is added, since
+the extended theory still contains the failing one; and by persistence no
+h below such a t satisfies the theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
@@ -65,6 +64,7 @@ from .semantics import (
     _core,
     _full,
     _holds_at,
+    _ht_equal,
     _interpretation,
     _order,
     _pool_map,
@@ -213,9 +213,9 @@ def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
         raise ValueError(f"the theories desugar to different min/max auxiliaries ({aux}), "
                          "which HT models define; compare with --stable or --strong")
     (spec, rows_a), (_, rows_b) = _run([a, b], budget, jobs)
-    ma, mb = _ht_pairs(rows_a), _ht_pairs(rows_b)
-    if ma == mb:
+    if _ht_equal(rows_a, rows_b):
         return EquivReport("equal")
+    ma, mb = _ht_pairs(rows_a), _ht_pairs(rows_b)
 
     def key(pair):  # t, then h
         m, t = pair
@@ -748,9 +748,9 @@ def _unsupported(core, t, law):
 
 def _unfolding_law(core, spec):
     theories = [core] + [unfold_theory(core, d) for d in (False, True)]
-    base, *unfolded = (_ht_pairs(rows) for _, rows in _run(theories, None, 1))
-    for distribute, pairs in zip((False, True), unfolded):
-        if pairs != base:
+    (_, base), *unfolded = _run(theories, None, 1)
+    for distribute, (_, rows) in zip((False, True), unfolded):
+        if not _ht_equal(base, rows):
             return {"theory": pretty_print(core), "detail": {"distribute": distribute}}
     return None
 

@@ -67,13 +67,16 @@ One scan, ``_scan``, lists those pairs as the rows ``(t, reduct)`` of a
 model table; with several jobs, ``_run`` splits the search into subtrees,
 one per value prefix of the leading variables, maps them on one process
 pool (the workers compile the formulas themselves) and concatenates the
-rows in prefix order.  Three readers answer every question from the rows:
+rows in prefix order.  Four readers answer every question from the rows:
 ``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
-the reduct, for ``ht_models`` and the checker's HT comparisons;
-``_stable_rows(rows)`` lists the t with no proper submask that satisfies
-their reduct, for ``stable_models`` and the checker's stable comparison;
-and ``_certificates(table, names)`` reads ``_below`` projected onto
-``names``, for the checker's strong comparisons (Eiter, Tompits and
+the reduct, for ``ht_models``; ``_ht_equal(rows_a, rows_b)`` compares two
+tables of one spec row by row, for the checker's HT comparisons: they have
+the same HT models when they list the same t in order and, at each t,
+either the same reduct or the same ``_below`` masks; ``_stable_rows(rows)``
+lists the t with no proper submask that satisfies their reduct, for
+``stable_models`` and the checker's stable comparison; and
+``_certificates(table, names)`` reads the masks below each t projected
+onto ``names``, for the checker's strong comparisons (Eiter, Tompits and
 Woltran, IJCAI 2005), which read stability under any context over
 ``names`` off them alone, with ``_projected_stable``.
 
@@ -85,9 +88,12 @@ one head (the reduct is Horn), the fixpoint is itself a proper model and t
 is not stable; only a reduct with disjunctive heads (as in
 ``a := 1 ; b := 1``) makes the stability test walk the proper submasks
 above the fixpoint, stopping at the first that satisfies it, while
-``_below`` walks them all.  The walk tests only the clauses with no head
-inside the fixpoint, and no mask when none is left.  Masks are walked in
-increasing order (``m = (m - full) & full``).
+``_below`` walks them all.  The walk tests only the clauses open above
+the fixpoint, those with no head inside it (``_open``), and no mask when
+none is left.  Masks are walked in increasing order
+(``m = (m - full) & full``).  ``_certificates`` walks only the rows with
+an open clause: above the fixpoint of any other row every proper submask
+is a model, so its certificate has a closed form.
 
 Models stay value tuples through the readers and the checker, ordered by
 ``_order``: per position, undefined first, then the domain in order, which
@@ -587,14 +593,20 @@ def _least_model(reduct) -> int:
     return low
 
 
-def _submodels(reduct, full: int, low: int):
-    """The proper submasks of ``full`` that contain ``low``, the reduct's
-    least model, and satisfy the reduct, in increasing order.  Each has the
-    need and every clause with a head in ``low``; the others are tested."""
+def _open(reduct, low: int) -> tuple:
+    """The clauses of the reduct with no head inside ``low``, its least
+    model; every mask above ``low`` has the need and the other clauses."""
+    return tuple([c for c in reduct[1] if all(h & ~low for h in c[1])])
+
+
+def _submodels(clauses, full: int, low: int):
+    """The proper submasks of ``full`` above ``low`` that satisfy the open
+    ``clauses`` of a reduct whose least model is ``low``, in increasing
+    order; with no clause left, every one of them, untested."""
     free = full & ~low
-    kept = 0, tuple([c for c in reduct[1] if all(h & ~low for h in c[1])])
-    if not kept[1]:
+    if not clauses:
         return (low | s for s in _submasks(free) if s != free)
+    kept = 0, clauses
     return (low | s for s in _submasks(free) if s != free and _satisfied(kept, low | s))
 
 
@@ -606,13 +618,24 @@ def _proper_model(reduct, full: int):
         return None
     if all(len(heads) < 2 for _, heads in reduct[1]):
         return low  # Horn: low is its least model
-    return next(_submodels(reduct, full, low), None)
+    return next(_submodels(_open(reduct, low), full, low), None)
 
 
 def _below(reduct, t):
     """The masks of the proper h below t that satisfy the reduct, in
     increasing order."""
-    return _submodels(reduct, _full(t), _least_model(reduct))
+    low = _least_model(reduct)
+    return _submodels(_open(reduct, low), _full(t), low)
+
+
+def _ht_equal(rows_a, rows_b) -> bool:
+    """Two tables of one spec have the same HT models: the same t, in
+    order, and below each the same masks, listed only where the two
+    reducts differ."""
+    return len(rows_a) == len(rows_b) and all(
+        ta == tb and (ra == rb or list(_below(ra, ta)) == list(_below(rb, tb)))
+        for (ta, ra), (tb, rb) in zip(rows_a, rows_b)
+    )
 
 
 def _certificates(table, names) -> dict:
@@ -622,27 +645,49 @@ def _certificates(table, names) -> dict:
     spec), and H a mask over ``names`` (bit i for ``names[i]``).  K(t) is
     the set of h|V for the proper h below t that satisfy t's reduct, and
     F(T) the minimal sets, by inclusion, among the K(t) of the rows with
-    t|V = T.  A row with T itself in K(t) is stable under no context over V:
-    its walk stops there and the row is dropped.
+    t|V = T.  A row with T itself in K(t) is stable under no context over V
+    and is dropped.
+
+    With ``low`` the least model of t's reduct and ``free`` the positions
+    of t outside it, a reduct with no clause open above ``low`` holds at
+    every proper submask above ``low``.  Such a row is dropped when
+    ``free`` leaves V, since ``low`` joined with the part of ``free`` in V
+    gives T; otherwise K(t) is {low|V | s : s a proper submask of free}.
+    Every other row walks its models and stops at the first over T.
     """
     spec, rows = table
     positions = _positions(spec, names)
     keep = sum(1 << p for p in positions)
+    runs = {}  # p - i -> the positions p of names[i], a run of consecutive ones
+    for i, p in enumerate(positions):
+        runs[p - i] = runs.get(p - i, 0) | 1 << p
+    runs = tuple(runs.items())
 
     def over_names(m):
-        return sum(1 << i for i, p in enumerate(positions) if m >> p & 1)
+        bits = 0
+        for shift, run in runs:
+            bits |= (m & run) >> shift
+        return bits
 
     found = {}
+
+    def add(t, K):
+        found.setdefault(tuple([t[p] for p in positions]), set()).add(frozenset(K))
+
     for t, reduct in rows:
-        top = _full(t) & keep
-        K = set()
-        for m in _below(reduct, t):
-            if m & keep == top:
-                break
-            K.add(m & keep)
-        else:
-            T = tuple(t[p] for p in positions)
-            found.setdefault(T, set()).add(frozenset(map(over_names, K)))
+        full, low = _full(t), _least_model(reduct)
+        free, clauses = full & ~low, _open(reduct, low)
+        if clauses:  # the walk
+            K, top = set(), full & keep
+            for m in _submodels(clauses, full, low):
+                if m & keep == top:
+                    break
+                K.add(m & keep)
+            else:
+                add(t, map(over_names, K))
+        elif not free & ~keep:  # the closed form
+            base, free = over_names(low), over_names(free)
+            add(t, [base | s for s in _submasks(free) if s != free])
     families = {}
     for T, sets in found.items():
         minimal = []

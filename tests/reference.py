@@ -4,8 +4,9 @@ The engine works on value tuples and definedness masks and builds
 ``Valuation`` objects only where models leave it.  The helpers below read
 single terms, atoms and expressions at an interpretation ``<h, t>`` of
 Valuations, list the h below a t, bring a linear constraint to its normal
-form (constant right-hand side), and test HT validity; the test modules
-import them from here.  ``eval_term``, ``eval_atom`` and ``expr_value`` are
+form (constant right-hand side), test HT validity, and read certificates
+by walking every row's models below t; the test modules import them from
+here.  ``eval_term``, ``eval_atom`` and ``expr_value`` are
 views of the compiled evaluator: they compile their input over its own
 variables and evaluate it once, so a test of them is a test of the
 engine's then/else/U rule.
@@ -14,10 +15,12 @@ engine's then/else/U rule.
 from htc.errors import TransformError
 from htc.semantics import (
     Valuation,
+    _below,
     _compile_branch,
     _compile_sum,
     _full,
     _Index,
+    _positions,
     _satisfied,
     _values,
     ht_models,
@@ -205,3 +208,46 @@ def is_ht_tautology(phi, spec, budget=None) -> bool:
     """Every interpretation over the spec satisfies phi."""
     thy = make_theory(spec, [phi])
     return len(ht_models(thy, budget=budget)) == spec.interpretation_count()
+
+
+# --------------------------------------------------------------------------
+# Certificates by the walk of every row
+
+
+def certificates(table, names) -> dict:
+    """T -> F(T) for the tabled theory and the projection ``names``, read
+    by walking each row's models below t up to the first over T.
+
+    T is a row's value tuple t|V over ``names`` (sorted, all in the table's
+    spec), and H a mask over ``names`` (bit i for ``names[i]``).  K(t) is
+    the set of h|V for the proper h below t that satisfy t's reduct, and
+    F(T) the minimal sets, by inclusion, among the K(t) of the rows with
+    t|V = T.  A row with T itself in K(t) is stable under no context over V:
+    its walk stops there and the row is dropped.
+    """
+    spec, rows = table
+    positions = _positions(spec, names)
+    keep = sum(1 << p for p in positions)
+
+    def over_names(m):
+        return sum(1 << i for i, p in enumerate(positions) if m >> p & 1)
+
+    found = {}
+    for t, reduct in rows:
+        top = _full(t) & keep
+        K = set()
+        for m in _below(reduct, t):
+            if m & keep == top:
+                break
+            K.add(m & keep)
+        else:
+            T = tuple(t[p] for p in positions)
+            found.setdefault(T, set()).add(frozenset(map(over_names, K)))
+    families = {}
+    for T, sets in found.items():
+        minimal = []
+        for K in sorted(sets, key=len):
+            if not any(k <= K for k in minimal):
+                minimal.append(K)
+        families[T] = frozenset(minimal)
+    return families

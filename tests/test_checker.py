@@ -406,6 +406,66 @@ class TestWitnessPick:
                 assert len(built) == (verdict == "different"), (check.__name__, b)
 
 
+STATEMENT_POOL = (
+    "x := 0..2.", "y := 1 :- p.", "p | not p.", "x >= 1 -> p.", "not not p.", "p -> def(y).",
+    "y := 0..2 :- not p.", "not p -> y >= 1.", ":- x + y > 3.", "def(x) | def(y).",
+    "(y | 0 : p) <= 1.",
+)
+
+
+def statement_variants(seed=54_000_003, n=20):
+    """Seeded pairs (a, b) of desugared theories over one spec: a holds four
+    statements of the pool, and b is a itself, a with its statements
+    rotated, a with one dropped, or a with another one added."""
+    pairs = []
+    for i in range(n):
+        rng = random.Random(seed + i)
+        pool = list(STATEMENT_POOL)
+        rng.shuffle(pool)
+        s, k = pool[:4], rng.randrange(4)
+        for b in (s, s[k + 1 :] + s[: k + 1], s[:k] + s[k + 1 :], s[:k] + pool[4:5] + s[k:]):
+            pairs.append(tuple(
+                desugar_theory(parse_theory("#int x, y 0..2. #bool p. " + " ".join(stmts)))
+                for stmts in (s, b)
+            ))
+    return pairs
+
+
+class TestRowWiseHTComparison:
+    """``_ht_equal`` compares two tables row by row and agrees with the
+    comparison of their (h, t) pair sets."""
+
+    def test_agrees_with_the_pair_sets(self):
+        from htc.checker import _ht_pairs
+        from htc.semantics import _ht_equal, _run
+
+        kinds = {}
+        for a, b in statement_variants():
+            (_, ra), (_, rb) = _run([a, b], None, 1)
+            equal = _ht_pairs(ra) == _ht_pairs(rb)
+            assert _ht_equal(ra, rb) == equal == _ht_equal(rb, ra)
+            same_t = [t for t, _ in ra] == [t for t, _ in rb]
+            kind = (equal, same_t, ra == rb)
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # equal tables, some with the same reducts and some with reducts
+        # that differ; tables whose total models agree but that differ
+        # below some t; and tables whose total models differ
+        expected = {(True, True, True), (True, True, False), (False, True, False),
+                    (False, False, False)}
+        assert kinds.keys() == expected and min(kinds.values()) >= 5, kinds
+
+    def test_witness_is_the_first_pair_one_side_has(self):
+        for a, b in statement_variants():
+            spec = a.spec
+            key = lambda i: (valuation_key(spec, i.t), valuation_key(spec, i.h))
+            pick = first_only(ht_models(a), ht_models(b), key)
+            report = equivalent(a, b)
+            if pick is None:
+                assert report.verdict == "equal" and report.witness is None
+            else:
+                assert (report.witness.side, report.witness.interpretation) == pick
+
+
 class TestContextFamily:
     def test_deterministic_and_capped(self):
         fam1 = context_family(BOOLS)
@@ -492,15 +552,16 @@ class TestSuites:
             del chk._SUITES["broken"]
 
     def test_engine_error_while_shrinking_propagates(self, monkeypatch):
-        # the unfolding law sees a violation once, then the engine crashes
-        # on the first shrink candidate; the crash must not pass as a shrink
+        # the unfolding law sees a violation on the corpus item, and the
+        # engine crashes on every shrink candidate but never on the item:
+        # a shrink that swallowed the crash would report the item itself
         from htc import checker as chk
 
-        calls = []
+        cores = []
 
         def crashing_run(theories, budget, jobs):
-            calls.append(theories)
-            if len(calls) > 1:
+            cores.append(theories[0])
+            if theories[0] != cores[0]:
                 raise ValueError("engine crash")
             # three different tables: the unfoldings differ from the core
             return [(None, [((k,), (0, ()))]) for k in range(len(theories))]

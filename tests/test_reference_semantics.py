@@ -30,6 +30,9 @@ from htc.semantics import (
     _core,
     _full,
     _Index,
+    _least_model,
+    _open,
+    _positions,
     _prefixes,
     _restrict,
     _run,
@@ -70,6 +73,7 @@ from htc.syntax import (
 from htc import transforms
 from htc.transforms import theory_formulas
 
+import reference
 from reference import eval_atom, eval_term, subvaluations
 
 SPEC = DEFAULT_SUITE_SPEC
@@ -351,17 +355,18 @@ class TestDifferentialGate:
     def test_checker_table_under_contexts_with_disjunctions(self, monkeypatch):
         # the family above is Horn; contexts with "or" and "not" have
         # reducts with disjunctive heads, tested at each H, and the tabled
-        # reduct of p | q has one, which the mask walk of _below reads
+        # reduct of p | q keeps one open above its least model, which the
+        # certificate reader hands to its mask walk
         walks = []
         submodels = semantics._submodels
 
-        def counted(reduct, full, low):
-            walks.append(reduct)
-            return submodels(reduct, full, low)
+        def counted(clauses, full, low):
+            walks.append(clauses)
+            return submodels(clauses, full, low)
 
         monkeypatch.setattr(semantics, "_submodels", counted)
         assert context_mismatches(disjunctive_context_items()) == []
-        assert any(len(heads) > 1 for reduct in walks for _, heads in reduct[1])
+        assert any(len(heads) > 1 for clauses in walks for _, heads in clauses)
 
     def test_context_gate_fails_when_the_h_test_is_skipped(self, monkeypatch):
         # a T is kept only when the context fails at every H of some K in
@@ -524,6 +529,33 @@ def reduct_mismatches(corpus, jobs=1):
     return bad
 
 
+def projections(names):
+    """Every non-empty subset of ``names``, in name order."""
+    return [
+        tuple(n for j, n in enumerate(names) if k >> j & 1) for k in range(1, 1 << len(names))
+    ]
+
+
+def certificate_mismatches(corpus):
+    """(position, projection) for each theory and non-empty projection of
+    ``SPEC``'s variables under which ``_certificates`` differs from the
+    reference walk, and the number of rows the closed form drops: those
+    whose reduct leaves no clause open above its least model and whose
+    free positions leave the projection."""
+    bad, dropped = [], 0
+    cores = [desugar_theory(thy) for thy in corpus]
+    for i, table in enumerate(_run(cores, None, 1)):
+        spec, rows = table
+        for names in projections(SPEC.variables()):
+            if _certificates(table, names) != reference.certificates(table, names):
+                bad.append((i, names))
+            keep = sum(1 << p for p in _positions(spec, names))
+            for t, reduct in rows:
+                low = _least_model(reduct)
+                dropped += not _open(reduct, low) and bool(_full(t) & ~low & ~keep)
+    return bad, dropped
+
+
 def load_bench_inputs():
     """``perfbench/inputs.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
@@ -539,6 +571,13 @@ def load_bench_inputs():
 class TestReductGate:
     def test_scans_agree_with_the_reference(self):
         assert reduct_mismatches(reduct_corpus()) == []
+
+    def test_certificates_agree_with_the_walk_under_every_projection(self):
+        # projections that leave variables out reach the two branches a
+        # projection onto all of them never takes: the closed form's drop,
+        # and the walk stopping at a model over T
+        bad, dropped = certificate_mismatches(reduct_corpus()[::4])
+        assert bad == [] and dropped >= 100, (bad[:5], dropped)
 
     def test_scans_agree_with_the_reference_on_a_pool(self):
         assert reduct_mismatches(reduct_corpus()[::6], jobs=2) == []
@@ -719,7 +758,12 @@ class TestCompileAndReuse:
 
 
 if __name__ == "__main__":
-    # the reduct gate on the first n items of its corpus (tier-1 reads 600)
-    bad = reduct_mismatches(reduct_corpus(int(sys.argv[1])))
+    # the reduct and certificate gates on the first n items of their corpus
+    # (tier-1 reads 600 and every fourth of them)
+    corpus = reduct_corpus(int(sys.argv[1]))
+    bad = reduct_mismatches(corpus)
     print(f"{len(bad)} theories differ from the reference", bad[:20])
-    sys.exit(bool(bad))
+    certs, dropped = certificate_mismatches(corpus)
+    print(f"{len(certs)} (theory, projection) certificates differ from the walk", certs[:20])
+    print(f"{dropped} rows dropped by the closed form")
+    sys.exit(bool(bad or certs))
