@@ -20,10 +20,11 @@ never compared: it sorts the names, merges repeats and refuses an empty one;
 with none given it is the declared variables.
 
 Every check reads model tables from one scan of the enumeration core,
-``_run``, which builds both sides on one pool of ``jobs`` workers:
-``equivalent`` and the unfolding law compare the tables row by row
-(``_ht_equal``), the stable check compares the projected ``_stable_rows``,
-and the strong checks read certificates, all as value tuples; ``_pick``
+``_run``, which builds both sides on one pool of ``jobs`` workers, and keeps
+them as value tuples: ``equivalent`` and the unfolding law read the tables
+through ``_ht_difference``, the one HT reader, for the verdict and for the
+masks at the first row where they differ; the stable check compares the
+projected ``_stable_rows``; the strong checks read certificates.  ``_pick``
 builds the one witness of a difference, for the first model by ``_order``
 that only one side has.  The tables keep only total models.  A t whose
 <t, t> fails the theory cannot become stable when a context is added, since
@@ -57,14 +58,13 @@ from .semantics import (
     Interpretation,
     Valuation,
     _Index,
-    _below,
     _certificates,
     _compile,
     _compile_sum,
     _core,
     _full,
     _holds_at,
-    _ht_equal,
+    _ht_difference,
     _interpretation,
     _order,
     _pool_map,
@@ -176,14 +176,8 @@ class EquivReport(_Value):
 # are all read off tables without re-evaluating the base theory.
 
 
-def _ht_pairs(rows) -> set:
-    """The (mask, t) pairs of a table's rows, each <t, t> included."""
-    return {(m, t) for t, reduct in rows for m in (*_below(reduct, t), _full(t))}
-
-
-def _ht_interpretation(names, pair) -> Interpretation:
-    """<h, t> over ``names`` for the pair (m, t) of h's mask and t."""
-    m, t = pair
+def _ht_interpretation(names, t, m: int) -> Interpretation:
+    """<h, t> over ``names`` for t and the mask m of h."""
     return _interpretation(_valuation(names, _restrict(t, m)), _valuation(names, t))
 
 
@@ -213,15 +207,12 @@ def equivalent(a: Theory, b: Theory, budget=None, jobs=1) -> EquivReport:
         raise ValueError(f"the theories desugar to different min/max auxiliaries ({aux}), "
                          "which HT models define; compare with --stable or --strong")
     (spec, rows_a), (_, rows_b) = _run([a, b], budget, jobs)
-    if _ht_equal(rows_a, rows_b):
+    difference = _ht_difference(rows_a, rows_b)
+    if difference is None:
         return EquivReport("equal")
-    ma, mb = _ht_pairs(rows_a), _ht_pairs(rows_b)
-
-    def key(pair):  # t, then h
-        m, t = pair
-        return _order(t), _order(_restrict(t, m))
-
-    witness = _pick(ma, mb, partial(_ht_interpretation, spec.variables()), "interpretation", key)
+    t, ma, mb = difference
+    build = partial(_ht_interpretation, spec.variables(), t)
+    witness = _pick(ma, mb, build, "interpretation", lambda m: _order(_restrict(t, m)))
     return EquivReport("different", witness)
 
 
@@ -555,7 +546,7 @@ def _unpersistent(core, reduct_at):
         if reduct is not False and not _satisfied(reduct, full):
             for m in _submasks(full):
                 if _satisfied(reduct, m):
-                    return _ht_interpretation(core.names, (m, t)).to_json()
+                    return _ht_interpretation(core.names, t, m).to_json()
     return None
 
 
@@ -572,7 +563,7 @@ def _negation_law(phi, spec):
         neg, fails = neg_at(t), not _satisfied(at(t), _full(t))
         for m in _submasks(_full(t)):
             if _satisfied(neg, m) != fails:
-                detail = _ht_interpretation(core.names, (m, t)).to_json()
+                detail = _ht_interpretation(core.names, t, m).to_json()
                 return {"formula": pretty_print(phi), "detail": detail}
     return None
 
@@ -750,7 +741,7 @@ def _unfolding_law(core, spec):
     theories = [core] + [unfold_theory(core, d) for d in (False, True)]
     (_, base), *unfolded = _run(theories, None, 1)
     for distribute, (_, rows) in zip((False, True), unfolded):
-        if not _ht_equal(base, rows):
+        if _ht_difference(base, rows) is not None:
             return {"theory": pretty_print(core), "detail": {"distribute": distribute}}
     return None
 

@@ -59,6 +59,7 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="enumerate stable models of a file")
+    solve.set_defaults(handler=cmd_solve)
     solve.add_argument("file")
     solve.add_argument("--ht", action="store_true", help="list HT models instead")
     solve.add_argument(
@@ -66,6 +67,7 @@ def _build_parser() -> _ArgumentParser:
     )
 
     translate = sub.add_parser("translate", help="print a transformed program")
+    translate.set_defaults(handler=cmd_translate)
     translate.add_argument("file")
     translate.add_argument(
         "--pass",
@@ -75,6 +77,7 @@ def _build_parser() -> _ArgumentParser:
     )
 
     check = sub.add_parser("check", help="compare two files")
+    check.set_defaults(handler=cmd_check)
     check.add_argument("file_a")
     check.add_argument("file_b")
     check.add_argument("--stable", action="store_true", help="compare stable models")
@@ -86,6 +89,7 @@ def _build_parser() -> _ArgumentParser:
     )
 
     props = sub.add_parser("props", help="run a property suite")
+    props.set_defaults(handler=cmd_props)
     props.add_argument("--suite", required=True, choices=SUITE_NAMES)
     props.add_argument("--seed", type=int, default=0)
     props.add_argument("--count", type=_int_at_least(0), default=50)
@@ -213,14 +217,8 @@ def cmd_props(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "solve": cmd_solve,
-        "translate": cmd_translate,
-        "check": cmd_check,
-        "props": cmd_props,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BudgetError as exc:
         print(f"htc: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -69,13 +69,14 @@ one per value prefix of the leading variables, maps them on one process
 pool (the workers compile the formulas themselves) and concatenates the
 rows in prefix order.  Four readers answer every question from the rows:
 ``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
-the reduct, for ``ht_models``; ``_ht_equal(rows_a, rows_b)`` compares two
-tables of one spec row by row, for the checker's HT comparisons: they have
-the same HT models when they list the same t in order and, at each t,
-either the same reduct or the same ``_below`` masks; ``_stable_rows(rows)``
-lists the t with no proper submask that satisfies their reduct, for
-``stable_models`` and the checker's stable comparison; and
-``_certificates(table, names)`` reads the masks below each t projected
+the reduct, for ``ht_models``; ``_ht_difference(rows_a, rows_b)``, the one
+HT reader, gives the checker's HT verdict and witness: two tables of one
+spec have the same HT models when they list the same t in order and, at
+each t, either the same reduct or the same ``_below`` masks, and otherwise
+it returns each side's masks at the first t where they differ;
+``_stable_rows(rows)`` lists the t with no proper submask that satisfies
+their reduct, for ``stable_models`` and the checker's stable comparison;
+and ``_certificates(table, names)`` reads the masks below each t projected
 onto ``names``, for the checker's strong comparisons (Eiter, Tompits and
 Woltran, IJCAI 2005), which read stability under any context over
 ``names`` off them alone, with ``_projected_stable``.
@@ -628,14 +629,22 @@ def _below(reduct, t):
     return _submodels(_open(reduct, low), _full(t), low)
 
 
-def _ht_equal(rows_a, rows_b) -> bool:
-    """Two tables of one spec have the same HT models: the same t, in
-    order, and below each the same masks, listed only where the two
-    reducts differ."""
-    return len(rows_a) == len(rows_b) and all(
-        ta == tb and (ra == rb or list(_below(ra, ta)) == list(_below(rb, tb)))
-        for (ta, ra), (tb, rb) in zip(rows_a, rows_b)
-    )
+def _ht_difference(rows_a, rows_b):
+    """None when two tables of one spec have the same HT models: the same t
+    in order, below each the same masks (listed only where the reducts
+    differ).  Else the first t, by ``_order``, where they differ, and the
+    masks of each side's models <h, t>, t's own included; none without t."""
+    for (ta, ra), (tb, rb) in zip(rows_a, rows_b):
+        if ta != tb or ra != rb and list(_below(ra, ta)) != list(_below(rb, tb)):
+            rows = [(ta, ra), (tb, rb)]
+            break
+    else:
+        n = min(len(rows_a), len(rows_b))
+        rows = [table[n] if n < len(table) else None for table in (rows_a, rows_b)]
+        if rows == [None, None]:
+            return None
+    t = min([row[0] for row in rows if row], key=_order)
+    return t, *[{*_below(row[1], t), _full(t)} if row and row[0] == t else set() for row in rows]
 
 
 def _certificates(table, names) -> dict:

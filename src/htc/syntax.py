@@ -35,15 +35,17 @@ _set = object.__setattr__  # how an ``__init__`` stores a field
 
 
 class _Value:
-    """An immutable value: its fields are its class's ``__slots__``, stored
-    once by its ``__init__`` through ``_set``.  Equal to a value of the same
-    class with equal fields, hashed by its fields, printed as
-    ``Class(field=value, ...)`` and pickled as a call of its class."""
+    """An immutable value: its fields, ``_fields``, are the ``__slots__`` of
+    the nearest class that adds some, stored once through ``_set``.  Equal
+    to a value of the same class with equal fields, hashed by its fields,
+    printed as ``Class(field=value, ...)`` and pickled as a call of its class."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*cls.__slots__)
+        if cls.__dict__.get("__slots__"):  # one adding no slot inherits both
+            cls._fields = cls.__slots__
+            cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -54,11 +56,11 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__name__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, n) for n in self.__slots__)
+        return self.__class__, tuple(getattr(self, n) for n in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -67,31 +69,31 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Truth:
+class _Constant:
+    """A field-less value with one instance, equal only to itself, printed
+    as its class's ``_text`` and pickled by its name here, ``_name``."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return self._text
+
+    def __reduce__(self):
+        return self._name
+
+
+class Truth(_Constant):
     """The Boolean domain value, kept distinct from int to avoid bool/int mixups."""
 
-    __slots__ = ()
-
-    def __repr__(self):
-        return "t"
-
-    def __reduce__(self):
-        return "TRUE"
+    __slots__, _text, _name = (), "t", "TRUE"
 
 
-class Undefined:
+class Undefined(_Constant):
     """Marker for an undefined term position in a substituted atom."""
 
-    __slots__ = ()
-
-    def __repr__(self):
-        return "u"
-
-    def __reduce__(self):
-        return "U"
+    __slots__, _text, _name = (), "u", "U"
 
 
-# one instance of each, equal only to itself and pickled by its name here
 TRUE = Truth()
 U = Undefined()
 
@@ -307,16 +309,10 @@ def negated_term(term):
 RELATIONS = ("<=", "<", "=", "!=", ">=", ">")
 
 
-class Bot:
+class Bot(_Constant):
     """#false; ``BOT`` is its one instance."""
 
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Bot()"
-
-    def __reduce__(self):
-        return "BOT"
+    __slots__, _text, _name = (), "Bot()", "BOT"
 
 
 class Comparison(_Value):
@@ -346,7 +342,10 @@ class BoolAtom(_Value):
         _set(self, "name", name)
 
 
-class And(_Value):
+class _Binary(_Value):
+    """A connective over two formulas: ``And``, ``Or`` and ``Implies`` add
+    no field, and as every value each equals only values of its own class."""
+
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: "Formula", rhs: "Formula"):
@@ -354,20 +353,16 @@ class And(_Value):
         _set(self, "rhs", rhs)
 
 
-class Or(_Value):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: "Formula", rhs: "Formula"):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+class And(_Binary):
+    __slots__ = ()
 
 
-class Implies(_Value):
-    __slots__ = ("lhs", "rhs")
+class Or(_Binary):
+    __slots__ = ()
 
-    def __init__(self, lhs: "Formula", rhs: "Formula"):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+
+class Implies(_Binary):
+    __slots__ = ()
 
 
 Formula = Union[Bot, Comparison, Defined, BoolAtom, And, Or, Implies]
@@ -456,9 +451,9 @@ Statement = Union[Formula, LCRule]
 class Theory(_Value):
     __slots__ = ("spec", "statements")
 
-    def __init__(self, spec: DomainSpec, statements: tuple = ()):
+    def __init__(self, spec: DomainSpec, statements=()):
         _set(self, "spec", spec)
-        _set(self, "statements", statements)
+        _set(self, "statements", tuple(statements))
         used, atoms, targets = set(), [], []
         for node in nodes(self):
             if type(node) is Scaled:
@@ -489,13 +484,11 @@ class Theory(_Value):
         return all(isinstance(s, LCRule) for s in self.statements)
 
 
-def make_theory(spec: DomainSpec, statements) -> Theory:
-    """Build a Theory from any iterable of statements."""
-    return Theory(spec, tuple(statements))
+make_theory = Theory  # the older name of the one constructor
 
 
 def _theory(spec: DomainSpec, statements) -> Theory:
-    """``make_theory`` without the declaration walk, for checked statements."""
+    """``Theory`` without the declaration walk, for checked statements."""
     thy = Theory.__new__(Theory)
     _set(thy, "spec", spec)
     _set(thy, "statements", tuple(statements))

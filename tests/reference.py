@@ -4,12 +4,12 @@ The engine works on value tuples and definedness masks and builds
 ``Valuation`` objects only where models leave it.  The helpers below read
 single terms, atoms and expressions at an interpretation ``<h, t>`` of
 Valuations, list the h below a t, bring a linear constraint to its normal
-form (constant right-hand side), test HT validity, and read certificates
-by walking every row's models below t; the test modules import them from
-here.  ``eval_term``, ``eval_atom`` and ``expr_value`` are
-views of the compiled evaluator: they compile their input over its own
-variables and evaluate it once, so a test of them is a test of the
-engine's then/else/U rule.
+form (constant right-hand side), test HT validity, read certificates by
+walking every row's models below t, and compare HT models as sets of
+(mask, t) pairs; the test modules import them from here.  ``eval_term``,
+``eval_atom`` and ``expr_value`` are views of the compiled evaluator: they
+compile their input over its own variables and evaluate it once, so a test
+of them is a test of the engine's then/else/U rule.
 """
 
 from htc.errors import TransformError
@@ -20,7 +20,9 @@ from htc.semantics import (
     _compile_sum,
     _full,
     _Index,
+    _order,
     _positions,
+    _restrict,
     _satisfied,
     _values,
     ht_models,
@@ -251,3 +253,28 @@ def certificates(table, names) -> dict:
                 minimal.append(K)
         families[T] = frozenset(minimal)
     return families
+
+
+# --------------------------------------------------------------------------
+# HT models as (mask, t) pair sets, compared whole
+
+
+def ht_pairs(rows) -> set:
+    """The (mask, t) pairs of a table's rows, each <t, t> included."""
+    return {(m, t) for t, reduct in rows for m in (*_below(reduct, t), _full(t))}
+
+
+def first_pair_only(rows_a, rows_b):
+    """(side, mask, t) for the first pair, by t and then h, that only one
+    table's pair set has, the left side's on a tie; None when they agree."""
+    pa, pb = ht_pairs(rows_a), ht_pairs(rows_b)
+    only = [("left-only", p) for p in pa - pb] + [("right-only", p) for p in pb - pa]
+    if not only:
+        return None
+
+    def key(pick):  # t, then h, then the side
+        side, (m, t) = pick
+        return _order(t), _order(_restrict(t, m)), side
+
+    side, (m, t) = min(only, key=key)
+    return side, m, t

@@ -47,7 +47,7 @@ from htc.syntax import (
 )
 from htc.transforms import eliminate_conditionals, theory_formulas
 
-from reference import ht_tautology_schemata, is_ht_tautology
+from reference import ht_pairs, ht_tautology_schemata, is_ht_tautology
 
 BOOLS = DomainSpec.make({}, ["p", "q"])
 
@@ -432,18 +432,24 @@ def statement_variants(seed=54_000_003, n=20):
 
 
 class TestRowWiseHTComparison:
-    """``_ht_equal`` compares two tables row by row and agrees with the
-    comparison of their (h, t) pair sets."""
+    """``_ht_difference`` walks two tables row by row and agrees with the
+    comparison of their (h, t) pair sets, on the verdict and on the first t
+    whose pairs differ, with each side's masks there."""
 
     def test_agrees_with_the_pair_sets(self):
-        from htc.checker import _ht_pairs
-        from htc.semantics import _ht_equal, _run
+        from htc.semantics import _ht_difference, _order, _run
 
         kinds = {}
         for a, b in statement_variants():
             (_, ra), (_, rb) = _run([a, b], None, 1)
-            equal = _ht_pairs(ra) == _ht_pairs(rb)
-            assert _ht_equal(ra, rb) == equal == _ht_equal(rb, ra)
+            pa, pb = ht_pairs(ra), ht_pairs(rb)
+            equal = pa == pb
+            difference = _ht_difference(ra, rb)
+            assert (difference is None) == equal == (_ht_difference(rb, ra) is None)
+            if difference is not None:
+                t, ma, mb = difference
+                assert t == min({u for _, u in pa ^ pb}, key=_order)
+                assert (ma, mb) == ({m for m, u in pa if u == t}, {m for m, u in pb if u == t})
             same_t = [t for t, _ in ra] == [t for t, _ in rb]
             kind = (equal, same_t, ra == rb)
             kinds[kind] = kinds.get(kind, 0) + 1

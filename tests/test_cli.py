@@ -351,6 +351,18 @@ class TestCheck:
         assert doc["report"]["verdict"] == "equal"
         assert doc["report"]["projection"] == ["y"]
 
+    def test_different_verdicts_are_pinned(self, capsys):
+        # pinned bytes of each kind of difference: a t that one side lacks,
+        # the same t with another h, one table a prefix of the other (both
+        # ways), a projected stable check and a strong check with a context
+        lines = (GOLDEN / "check.different.txt").read_text().splitlines()
+        assert len(lines) == 12
+        root = PROGRAMS.parent
+        for argv, expected in zip(lines[::2], lines[1::2]):
+            args = [str(root / a) if a.endswith(".lc") else a for a in argv.split()]
+            code, out, err = run(capsys, *args)
+            assert (code, out, err) == (0, expected + "\n", ""), argv
+
 
 class TestProps:
     def test_suite_runs_clean(self, capsys):

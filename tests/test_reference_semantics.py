@@ -16,6 +16,7 @@ from htc import semantics
 from htc.checker import (
     DEFAULT_SUITE_SPEC,
     context_family,
+    equivalent,
     gen_formula,
     gen_program,
     gen_theory_one_conditional,
@@ -556,6 +557,29 @@ def certificate_mismatches(corpus):
     return bad, dropped
 
 
+def ht_witness_mismatches(corpus):
+    """Positions of the theories whose HT check against the theory with one
+    statement dropped gives another verdict or witness than the first pair
+    that only one side's (mask, t) pair set has, and the number of checks
+    that say "different"."""
+    bad, different = [], 0
+    for i, thy in enumerate(corpus):
+        core = desugar_theory(thy)  # a dropped min/max side formula keeps its auxiliary
+        k = i % len(core.statements)
+        variant = make_theory(core.spec, core.statements[:k] + core.statements[k + 1 :])
+        (spec, ra), (_, rb) = _run([core, variant], None, 1)
+        pick, report = reference.first_pair_only(ra, rb), equivalent(core, variant)
+        if pick is not None:
+            side, m, t = pick
+            names = spec.variables()
+            pick = side, Interpretation(_valuation(names, _restrict(t, m)), _valuation(names, t))
+        witness = report.witness and (report.witness.side, report.witness.interpretation)
+        if witness != pick:
+            bad.append(i)
+        different += not report.equal
+    return bad, different
+
+
 def load_bench_inputs():
     """``perfbench/inputs.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
@@ -578,6 +602,10 @@ class TestReductGate:
         # and the walk stopping at a model over T
         bad, dropped = certificate_mismatches(reduct_corpus()[::4])
         assert bad == [] and dropped >= 100, (bad[:5], dropped)
+
+    def test_ht_check_agrees_with_the_pair_sets(self):
+        bad, different = ht_witness_mismatches(reduct_corpus())
+        assert bad == [] and different >= 300, (bad[:5], different)
 
     def test_scans_agree_with_the_reference_on_a_pool(self):
         assert reduct_mismatches(reduct_corpus()[::6], jobs=2) == []
@@ -758,12 +786,16 @@ class TestCompileAndReuse:
 
 
 if __name__ == "__main__":
-    # the reduct and certificate gates on the first n items of their corpus
-    # (tier-1 reads 600 and every fourth of them)
+    # the reduct, certificate and HT witness gates on the first n items of
+    # their corpus (tier-1 reads 600, and every fourth of them for
+    # certificates)
     corpus = reduct_corpus(int(sys.argv[1]))
     bad = reduct_mismatches(corpus)
     print(f"{len(bad)} theories differ from the reference", bad[:20])
     certs, dropped = certificate_mismatches(corpus)
     print(f"{len(certs)} (theory, projection) certificates differ from the walk", certs[:20])
     print(f"{dropped} rows dropped by the closed form")
-    sys.exit(bool(bad or certs))
+    witnesses, different = ht_witness_mismatches(corpus)
+    print(f"{len(witnesses)} HT checks differ from the pair sets", witnesses[:20])
+    print(f"{different} HT checks say different")
+    sys.exit(bool(bad or certs or witnesses))
