@@ -67,13 +67,14 @@ One scan, ``_scan``, lists those pairs as the rows ``(t, reduct)`` of a
 model table; with several jobs, ``_run`` splits the search into subtrees,
 one per value prefix of the leading variables, maps them on one process
 pool (the workers compile the formulas themselves) and concatenates the
-rows in prefix order.  Four readers answer every question from the rows:
-``_below(reduct, t)`` lists the masks of the proper h below t that satisfy
-the reduct, for ``ht_models``; ``_ht_difference(rows_a, rows_b)``, the one
-HT reader, gives the checker's HT verdict and witness: two tables of one
-spec have the same HT models when they list the same t in order and, at
-each t, either the same reduct or the same ``_below`` masks, and otherwise
-it returns each side's masks at the first t where they differ;
+rows in prefix order.  Four readers answer every question from the rows,
+each in one forward pass over them: ``_below(reduct, t)`` lists the masks
+of the proper h below t that satisfy the reduct, for ``ht_models``;
+``_ht_difference(rows_a, rows_b)``, the one HT reader, gives the checker's
+HT verdict and witness: two tables of one spec have the same HT models when
+they list the same t in order and, at each t, either the same reduct or
+the same ``_below`` masks, and otherwise it returns each side's masks at
+the first t where they differ, a table that ends first lacking that t;
 ``_stable_rows(rows)`` lists the t with no proper submask that satisfies
 their reduct, for ``stable_models`` and the checker's stable comparison;
 and ``_certificates(table, names)`` reads the masks below each t projected
@@ -634,17 +635,12 @@ def _ht_difference(rows_a, rows_b):
     in order, below each the same masks (listed only where the reducts
     differ).  Else the first t, by ``_order``, where they differ, and the
     masks of each side's models <h, t>, t's own included; none without t."""
-    for (ta, ra), (tb, rb) in zip(rows_a, rows_b):
+    for (ta, ra), (tb, rb) in itertools.zip_longest(rows_a, rows_b, fillvalue=(None, None)):
         if ta != tb or ra != rb and list(_below(ra, ta)) != list(_below(rb, tb)):
-            rows = [(ta, ra), (tb, rb)]
-            break
-    else:
-        n = min(len(rows_a), len(rows_b))
-        rows = [table[n] if n < len(table) else None for table in (rows_a, rows_b)]
-        if rows == [None, None]:
-            return None
-    t = min([row[0] for row in rows if row], key=_order)
-    return t, *[{*_below(row[1], t), _full(t)} if row and row[0] == t else set() for row in rows]
+            t = min([u for u in (ta, tb) if u is not None], key=_order)
+            rows = (ta, ra), (tb, rb)
+            return t, *[{*_below(r, t), _full(t)} if u == t else set() for u, r in rows]
+    return None
 
 
 def _certificates(table, names) -> dict:
@@ -775,8 +771,8 @@ def _run(theories, budget, jobs) -> list:
 
     The theories must be desugared already; ``_compile`` raises on a surface
     formula.  Each theory's budget is checked, in order, before any scan
-    starts.  Returns ``(spec, rows)`` per theory, its rows concatenated in
-    prefix order.
+    starts.  Returns ``(spec, rows)`` per theory, its rows a list in prefix
+    order, which every reader of a table takes in one forward pass.
     """
     for thy in theories:
         check_budget(thy.spec, budget)
@@ -824,12 +820,14 @@ def ht_models(theory: Theory, budget=None, jobs=1) -> list:
 
 
 def is_supported(t: Valuation, program: Theory) -> bool:
-    """Every defined variable of t has a supporting rule.
+    """Every variable the program declares and t defines has a supporting
+    rule; the min/max auxiliaries of its desugaring need none.
 
     A rule supports x when it carries an assignment x := a..b whose bounds
     evaluate (under t) to integers enclosing t(x), no assignment to another
     variable in the same head is satisfied by t, and t satisfies the body.
     """
+    declared = program.spec.variables()
     program = desugar_theory(program)
     rules = [
         (
@@ -840,7 +838,7 @@ def is_supported(t: Valuation, program: Theory) -> bool:
     ]
     names = program.spec.variables()
     holds = _holds_at(_Index(names), _values(t, names))
-    return all(_supported(x, rules, holds, holds) for x in t.names())
+    return all(_supported(x, rules, holds, holds) for x in t.names() if x in declared)
 
 
 def _holds_at(index: _Index, world):

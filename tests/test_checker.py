@@ -460,6 +460,34 @@ class TestRowWiseHTComparison:
                     (False, False, False)}
         assert kinds.keys() == expected and min(kinds.values()) >= 5, kinds
 
+    def test_readers_take_one_shot_iterators(self):
+        # every table reader needs one forward pass over its rows, so a
+        # generator, which has no length and no index, gives what a list does
+        from htc.semantics import _below, _certificates, _full, _ht_difference, _run, _stable_rows
+
+        def once(rows):
+            return (row for row in rows)
+
+        prefixes = 0
+        for a, b in statement_variants(n=5):
+            (spec, ra), (_, rb) = _run([a, b], None, 1)
+            assert _stable_rows(once(ra)) == _stable_rows(ra)
+            for names in (spec.variables(), ("p",), ("x", "y")):
+                assert _certificates((spec, once(ra)), names) == _certificates((spec, ra), names)
+            pairs = [(ra, rb), (rb, ra)]
+            # a strict prefix of the other table, in both orders: its first
+            # missing row is the difference, with no masks on the short side
+            for k in range(0, len(ra), 7):
+                pairs += [(ra, ra[:k]), (ra[:k], ra)]
+                t, reduct = ra[k]
+                masks = {*_below(reduct, t), _full(t)}
+                assert _ht_difference(ra, ra[:k]) == (t, masks, set())
+                assert _ht_difference(ra[:k], ra) == (t, set(), masks)
+                prefixes += 1
+            for left, right in pairs:
+                assert _ht_difference(once(left), once(right)) == _ht_difference(left, right)
+        assert prefixes >= 20, prefixes
+
     def test_witness_is_the_first_pair_one_side_has(self):
         for a, b in statement_variants():
             spec = a.spec

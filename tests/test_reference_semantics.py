@@ -177,9 +177,10 @@ def ref_stable_models(theory):
 
 
 def ref_is_supported(t, program):
-    """Every variable defined in t has a rule with an assignment to it whose
-    bounds enclose its value, no satisfied assignment to another variable in
-    the same head, and a body that t satisfies."""
+    """Every variable the program declares and t defines has a rule with an
+    assignment to it whose bounds enclose its value, no satisfied assignment
+    to another variable in the same head, and a body that t satisfies."""
+    declared = set(program.spec.variables())
     program = desugar_theory(program)
 
     def holds(phi):
@@ -207,6 +208,7 @@ def ref_is_supported(t, program):
     return all(
         any(supports(rule, a, x) for rule in program.rules for a in rule.head)
         for x in t.names()
+        if x in declared
     )
 
 

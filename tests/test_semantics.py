@@ -367,6 +367,21 @@ class TestSupportedness:
         for t in models:
             assert is_supported(t, prog)
 
+    def test_min_max_auxiliaries_need_no_rule(self):
+        # no rule assigns __min0, yet the bodies read it
+        for text in (
+            "#int x, y 0..3. x := 1. y := 2 :- min{ x } <= 1.",
+            "#int x, y 0..3. x := 1. y := 2. min{ x ; y } >= 0.",
+        ):
+            prog = parse_theory(text)
+            [t] = stable_models(prog)
+            assert t == Valuation({"__min0": 1, "x": 1, "y": 2})
+            assert is_supported(t, prog), text
+        # a declared variable still needs its rule
+        t = Valuation({"__min0": 1, "x": 1, "y": 2})
+        assert not is_supported(t, parse_theory("#int x, y 0..3. y := 2 :- min{ x } <= 1."))
+        assert not is_supported(t, parse_theory("#int x, y 0..3. x := 1. min{ x ; y } >= 0."))
+
 
 class TestExprValue:
     def test_conditional_value_at_pair(self):
