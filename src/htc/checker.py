@@ -36,10 +36,12 @@ negation, term persistence, the five denotation conditions, supportedness,
 rule unfolding, faithfulness of conditional-term elimination) on seeded
 random corpora and report the first counterexample, shrunk to a locally
 minimal instance by re-running the same law on smaller candidates.  Each
-law runs the compiled evaluator of the model readers.  Persistence,
-negation and term persistence check the reduct at t against t's full mask,
-which stands for <t, t>: a reduct that some h below t satisfies holds there
-too, and the reduct of ``not phi`` holds at h iff phi's fails there.
+law runs the compiled evaluator on the worlds of ``total_models``.
+Persistence, negation and term persistence check the reduct at t against
+t's full mask, which stands for <t, t>: a reduct that some h below t
+satisfies holds there too, and the reduct of ``not phi`` holds at h iff
+phi's fails there.  The reducts of phi and of def(tau) (tau <= tau, whose
+reduct is tau's own) are the rows of their search.
 The supportedness laws read rules as (head items, body) pairs: assignment
 rules directly, unfolded rules as the clauses ``transforms.clauses``
 distributes them into, never by parsing a formula back into a rule.
@@ -60,8 +62,6 @@ from .semantics import (
     _Index,
     _certificates,
     _compile,
-    _compile_sum,
-    _core,
     _full,
     _holds_at,
     _ht_difference,
@@ -106,6 +106,7 @@ from .syntax import (
     Theory,
     children,
     conj,
+    defined,
     desugar_comparisons,
     desugar_theory,
     disj,
@@ -221,6 +222,8 @@ def _projection(a: Theory, b: Theory, project):
         if a.spec != b.spec:
             raise ValueError("theories must share a spec unless a projection is given")
         return tuple(a.spec.variables())
+    if isinstance(project, str):
+        raise TypeError(f"project must be a sequence of names, not the str {project!r}")
     names = tuple(sorted(set(project)))
     if not names:
         raise ValueError("projection names no variable")
@@ -537,33 +540,32 @@ def _gen_core_formula(rng, spec):
     return desugar_comparisons(gen_formula(rng, spec))
 
 
-def _unpersistent(core, reduct_at):
-    """The detail of the first pair (m, t) over the core's spec whose m
-    satisfies the reduct ``reduct_at(t)`` while t's full mask does not;
+def _unpersistent(spec, rows):
+    """The detail of the first pair (m, t) of the rows ``(t, reduct)`` over
+    the spec whose m satisfies the reduct while t's full mask does not;
     None when there is none."""
-    for t, _ in total_models(core):
-        reduct, full = reduct_at(t), _full(t)
-        if reduct is not False and not _satisfied(reduct, full):
+    for t, reduct in rows:
+        full = _full(t)
+        if not _satisfied(reduct, full):
             for m in _submasks(full):
                 if _satisfied(reduct, m):
-                    return _ht_interpretation(core.names, t, m).to_json()
+                    return _ht_interpretation(spec.variables(), t, m).to_json()
     return None
 
 
 def _persistence_law(phi, spec):
-    core = _core(spec, ())
-    detail = _unpersistent(core, _compile(phi, core.index)[0])
+    detail = _unpersistent(spec, total_models(spec, (phi,)))
     return detail and {"formula": pretty_print(phi), "detail": detail}
 
 
 def _negation_law(phi, spec):
-    core = _core(spec, ())
-    at, neg_at = _compile(phi, core.index)[0], _compile(Not(phi), core.index)[0]
-    for t, _ in total_models(core):
+    index = _Index(spec.variables())
+    at, neg_at = _compile(phi, index)[0], _compile(Not(phi), index)[0]
+    for t, _ in total_models(spec, ()):
         neg, fails = neg_at(t), not _satisfied(at(t), _full(t))
         for m in _submasks(_full(t)):
             if _satisfied(neg, m) != fails:
-                detail = _ht_interpretation(core.names, t, m).to_json()
+                detail = _ht_interpretation(spec.variables(), t, m).to_json()
                 return {"formula": pretty_print(phi), "detail": detail}
     return None
 
@@ -576,15 +578,9 @@ def _gen_core_term(rng, spec):
 
 
 def _term_persistence_law(tau, spec):
-    core = _core(spec, ())
-    value_at, _ = _compile_sum([(1, tau)], core.index)
-
-    def reduct_at(t):
-        r = value_at(t)
-        return False if r is None else r[1]
-
-    detail = _unpersistent(core, reduct_at)
-    return detail and {"term": pretty_print(LinearExpr((tau,))), "detail": detail}
+    term = LinearExpr((tau,))
+    detail = _unpersistent(spec, total_models(spec, (defined(term),)))
+    return detail and {"term": pretty_print(term), "detail": detail}
 
 
 def _gen_denotation_atoms(rng, spec):
@@ -598,15 +594,15 @@ def _denotation_law(atoms, spec):
     """The five HT_C denotation conditions, on the compiled evaluator: v is
     in the denotation of a condition-free atom when <v, v> satisfies it."""
     atom, cond_atom, s2 = atoms
-    core = _core(spec, ())
-    index, worlds = core.index, [t for t, _ in total_models(core)]
+    names = spec.variables()
+    index, worlds = _Index(names), [t for t, _ in total_models(spec, ())]
 
     def member(a):
         at, _ = _compile(a, index)
         return lambda v: at(v) is not False
 
     def violation(a, law, v):
-        detail = _valuation(core.names, v).to_json()
+        detail = _valuation(names, v).to_json()
         return {"atom": pretty_print(a), "law": law, "detail": detail}
 
     holds = member(atom)
@@ -620,7 +616,7 @@ def _denotation_law(atoms, spec):
     substituted = {
         (x, value): member(_substitute(atom, x, value))
         for x in relevant
-        for value in core.choices[index[x]]
+        for value in (None,) + spec.domain_values(x)
     }
     for v in worlds:
         if holds(v) and not all(substituted[x, v[index[x]]](v) for x in relevant):
@@ -776,6 +772,8 @@ def run_property_suite(
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {', '.join(SUITE_NAMES)}")
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     spec = DEFAULT_SUITE_SPEC
     items = [(suite, seed, i, spec) for i in range(count)]
     violations = _pool_map(_suite_item, items, jobs)

@@ -46,11 +46,11 @@ input once: ``stable_models``, ``ht_models`` and ``is_supported`` here,
 ``strong_equiv_sampled`` in the checker.  Nothing below them desugars
 again, and a surface formula that reaches ``_compile`` makes it raise.
 
-Every model reader sits on one enumeration core over a compiled theory:
-``total_models`` yields the t whose ``<t, t>`` satisfies the formulas, each
-with the join of their reducts at t, which gives the h below it.  Reading
-only the h below total models loses nothing, by persistence: if ``<h, t>``
-satisfies a formula, so does ``<t, t>``.
+Every model reader sits on one enumeration core, ``total_models(spec,
+formulas, prefix=())``: it compiles the formulas over the spec's positions
+and yields each t whose ``<t, t>`` satisfies them (no formulas: every t)
+with the join of their reducts at t, which gives the h below it.  That is
+every model, by persistence: if ``<h, t>`` satisfies them, so does ``<t, t>``.
 
 ``total_models`` is a depth-first search that assigns the variables in spec
 order, each first undefined and then through its domain in order, so it
@@ -120,7 +120,6 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import NamedTuple
 
 from .syntax import (
     And,
@@ -140,6 +139,7 @@ from .syntax import (
     Undefined,
     _set,
     _Value,
+    _check_int,
     check_budget,
     conj,
     desugar_theory,
@@ -154,12 +154,16 @@ from .transforms import assignment_formula, phi, theory_formulas
 class Valuation(_Value):
     """Immutable partial map from variables to domain values, kept as the
     (name, value) pairs of its defined variables in name order; undefined
-    variables are simply absent."""
+    variables are simply absent.  A value is ``TRUE`` or an int, not a bool."""
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs=()):
-        _set(self, "_pairs", tuple(sorted(dict(pairs).items())))
+        pairs = tuple(sorted(dict(pairs).items()))
+        for name, v in pairs:
+            if v.__class__ is not Truth:
+                _check_int(v, f"the value of {name}, when not TRUE,")
+        _set(self, "_pairs", pairs)
 
     @classmethod
     def _sorted(cls, pairs: tuple) -> "Valuation":
@@ -510,32 +514,6 @@ def satisfies(interp: Interpretation, phi) -> bool:
 # Model enumeration
 
 
-class _Core(NamedTuple):
-    """Formulas compiled over a spec, each as (level, at), where ``level``
-    is the last position the formula reads (-1 when ground)."""
-
-    names: tuple
-    index: _Index
-    choices: tuple  # per position: None, then the domain in order
-    formulas: tuple
-
-
-def _core(spec: DomainSpec, formulas) -> _Core:
-    names = spec.variables()
-    index = _Index(names)
-    compiled = []
-    for f in formulas:
-        at, reads = _compile(f, index)
-        level = reads.bit_length() - 1
-        if reads != (1 << level + 1) - 1:
-            # a position below the level that the formula does not read:
-            # the search reaches the level again with the same values read
-            at = _reducts_kept(at, reads)
-        compiled.append((level, at))
-    choices = tuple((None,) + spec.domain_values(n) for n in names)
-    return _Core(names, index, choices, tuple(compiled))
-
-
 def _reducts_kept(at, reads: int):
     """``at`` evaluated once per value of t at the positions of ``reads``,
     on which alone its reduct depends."""
@@ -552,16 +530,24 @@ def _reducts_kept(at, reads: int):
     return kept
 
 
-def total_models(core: _Core, prefix=()):
-    """(t, the join of every formula's reduct at t) for each t extending
-    the value ``prefix`` whose <t, t> satisfies every formula, in enumeration
-    order.  Depth-first; a formula's reduct is taken once the last position
-    it reads has a value (its level): False prunes every extension of the
-    partial t, and a need and clauses join those carried down."""
-    n, start = len(core.names), len(prefix)
+def total_models(spec: DomainSpec, formulas, prefix=()):
+    """(t, the join of the formulas' reducts at t) for each t over the spec
+    extending the value ``prefix`` whose <t, t> satisfies every formula, in
+    enumeration order.  Depth-first: a formula's reduct is taken once the
+    last position it reads is set (its level); False prunes every extension
+    of the partial t, and a need and clauses join those carried down."""
+    names = spec.variables()
+    index, n, start = _Index(names), len(names), len(prefix)
     due = [[] for _ in range(n + 1)]  # due[k]: evaluated once positions < k are set
-    for level, at in core.formulas:
+    for f in formulas:
+        at, reads = _compile(f, index)
+        level = reads.bit_length() - 1
+        if reads != (1 << level + 1) - 1:
+            # a position below the level that the formula does not read:
+            # the search reaches the level again with the same values read
+            at = _reducts_kept(at, reads)
         due[max(level + 1, start)].append(at)
+    choices = [(None,) + spec.domain_values(x) for x in names]
     t = list(prefix) + [None] * (n - start)
 
     def extend(k, need, rest):
@@ -574,7 +560,7 @@ def total_models(core: _Core, prefix=()):
         if k == n:
             yield tuple(t), (need, rest)
             return
-        for v in core.choices[k]:
+        for v in choices[k]:
             t[k] = v
             yield from extend(k + 1, need, rest)
 
@@ -732,7 +718,7 @@ def _stable_rows(rows) -> list:
 def _scan(spec, formulas, prefix):
     """Table rows: (t, reduct) for each total model t of the formulas that
     extends the value ``prefix``, in enumeration order."""
-    return list(total_models(_core(spec, formulas), prefix))
+    return list(total_models(spec, formulas, prefix))
 
 
 def _pool_map(fn, args, jobs):

@@ -278,6 +278,18 @@ class TestProjection:
         with pytest.raises(ValueError, match="projection names no variable"):
             strong_equivalent(a, b, project=[])
 
+    def test_str_projection_raises(self):
+        # a str is a sequence of one-letter names: "xy" would project onto
+        # x and y, on which these theories agree, not onto xy
+        a = parse_theory("#int x, y, xy 0..1. xy := 1. x := 0.")
+        b = parse_theory("#int x, y, xy 0..1. xy := 0. x := 0.")
+        assert not stable_equivalent(a, b, project=["xy"]).equal
+        for check in (stable_equivalent, strong_equivalent):
+            with pytest.raises(TypeError, match="not the str 'xy'"):
+                check(a, b, project="xy")
+        with pytest.raises(TypeError, match="not the str 'xy'"):
+            strong_equiv_sampled(a, b, project="xy", contexts=[])
+
     def test_context_outside_the_projection_raises(self):
         a = bool_theory(BoolAtom("p"))
         with pytest.raises(ValueError, match="q, outside the projection"):
@@ -541,6 +553,12 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_property_suite("nonsense")
+
+    def test_negative_count_rejected(self):
+        # as props --count is: a negative count reported "checked": -2
+        with pytest.raises(ValueError, match="count must be at least 0, got -2"):
+            run_property_suite("persistence", count=-2)
+        assert run_property_suite("persistence", count=0).checked == 0
 
     def test_violation_reporting_and_shrinking(self, monkeypatch):
         # break the checker deliberately by handing it a law that fails:

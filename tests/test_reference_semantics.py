@@ -28,7 +28,6 @@ from htc.semantics import (
     _below,
     _certificates,
     _compile,
-    _core,
     _full,
     _Index,
     _least_model,
@@ -480,9 +479,11 @@ class TestPrunedSearch:
             core_thy = desugar_theory(thy)
             spec, names = core_thy.spec, core_thy.spec.variables()
             expected = ref_table(thy)
-            core = _core(spec, theory_formulas(core_thy))
+            formulas = theory_formulas(core_thy)
             for jobs in (1, 2, 3):
-                found = [t for p in _prefixes(spec, jobs) for t, _ in total_models(core, p)]
+                found = [
+                    t for p in _prefixes(spec, jobs) for t, _ in total_models(spec, formulas, p)
+                ]
                 assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
                 [(_, rows)] = _run([core_thy], None, jobs)
                 assert valuation_table(names, rows) == expected, jobs
@@ -687,8 +688,8 @@ class TestReductGate:
         assert stable() == dhead.expect and len(ht_models(thy)) == dhead.ht_count
 
         def horn(join):
-            def read(core, prefix=()):
-                for t, (need, rest) in search(core, prefix):
+            def read(spec, formulas, prefix=()):
+                for t, (need, rest) in search(spec, formulas, prefix):
                     yield t, (need, tuple((b, join(h)) for b, h in rest))
 
             return read
@@ -711,7 +712,7 @@ class TestReductGate:
 
 def count_evaluations(monkeypatch):
     """Counts, from now on, the evaluations of every compiled formula node
-    and the formulas whose reducts ``_core`` keeps."""
+    and the formulas whose reducts ``total_models(spec, formulas)`` keeps."""
     calls = {"evaluations": 0, "kept": 0}
     compile_, kept = semantics._compile, semantics._reducts_kept
 
@@ -745,7 +746,7 @@ class TestCompileAndReuse:
             return compile_sum(signed_items, index)
 
         monkeypatch.setattr(semantics, "_compile_sum", counted)
-        _core(spec, [Implies(BoolAtom("a"), shared), Or(shared, BoolAtom("b"))])
+        list(total_models(spec, [Implies(BoolAtom("a"), shared), Or(shared, BoolAtom("b"))]))
         assert len(sums) == 1
 
     def test_level_is_the_last_free_variable(self):
@@ -755,10 +756,9 @@ class TestCompileAndReuse:
         for thy in prune_corpus() + reduct_corpus():
             core_thy = desugar_theory(thy)
             formulas = theory_formulas(core_thy)
-            index = {n: i for i, n in enumerate(core_thy.spec.variables())}
-            core = _core(core_thy.spec, formulas)
+            index = _Index(core_thy.spec.variables())
             levels = [max((index[x] for x in free_vars(f)), default=-1) for f in formulas]
-            assert [level for level, _ in core.formulas] == levels
+            assert [_compile(f, index)[1].bit_length() - 1 for f in formulas] == levels
             formulas_seen += len(formulas)
             with_unread += sum(
                 len(free_vars(f)) <= level for f, level in zip(formulas, levels)

@@ -8,7 +8,6 @@ from htc.semantics import (
     Interpretation,
     Valuation,
     _compile,
-    _core,
     _implies,
     _Index,
     _or,
@@ -159,6 +158,14 @@ class TestValuation:
     def test_repr_lists_the_pairs(self):
         assert repr(Valuation({"p": TRUE, "x": 1})) == "{p=t, x=1}"
 
+    def test_values_are_true_or_ints(self):
+        # Python's True is an int, but not the Boolean value TRUE: kept, it
+        # defined p while failing the atom p, and made {x=True} equal {x=1}
+        for bad in (True, False, None, 1.0, "1"):
+            with pytest.raises(TypeError, match="the value of p"):
+                Valuation({"p": bad})
+        assert Valuation({"p": TRUE, "x": -1}).items() == (("p", TRUE), ("x", -1))
+
 
 class TestInterpretation:
     def test_h_must_be_included_in_t(self):
@@ -269,7 +276,7 @@ class TestEnumeration:
             vals = list(enumerate_valuations(spec))
             keys = [valuation_key(spec, v) for v in vals]
             assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
-            worlds = [t for t, _ in total_models(_core(spec, ()))]
+            worlds = [t for t, _ in total_models(spec, ())]
             assert [_valuation(names, t) for t in worlds] == vals
             assert [_order(t) for t in worlds] == keys
         assert names == ("A", "__min0", "b", "p", "q") and len(vals) == 5 * 6 * 4 * 2 * 2
