@@ -19,17 +19,17 @@ the theories as given, before desugaring, so the auxiliaries of min/max are
 never compared: it sorts the names, merges repeats and refuses an empty one;
 with none given it is the declared variables.
 
-Every check reads model tables from one scan of the enumeration core,
-``_run``, which builds both sides on one pool of ``jobs`` workers, and keeps
-them as value tuples: ``equivalent`` and the unfolding law read the tables
-through ``_ht_difference``, the one HT reader, for the verdict and for the
-masks at the first row where they differ; the stable check compares the
-projected ``_stable_rows``; the strong checks read certificates.  ``_pick``
-builds the one witness of a difference, for the first model by ``_order``
-that only one side has.  The tables keep only total models.  A t whose
-<t, t> fails the theory cannot become stable when a context is added, since
-the extended theory still contains the failing one; and by persistence no
-h below such a t satisfies the theory either.
+Every check reads both sides' model tables from one call of ``_run``, which
+hands over their searches at one job and lists them on one pool of ``jobs``
+workers otherwise, as value tuples: ``equivalent`` and the unfolding law
+read the tables through ``_ht_difference``, the one HT reader, for the
+verdict and for the masks at the first row where they differ; the stable
+check compares the projected ``_stable_rows``; the strong checks read
+certificates.  ``_pick`` builds the one witness of a difference, for the
+first model by ``_order`` that only one side has.  The tables keep only
+total models.  A t whose <t, t> fails the theory cannot become stable when a
+context is added, since the extended theory still contains the failing one;
+and by persistence no h below such a t satisfies the theory either.
 
 The property suites re-run the package's structural laws (persistence,
 negation, term persistence, the five denotation conditions, supportedness,
@@ -736,6 +736,7 @@ def _unsupported(core, t, law):
 def _unfolding_law(core, spec):
     theories = [core] + [unfold_theory(core, d) for d in (False, True)]
     (_, base), *unfolded = _run(theories, None, 1)
+    base = list(base)  # read once per unfolding
     for distribute, (_, rows) in zip((False, True), unfolded):
         if _ht_difference(base, rows) is not None:
             return {"theory": pretty_print(core), "detail": {"distribute": distribute}}

@@ -63,13 +63,14 @@ earlier position, the search comes back to it with the values it reads
 unchanged; such a formula keeps its reduct per value of those positions
 and runs once per value.
 
-One scan, ``_scan``, lists those pairs as the rows ``(t, reduct)`` of a
-model table; with several jobs, ``_run`` splits the search into subtrees,
-one per value prefix of the leading variables, maps them on one process
-pool (the workers compile the formulas themselves) and concatenates the
-rows in prefix order.  Four readers answer every question from the rows,
-each in one forward pass over them: ``_below(reduct, t)`` lists the masks
-of the proper h below t that satisfy the reduct, for ``ht_models``;
+Those pairs are the rows ``(t, reduct)`` of a model table, and at one job
+``_run`` hands each reader the search itself: no table is held, and a
+reader that stops early stops it.  With several jobs the workers list the
+subtrees, one per value prefix of the leading variables, on one process
+pool (``_scan``) and ``_run`` concatenates them in prefix order.  Four
+readers answer every question from the rows, each in one forward pass:
+``_below(reduct, t)`` lists the masks of the proper h below t that
+satisfy the reduct, for ``ht_models``;
 ``_ht_difference(rows_a, rows_b)``, the one HT reader, gives the checker's
 HT verdict and witness: two tables of one spec have the same HT models when
 they list the same t in order and, at each t, either the same reduct or
@@ -531,14 +532,15 @@ def _reducts_kept(at, reads: int):
 
 
 def total_models(spec: DomainSpec, formulas, prefix=()):
-    """(t, the join of the formulas' reducts at t) for each t over the spec
-    extending the value ``prefix`` whose <t, t> satisfies every formula, in
-    enumeration order.  Depth-first: a formula's reduct is taken once the
-    last position it reads is set (its level); False prunes every extension
-    of the partial t, and a need and clauses join those carried down."""
+    """A generator of (t, the join of the formulas' reducts at t) for each t
+    over the spec extending the value ``prefix`` whose <t, t> satisfies
+    every formula, in enumeration order; the formulas compile before it is
+    returned.  Depth-first: a formula's reduct is taken once the last
+    position it reads is set (its level); False prunes every extension of
+    the partial t, and a need and clauses join those carried down."""
     names = spec.variables()
-    index, n, start = _Index(names), len(names), len(prefix)
-    due = [[] for _ in range(n + 1)]  # due[k]: evaluated once positions < k are set
+    index, start = _Index(names), len(prefix)
+    due = [[] for _ in range(len(names) + 1)]  # due[k]: evaluated once positions < k are set
     for f in formulas:
         at, reads = _compile(f, index)
         level = reads.bit_length() - 1
@@ -548,23 +550,25 @@ def total_models(spec: DomainSpec, formulas, prefix=()):
             at = _reducts_kept(at, reads)
         due[max(level + 1, start)].append(at)
     choices = [(None,) + spec.domain_values(x) for x in names]
-    t = list(prefix) + [None] * (n - start)
+    t = list(prefix) + [None] * (len(names) - start)
+    return _extend(due, choices, t, start, 0, ())
 
-    def extend(k, need, rest):
-        for at in due[k]:
-            reduct = at(t)
-            if reduct is False:
-                return
-            need |= reduct[0]
-            rest += reduct[1]
-        if k == n:
-            yield tuple(t), (need, rest)
+
+def _extend(due, choices, t, k, need, rest):
+    """The search below the partial t whose positions < k are set; not a
+    closure over itself, whose cycle would keep a dropped search alive."""
+    for at in due[k]:
+        reduct = at(t)
+        if reduct is False:
             return
-        for v in choices[k]:
-            t[k] = v
-            yield from extend(k + 1, need, rest)
-
-    yield from extend(start, 0, ())
+        need |= reduct[0]
+        rest += reduct[1]
+    if k == len(t):
+        yield tuple(t), (need, rest)
+        return
+    for v in choices[k]:
+        t[k] = v
+        yield from _extend(due, choices, t, k + 1, need, rest)
 
 
 def _least_model(reduct) -> int:
@@ -716,8 +720,7 @@ def _stable_rows(rows) -> list:
 
 
 def _scan(spec, formulas, prefix):
-    """Table rows: (t, reduct) for each total model t of the formulas that
-    extends the value ``prefix``, in enumeration order."""
+    """The pool worker: ``total_models`` of one search subtree, as a list."""
     return list(total_models(spec, formulas, prefix))
 
 
@@ -752,26 +755,21 @@ def _prefixes(spec: DomainSpec, jobs: int) -> list:
 
 
 def _run(theories, budget, jobs) -> list:
-    """The model table of every theory: ``_scan`` over the search subtrees
-    of each, all mapped on one pool.
-
-    The theories must be desugared already; ``_compile`` raises on a surface
-    formula.  Each theory's budget is checked, in order, before any scan
-    starts.  Returns ``(spec, rows)`` per theory, its rows a list in prefix
-    order, which every reader of a table takes in one forward pass.
-    """
+    """The model table ``(spec, rows)`` of every desugared theory (``_compile``
+    raises on a surface formula), each budget checked, in order, before any
+    search starts.  Every reader takes the rows in one forward pass: at one
+    job they are the search, ``total_models``; with several, the ``_scan``
+    lists of the subtrees, all mapped on one pool, in prefix order."""
     for thy in theories:
         check_budget(thy.spec, budget)
-    owners, tasks = [], []
-    for k, thy in enumerate(theories):
-        formulas = theory_formulas(thy)
-        for prefix in _prefixes(thy.spec, jobs):
-            owners.append(k)
-            tasks.append((thy.spec, formulas, prefix))
-    rows = [[] for _ in theories]
-    for k, part in zip(owners, _pool_map(_scan, tasks, jobs)):
-        rows[k].extend(part)
-    return [(thy.spec, r) for thy, r in zip(theories, rows)]
+    if jobs <= 1:
+        return [(thy.spec, total_models(thy.spec, theory_formulas(thy))) for thy in theories]
+    tasks = [
+        [(thy.spec, formulas, p) for p in _prefixes(thy.spec, jobs)]
+        for thy, formulas in zip(theories, map(theory_formulas, theories))
+    ]
+    parts = _pool_map(_scan, itertools.chain(*tasks), jobs)
+    return [(thy.spec, [r for _ in own for r in next(parts)]) for thy, own in zip(theories, tasks)]
 
 
 def stable_models(theory: Theory, budget=None, jobs=1) -> list:

@@ -150,7 +150,8 @@ class TestStableEquivalent:
         run, least = semantics._run, semantics._least_model
 
         def recording_run(theories, budget, jobs):
-            tables.extend(run(theories, budget, jobs))
+            # the rows are listed, since the assertion reads them again
+            tables.extend((spec, list(rows)) for spec, rows in run(theories, budget, jobs))
             return tables[-len(theories) :]
 
         def recording_least(reduct):
@@ -454,6 +455,7 @@ class TestRowWiseHTComparison:
         kinds = {}
         for a, b in statement_variants():
             (_, ra), (_, rb) = _run([a, b], None, 1)
+            ra, rb = list(ra), list(rb)
             pa, pb = ht_pairs(ra), ht_pairs(rb)
             equal = pa == pb
             difference = _ht_difference(ra, rb)
@@ -483,6 +485,7 @@ class TestRowWiseHTComparison:
         prefixes = 0
         for a, b in statement_variants(n=5):
             (spec, ra), (_, rb) = _run([a, b], None, 1)
+            ra, rb = list(ra), list(rb)
             assert _stable_rows(once(ra)) == _stable_rows(ra)
             for names in (spec.variables(), ("p",), ("x", "y")):
                 assert _certificates((spec, once(ra)), names) == _certificates((spec, ra), names)
@@ -510,6 +513,33 @@ class TestRowWiseHTComparison:
                 assert report.verdict == "equal" and report.witness is None
             else:
                 assert (report.witness.side, report.witness.interpretation) == pick
+
+    def test_a_different_check_stops_at_its_first_difference(self, monkeypatch, tmp_path, capsys):
+        # check reads each table as its search yields it, so a difference
+        # early in the tables ends both searches there, long before the
+        # 90,601 rows of the first table
+        from htc import semantics
+        from htc.cli import main
+
+        search, read = semantics.total_models, []
+
+        def counted(spec, formulas, prefix=()):
+            read.append(0)
+            k = len(read) - 1
+            for row in search(spec, formulas, prefix):
+                read[k] += 1
+                yield row
+
+        monkeypatch.setattr(semantics, "total_models", counted)
+        (tmp_path / "a.lc").write_text("#int a, b 0..299.\n")
+        (tmp_path / "b.lc").write_text("#int a, b 0..299.\n:- a < 1.\n")
+        assert main(["check", str(tmp_path / "a.lc"), str(tmp_path / "b.lc")]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["verdict"] == "different"
+        assert report["witness"]["interpretation"]["t"] == {"a": 0}
+        # the 301 rows with a undefined, then a = 0 on the left, a = 1 on
+        # the right
+        assert read == [302, 302]
 
 
 class TestContextFamily:

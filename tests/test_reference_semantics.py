@@ -522,6 +522,7 @@ def reduct_mismatches(corpus, jobs=1):
     cores = [desugar_theory(thy) for thy in corpus]
     for i, (thy, table) in enumerate(zip(corpus, _run(cores, None, jobs))):
         spec, rows = table
+        rows = list(rows)
         names = spec.variables()
         below = [list(_below(reduct, t)) for t, reduct in rows]
         if (
@@ -548,8 +549,9 @@ def certificate_mismatches(corpus):
     free positions leave the projection."""
     bad, dropped = [], 0
     cores = [desugar_theory(thy) for thy in corpus]
-    for i, table in enumerate(_run(cores, None, 1)):
-        spec, rows = table
+    for i, (spec, rows) in enumerate(_run(cores, None, 1)):
+        rows = list(rows)
+        table = spec, rows
         for names in projections(SPEC.variables()):
             if _certificates(table, names) != reference.certificates(table, names):
                 bad.append((i, names))
@@ -655,6 +657,7 @@ class TestReductGate:
         # fixpoint; every other row takes one
         inp = getattr(load_bench_inputs(), family)(*size, 0)
         [(spec, rows)] = _run([desugar_theory(parse_theory(inp.text))], None, 1)
+        rows = list(rows)
         calls, least = [], semantics._least_model
         monkeypatch.setattr(semantics, "_least_model", lambda r: calls.append(r) or least(r))
         stable = [_valuation(spec.variables(), t) for t in _stable_rows(rows)]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -280,6 +281,27 @@ class TestEnumeration:
             assert [_valuation(names, t) for t in worlds] == vals
             assert [_order(t) for t in worlds] == keys
         assert names == ("A", "__min0", "b", "p", "q") and len(vals) == 5 * 6 * 4 * 2 * 2
+
+    def test_a_search_leaves_no_cyclic_garbage(self):
+        # a search holds its compiled formulas and reduct memos (y = 1 -> p
+        # skips x, so its reducts are kept per value of p and y) only while
+        # it is referenced: finished, or dropped after its first row, it
+        # leaves nothing for the cyclic collector
+        from htc.transforms import theory_formulas
+
+        thy = desugar_theory(parse_theory("#int x, y 0..3. #bool p. y = 1 -> p. p -> x < y."))
+        formulas = theory_formulas(thy)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(total_models(thy.spec, formulas))) == 26
+            assert gc.collect() == 0
+            search = total_models(thy.spec, formulas)
+            next(search)
+            del search
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_subvaluations(self):
         t = val(y=5)
