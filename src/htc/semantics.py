@@ -38,7 +38,7 @@ of the formula becomes:
 - for a negation: ``(0, ())`` when the negated formula's reduct is False.
 
 This is the package's only evaluator; the then/else/U rule of conditional
-terms lives in one place, ``_compile_branch``.
+terms lives in one place, ``_compile_le``, which compiles each comparison.
 
 The engine takes desugared theories only.  Each entry point desugars its
 input once: ``stable_models``, ``ht_models`` and ``is_supported`` here,
@@ -352,16 +352,8 @@ def _compile(phi, index: _Index):
     if tp is Defined or tp is Comparison and phi.rel != "<=":
         raise ValueError("satisfaction requires a desugared formula")
     if tp is Comparison:
-        # lhs <= rhs holds when lhs - rhs is defined and at most 0
-        sum_at, reads = _compile_sum(
-            [(1, i) for i in phi.lhs.items] + [(-1, i) for i in phi.rhs.items], index
-        )
-
-        def at(t):
-            r = sum_at(t)
-            return False if r is None or r[0] > 0 else r[1]
-
-        found = at, reads
+        items = [(1, i) for i in phi.lhs.items] + [(-1, i) for i in phi.rhs.items]
+        found = _compile_le(items, index)
     elif tp is BoolAtom:
         i = index[phi.name]
         need = (1 << i, ())
@@ -431,75 +423,57 @@ def _code_mask(codes) -> int:
     return mask
 
 
-def _compile_branch(term: ConditionalTerm, index: _Index, then_, else_):
-    """The branch rule of a conditional term as (at, reads): ``at(t)`` is
-    (``then_``, the condition's reduct at t) when the condition holds at
-    <t, t>, else (``else_``, (0, ())), and ``reads`` masks the condition's
-    positions.  At <h, t> the term takes ``then_`` when m satisfies that
-    reduct, else it is undefined, and ``else_`` when the condition fails
-    at t."""
-    cond_at, reads = _compile(term.condition, index)
-
-    def at(t):
-        reduct = cond_at(t)
-        return (else_, (0, ())) if reduct is False else (then_, reduct)
-
-    return at, reads
-
-
-def _compile_sum(signed_items, index: _Index):
-    """(at, reads) for the sum of ``sign * item`` over the (sign, item)
-    pairs.  ``at(t)`` is None when some term is undefined at <t, t>, else
-    (value, reduct): its integer value at <t, t>, which it keeps under h
-    when m satisfies the reduct (the positions it reads, and the condition
-    of every then-branch taken at t); under any other h it is undefined.
-    ``reads`` masks every position the value or the reduct depends on."""
+def _compile_le(signed_items, index: _Index):
+    """(at, reads) for ``sum(sign * item) <= 0`` over the (sign, item) pairs.
+    ``at(t)`` is False when a term is undefined at <t, t> or the sum is above
+    0, else the reduct: the need of the positions the terms read at t and the
+    reduct of each condition that holds at <t, t>; under an h outside it the
+    sum is undefined.  The one place of the then/else/U rule: a conditional
+    term takes its then-branch at <h, t> when its condition holds there, its
+    else-branch when the condition fails at <t, t>, and is undefined
+    otherwise.  ``reads`` masks every position the reduct depends on."""
     fixed, branches, reads = [], [], 0
     for sign, item in signed_items:
         if type(item) is ConditionalTerm:
             codes = [_term_code(sign, x, index) for x in (item.then_term, item.else_term)]
-            b_at, b_reads = _compile_branch(item, index, *codes)
-            branches.append(b_at)
-            reads |= b_reads | _code_mask(codes)
+            cond_at, cond_reads = _compile(item.condition, index)
+            branches.append((cond_at, *codes))
+            reads |= cond_reads | _code_mask(codes)
         else:
             fixed.append(_term_code(sign, item, index))
     fixed_mask = _code_mask(fixed)
     reads |= fixed_mask
     if None in fixed:  # a U term: undefined at every t
-        return (lambda t: None), reads
+        return (lambda t: False), reads
     const = sum(k for pos, k in fixed if pos is None)
     terms = tuple(code for code in fixed if code[0] is not None)
     need = fixed_mask, ()
 
-    def fixed_at(t):
+    def at(t):
         acc = const
         for pos, k in terms:
             v = t[pos]
             if v.__class__ is not int:
-                return None
+                return False
             acc += k * v
-        return acc, need
-
-    if not branches:
-        return fixed_at, reads
-
-    def at(t):
-        r = fixed_at(t)
-        if r is None:
-            return None
-        acc, mask, conds = r[0], fixed_mask, ()
-        for b_at in branches:
-            (pos, k), (cond_need, cond) = b_at(t)
+        if not branches:
+            return False if acc > 0 else need
+        mask, conds = fixed_mask, ()
+        for cond_at, then_, else_ in branches:
+            reduct = cond_at(t)
+            if reduct is False:
+                pos, k = else_
+            else:
+                pos, k = then_
+                mask, conds = mask | reduct[0], conds + reduct[1]
             if pos is not None:
                 v = t[pos]
                 if v.__class__ is not int:
-                    return None
+                    return False
                 k *= v
                 mask |= 1 << pos
             acc += k
-            mask |= cond_need
-            conds += cond
-        return acc, (mask, conds)
+        return False if acc > 0 else (mask, conds)
 
     return at, reads
 
@@ -781,7 +755,8 @@ def stable_models(theory: Theory, budget=None, jobs=1) -> list:
     variables to the enumeration alphabet.
     """
     [(spec, rows)] = _run([desugar_theory(theory)], budget, jobs)
-    return [_valuation(spec.variables(), t) for t in _stable_rows(rows)]
+    names = spec.variables()
+    return [_valuation(names, t) for t in _stable_rows(rows)]
 
 
 def ht_models(theory: Theory, budget=None, jobs=1) -> list:

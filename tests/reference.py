@@ -7,25 +7,23 @@ Valuations, list the h below a t, bring a linear constraint to its normal
 form (constant right-hand side), test HT validity, read certificates by
 walking every row's models below t, and compare HT models as sets of
 (mask, t) pairs; the test modules import them from here.  ``eval_term``,
-``eval_atom`` and ``expr_value`` are views of the compiled evaluator: they
-compile their input over its own variables and evaluate it once, so a test
-of them is a test of the engine's then/else/U rule.
+``eval_atom`` and ``expr_value`` apply the then/else/U rule of conditional
+terms themselves, reading each condition with ``satisfies`` and summing the
+picked terms under h, so they share no term evaluation with the engine's
+comparison compiler and a test of one against the other checks that rule.
 """
 
 from htc.errors import TransformError
 from htc.semantics import (
+    Interpretation,
     Valuation,
     _below,
-    _compile_branch,
-    _compile_sum,
     _full,
-    _Index,
     _order,
     _positions,
     _restrict,
-    _satisfied,
-    _values,
     ht_models,
+    satisfies,
 )
 from htc.syntax import (
     And,
@@ -43,7 +41,6 @@ from htc.syntax import (
     Undefined,
     _desugar_expr_conditions,
     const_expr,
-    free_vars,
     make_theory,
     negated_term,
 )
@@ -93,24 +90,34 @@ def eval_atom(h: Valuation, t: Valuation, atom):
 
 def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
     """e with its conditions desugared and each conditional term replaced by
-    the branch it takes at <h, t>."""
+    the branch it takes at <h, t>: then when its condition holds at <h, t>,
+    U when it holds only at <t, t>, else otherwise."""
     items = []
     for item in _desugar_expr_conditions(e).items:
         if type(item) is ConditionalTerm:
-            names = tuple(sorted(free_vars(item.condition)))
-            at, _ = _compile_branch(item, _Index(names), item.then_term, item.else_term)
-            branch, reduct = at(_values(t, names))
-            item = branch if _satisfied(reduct, _full(_values(h, names))) else U
+            cond = item.condition
+            if satisfies(Interpretation(h, t), cond):
+                item = item.then_term
+            elif satisfies(Interpretation(t, t), cond):
+                item = U
+            else:
+                item = item.else_term
         items.append(item)
     return LinearExpr(tuple(items))
 
 
 def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
-    """Value under h of the expression unfolded at <h, t>; U when undefined."""
-    names = tuple(sorted(free_vars(e)))
-    at, _ = _compile_sum([(1, item) for item in e.items], _Index(names))
-    r = at(_values(t, names))
-    return r[0] if r is not None and _satisfied(r[1], _full(_values(h, names))) else U
+    """Value under h of the expression unfolded at <h, t>, the sum of the
+    terms its conditional terms pick there; U when some term is undefined."""
+    total = 0
+    for item in _pick_branches(h, t, e).items:
+        if type(item) is Const:
+            total += item.value
+        elif type(item) is Scaled and type(h.get(item.var)) is int:
+            total += item.coeff * h.get(item.var)
+        else:
+            return U
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from htc.syntax import (
 )
 from htc.transforms import eliminate_conditionals, theory_formulas
 
+from mutants import mutate
 from reference import ht_pairs, ht_tautology_schemata, is_ht_tautology
 
 BOOLS = DomainSpec.make({}, ["p", "q"])
@@ -752,13 +753,8 @@ class TestDenotationLaws:
         # v and fail at a t above it
         from htc import semantics
 
-        compile_sum = semantics._compile_sum
-
-        def undefined_reads_zero(signed_items, index):
-            at, reads = compile_sum(signed_items, index)
-            return (lambda t: at(t) or (0, ())), reads
-
-        monkeypatch.setattr(semantics, "_compile_sum", undefined_reads_zero)
+        undefined = "return False\n            acc += k * v"
+        mutate(monkeypatch, semantics, "_compile_le", undefined, "return 0, ()")
         report = run_property_suite("denotation-laws", seed=0, count=50)
         assert report.violations == 1
         assert report.counterexample["law"] == 1

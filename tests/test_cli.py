@@ -62,6 +62,14 @@ class TestSolve:
         doc = run_json(capsys, "solve", str(f))
         assert doc == {"stable_models": [{"x": 1, "y": 2}]}
 
+    @pytest.mark.parametrize("aggregate", ["sum", "min", "max"])
+    def test_an_undefined_element_is_left_out(self, capsys, tmp_path, aggregate):
+        # with x undefined, y = 1 is the aggregate's only element
+        f = tmp_path / "agg.lc"
+        f.write_text(f"#int x, y 0..2. y := 1. {aggregate}{{ x ; y }} = 1.\n")
+        doc = run_json(capsys, "solve", str(f))
+        assert {"y": 1} in doc["stable_models"]
+
     MIN_PROGRAM = (
         "#int x, y 0..2.\n#bool p.\nx := 1 ; y := 2.\nx >= 1 -> p.\nmin{ x ; y } >= 0.\n"
     )

@@ -3,9 +3,10 @@ deleted function cannot leave its imports behind; every private
 module-level name is referenced somewhere in the package outside its own
 definition, so a replaced helper cannot stay behind unused; every public
 top-level function or class is referenced in the package or used by the
-tests or the benchmark, so dead code cannot hide behind a public name; and
+tests or the benchmark, so dead code cannot hide behind a public name;
 importing the command line loads no process-pool machinery and no
-dataclasses."""
+dataclasses; and the tests' reference views read no part of the engine's
+comparison compiler."""
 
 import ast
 import os
@@ -146,6 +147,14 @@ def test_an_unused_public_name_is_reported():
     }
     outside = imported_or_read("from a import tested\nimport a\na.Kept()\n")
     assert unreferenced_public_names(sources, outside) == [("a.py", "dead")]
+
+
+def test_the_oracle_views_share_no_term_evaluation_with_the_engine():
+    # eval_term, eval_atom and expr_value apply the then/else/U rule
+    # themselves; built on the engine's comparison compiler they would
+    # agree with it by construction
+    names = imported_or_read((ROOT / "tests" / "reference.py").read_text())
+    assert names.isdisjoint({"_compile_le", "_term_code", "_code_mask"})
 
 
 def loaded_by_the_command_line(modules) -> str:

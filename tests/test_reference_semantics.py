@@ -73,6 +73,7 @@ from htc.syntax import (
 from htc import transforms
 from htc.transforms import theory_formulas
 
+from mutants import mutate
 import reference
 from reference import eval_atom, eval_term, subvaluations
 
@@ -667,15 +668,10 @@ class TestReductGate:
 
     def test_gate_fails_when_a_then_branch_drops_its_condition(self, monkeypatch):
         # at <h, t> a then-branch taken at t also needs its condition at h
-        branch = semantics._compile_branch
-
-        def unconditional(term, index, then_, else_):
-            at, reads = branch(term, index, then_, else_)
-            return (lambda t: (at(t)[0], (0, ()))), reads
-
         item = reduct_corpus(n=1, seed=46_000_003)
         assert reduct_mismatches(item) == []
-        monkeypatch.setattr(semantics, "_compile_branch", unconditional)
+        with_condition = "mask | reduct[0], conds + reduct[1]"
+        mutate(monkeypatch, semantics, "_compile_le", with_condition, "mask, conds")
         assert reduct_mismatches(item) == [0]
 
     def test_fixpoint_must_not_read_disjunctive_heads_as_horn(self, monkeypatch):
@@ -741,16 +737,16 @@ class TestCompileAndReuse:
     def test_a_shared_subformula_is_compiled_once(self, monkeypatch):
         spec = DomainSpec.make({"x": (0, 2)}, ["a", "b"])
         shared = le(var_expr("x"), const_expr(1))
-        sums = []
-        compile_sum = semantics._compile_sum
+        comparisons = []
+        compile_le = semantics._compile_le
 
         def counted(signed_items, index):
-            sums.append(signed_items)
-            return compile_sum(signed_items, index)
+            comparisons.append(signed_items)
+            return compile_le(signed_items, index)
 
-        monkeypatch.setattr(semantics, "_compile_sum", counted)
+        monkeypatch.setattr(semantics, "_compile_le", counted)
         list(total_models(spec, [Implies(BoolAtom("a"), shared), Or(shared, BoolAtom("b"))]))
-        assert len(sums) == 1
+        assert len(comparisons) == 1
 
     def test_level_is_the_last_free_variable(self):
         # the level comes from the positions _compile gathers; the reference

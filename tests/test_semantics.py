@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from htc.cli import main
 from htc.errors import BudgetError
 from htc.parser import parse_theory
 from htc.semantics import (
@@ -410,6 +411,18 @@ class TestSupportedness:
         t = Valuation({"__min0": 1, "x": 1, "y": 2})
         assert not is_supported(t, parse_theory("#int x, y 0..3. y := 2 :- min{ x } <= 1."))
         assert not is_supported(t, parse_theory("#int x, y 0..3. x := 1. min{ x ; y } >= 0."))
+
+    def test_a_translated_program_declares_its_auxiliaries(self, capsys, tmp_path):
+        # translate --pass desugar writes `#int __min0 0..3.`, so the
+        # auxiliary is a declared variable there, and no rule supports it
+        text = "#int x, y 0..3. x := 1. y := 2 :- min{ x } <= 1."
+        f = tmp_path / "min.lc"
+        f.write_text(text)
+        assert main(["translate", str(f), "--pass", "desugar"]) == 0
+        translated = parse_theory(capsys.readouterr().out)
+        t = Valuation({"__min0": 1, "x": 1, "y": 2})
+        assert is_supported(t, parse_theory(text))
+        assert not is_supported(t, translated)
 
 
 class TestExprValue:
