@@ -1,6 +1,6 @@
 """Faults put into the package in-process, for the tests that show a check
 catches them.  A mutant is one exact text replacement in the source of one
-module-level function."""
+module-level function; replacements made one after another compose."""
 
 import inspect
 
@@ -8,15 +8,23 @@ import inspect
 def mutate(monkeypatch, module, name, old, new):
     """Replace the function ``module.name``, until ``monkeypatch`` is undone,
     by one compiled from its source with the text ``old``, which must occur
-    there exactly once, replaced by ``new``.  The mutant runs in the
-    module's globals, so it calls the module's other functions, and they
-    call it, by name; it keeps the original's line numbers."""
-    lines, first = inspect.getsourcelines(getattr(module, name))
-    source = "".join(lines)
+    there exactly once, replaced by ``new``.  On a function that is already
+    a mutant the source is the mutant's, so a fault that needs several
+    replacements is made by one call each.  The mutant runs in the module's
+    globals, so it calls the module's other functions, and they call it, by
+    name; it keeps the original's line numbers."""
+    function = getattr(module, name)
+    source, first = getattr(function, "mutant_source", None) or _source(function)
     found = source.count(old)
     if found != 1:
         raise ValueError(f"{old!r} occurs {found} times in {module.__name__}.{name}")
+    source = source.replace(old, new)
     scope = {}
-    code = compile("\n" * (first - 1) + source.replace(old, new), module.__file__, "exec")
-    exec(code, vars(module), scope)
+    exec(compile("\n" * (first - 1) + source, module.__file__, "exec"), vars(module), scope)
+    scope[name].mutant_source = source, first
     monkeypatch.setattr(module, name, scope[name])
+
+
+def _source(function):
+    lines, first = inspect.getsourcelines(function)
+    return "".join(lines), first

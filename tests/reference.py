@@ -8,9 +8,11 @@ form (constant right-hand side), test HT validity, read certificates by
 walking every row's models below t, and compare HT models as sets of
 (mask, t) pairs; the test modules import them from here.  ``eval_term``,
 ``eval_atom`` and ``expr_value`` apply the then/else/U rule of conditional
-terms themselves, reading each condition with ``satisfies`` and summing the
-picked terms under h, so they share no term evaluation with the engine's
-comparison compiler and a test of one against the other checks that rule.
+terms and sum the picked terms under h themselves, so a test of them
+against the engine checks that rule.  Each condition, its own conditional
+terms desugared away, is read with ``satisfies``, which compiles it through
+the engine's comparison compiler: the views are independent of the engine
+in the branch rule and the summing, not in reading conditions.
 """
 
 from htc.errors import TransformError

@@ -753,8 +753,15 @@ class TestDenotationLaws:
         # v and fail at a t above it
         from htc import semantics
 
-        undefined = "return False\n            acc += k * v"
-        mutate(monkeypatch, semantics, "_compile_le", undefined, "return 0, ()")
+        # every path that finds a term undefined: a U term, a fixed term and
+        # the term a conditional term picks
+        for old in [
+            "(lambda t: False), reads",
+            "return False\n            acc += k * v",
+            "return False\n                k *= v",
+        ]:
+            new = old.replace("False", "(0, ())", 1)
+            mutate(monkeypatch, semantics, "_compile_le", old, new)
         report = run_property_suite("denotation-laws", seed=0, count=50)
         assert report.violations == 1
         assert report.counterexample["law"] == 1

@@ -5,8 +5,8 @@ definition, so a replaced helper cannot stay behind unused; every public
 top-level function or class is referenced in the package or used by the
 tests or the benchmark, so dead code cannot hide behind a public name;
 importing the command line loads no process-pool machinery and no
-dataclasses; and the tests' reference views read no part of the engine's
-comparison compiler."""
+dataclasses; and the tests' reference views apply the branch rule and
+sum the terms without the engine's comparison compiler."""
 
 import ast
 import os
@@ -149,10 +149,11 @@ def test_an_unused_public_name_is_reported():
     assert unreferenced_public_names(sources, outside) == [("a.py", "dead")]
 
 
-def test_the_oracle_views_share_no_term_evaluation_with_the_engine():
-    # eval_term, eval_atom and expr_value apply the then/else/U rule
-    # themselves; built on the engine's comparison compiler they would
-    # agree with it by construction
+def test_the_oracle_views_apply_the_branch_rule_themselves():
+    # eval_term, eval_atom and expr_value apply the then/else/U rule and sum
+    # the terms themselves; built on the engine's comparison compiler they
+    # would agree with it by construction.  Conditions still go through
+    # satisfies, and so through that compiler, which this check cannot see
     names = imported_or_read((ROOT / "tests" / "reference.py").read_text())
     assert names.isdisjoint({"_compile_le", "_term_code", "_code_mask"})
 
