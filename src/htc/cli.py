@@ -8,11 +8,12 @@ too deeply), 2 budget exceeded, 3 property violation found.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
-from functools import cache, partial
+from functools import partial
+from types import SimpleNamespace
 
 from .checker import (
     SUITE_NAMES,
@@ -23,8 +24,8 @@ from .checker import (
 )
 from .errors import BudgetError, HtcError
 from .parser import parse_theory, pretty_print
-from .semantics import Interpretation, Valuation, ht_models, stable_models, valuation_key
-from .syntax import desugar_aggregates, desugar_theory
+from .semantics import Interpretation, ht_models, stable_models, valuation_key
+from .syntax import TRUE, desugar_aggregates, desugar_theory
 from .transforms import eliminate_conditionals, unfold_theory
 
 EXIT_OK = 0
@@ -33,91 +34,15 @@ EXIT_BUDGET = 2
 EXIT_VIOLATION = 3
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
-
-
-def _int_at_least(minimum):
-    """An argparse type: an integer no smaller than ``minimum``."""
-
-    def parse(text):
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
-    return parse
-
-
-@cache  # one parser per process; parsing an argv does not change it
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="htc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="enumerate stable models of a file")
-    solve.set_defaults(handler=cmd_solve)
-    solve.add_argument("file")
-    solve.add_argument("--ht", action="store_true", help="list HT models instead")
-    solve.add_argument(
-        "--models", type=_int_at_least(0), default=None, help="print at most N models"
-    )
-
-    translate = sub.add_parser("translate", help="print a transformed program")
-    translate.set_defaults(handler=cmd_translate)
-    translate.add_argument("file")
-    translate.add_argument(
-        "--pass",
-        dest="pass_name",
-        choices=("desugar", "unfold", "delta", "all"),
-        required=True,
-    )
-
-    check = sub.add_parser("check", help="compare two files")
-    check.set_defaults(handler=cmd_check)
-    check.add_argument("file_a")
-    check.add_argument("file_b")
-    check.add_argument("--stable", action="store_true", help="compare stable models")
-    check.add_argument("--project", default=None, help="comma-separated variables")
-    check.add_argument(
-        "--strong",
-        action="store_true",
-        help="exact projected strong equivalence (every context)",
-    )
-
-    props = sub.add_parser("props", help="run a property suite")
-    props.set_defaults(handler=cmd_props)
-    props.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    props.add_argument("--seed", type=int, default=0)
-    props.add_argument("--count", type=_int_at_least(0), default=50)
-
-    for enumerating in (solve, translate, check):
-        enumerating.add_argument(
-            "--max-interps",
-            type=_int_at_least(1),
-            default=None,
-            help="interpretation budget (also HTC_MAX_INTERPS)",
-        )
-    for command in (solve, translate, check, props):
-        command.add_argument(
-            "--jobs", type=_int_at_least(1), default=1, help="parallel workers"
-        )
-    return parser
-
-
 def _budget(args):
     if args.max_interps is not None:
         return args.max_interps
     env = os.environ.get("HTC_MAX_INTERPS")
     try:  # the rule of --max-interps: every spec spans an interpretation or more
-        return _int_at_least(1)(env) if env else None
-    except ValueError:
-        raise ValueError(f"HTC_MAX_INTERPS must be an integer, got {env!r}") from None
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"HTC_MAX_INTERPS must be at least 1, got {env!r}") from None
+        return _read(_BUDGET, env) if env else None
+    except ValueError as exc:
+        need = "an integer" if str(exc).startswith("invalid") else f"at least {_BUDGET[2]}"
+        raise ValueError(f"HTC_MAX_INTERPS must be {need}, got {env!r}") from None
 
 
 def _load(path):
@@ -131,11 +56,12 @@ def _emit(doc):
 
 class _Objects(dict):
     """A Valuation's JSON object text, joined from the ``"name": value`` text
-    of its pairs; each distinct pair is encoded once, through to_json."""
+    of its pairs; each distinct pair is written once."""
 
     def __missing__(self, pair):
-        self[pair] = json.dumps(Valuation((pair,)).to_json())[1:-1]
-        return self[pair]
+        name, value = pair
+        self[pair] = text = f"{json.dumps(name)}: {'true' if value is TRUE else value}"
+        return text
 
     def __call__(self, v) -> str:
         return "{" + ", ".join(map(self.__getitem__, v._pairs)) + "}"
@@ -215,10 +141,138 @@ def cmd_props(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+# The command line: for each command (None: before one) its handler, help,
+# positionals and options.  An option is (name, attribute, kind, default,
+# help): kind None is a flag, str any text, int any integer, an int an
+# integer of at least that, a tuple one of its texts; default ... is required.
+_HELP = ("--help", "help", None, False, "show this help and exit")
+_BUDGET = ("--max-interps", "max_interps", 1, None, "interpretation budget (also HTC_MAX_INTERPS)")
+_JOBS = ("--jobs", "jobs", 1, 1, "parallel workers")
+_COMMANDS = {
+    None: (None, __doc__, ("command",), ()),
+    "solve": (cmd_solve, "enumerate stable models of a file", ("file",), (
+        ("--ht", "ht", None, False, "list HT models instead"),
+        ("--models", "models", 0, None, "print at most N models"), _BUDGET, _JOBS)),
+    "translate": (cmd_translate, "print a transformed program", ("file",), (
+        ("--pass", "pass_name", ("desugar", "unfold", "delta", "all"), ..., "the pass to apply"),
+        _BUDGET, _JOBS)),
+    "check": (cmd_check, "compare two files", ("file_a", "file_b"), (
+        ("--stable", "stable", None, False, "compare stable models"),
+        ("--project", "project", str, None, "comma-separated variables"),
+        ("--strong", "strong", None, False, "exact projected strong equivalence (every context)"),
+        _BUDGET, _JOBS)),
+    "props": (cmd_props, "run a property suite", (), (
+        ("--suite", "suite", SUITE_NAMES, ..., "the suite to run"),
+        ("--seed", "seed", int, 0, "generator seed"),
+        ("--count", "count", 0, 50, "items to generate"), _JOBS)),
+}
+
+
+def _parse(argv, command=None, extras=()):
+    """The handler and the fields ``argv`` gives it, read against _COMMANDS
+    as argparse read them.  Help exits 0, a usage error 1 (SystemExit)."""
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, filter(None, _COMMANDS)))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, names, rows = _COMMANDS[command]
+    fields = {row[1]: row[3] for row in rows}
+    rows, names, extras = (_HELP, *rows), list(names), list(extras)
+    i, rest, positional = 0, False, False  # rest: after "--", all are positionals
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token == "--" and not rest:
+            rest = True  # argparse leaves unread a "--" that ends argv after an option
+            extras += [token] if i == len(argv) and not positional else []
+            continue
+        found = None if rest else _option(command, rows, token)
+        positional, (row, text) = found is None, found or (None, None)
+        if positional and command is None:
+            return _parse(argv[i:], token, extras)
+        if positional and names:
+            fields[names.pop(0)] = token
+        elif row is None:  # an unknown option, or a positional past the last name
+            extras.append(token)
+        elif row is _HELP and text is None:
+            sys.stdout.write(_help(command))
+            raise SystemExit(EXIT_OK)
+        else:
+            if text is None and row[2] is not None:
+                if i == len(argv) or argv[i] == "--" or _option(command, rows, argv[i]):
+                    _fail(command, f"argument {row[0]}: expected one argument")
+                text, i = argv[i], i + 1
+            try:
+                fields[row[1]] = _read(row, text)
+            except ValueError as exc:
+                _fail(command, f"argument {row[0]}: {exc}")
+    missing = names + [row[0] for row in rows if fields.get(row[1]) is ...]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**fields)
+
+
+def _option(command, rows, token):
+    """The row ``token`` names and the text after its "=" (None without
+    one), (None, None) for an unknown option, or None for a positional."""
+    head, eq, text = token.partition("=")
+    head = "--help" if head == "-h" else head
+    exact = [row for row in rows if row[0] == head]
+    found = exact or [row for row in rows if head[:2] == "--" and row[0].startswith(head)]
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {token} could match {', '.join(r[0] for r in found)}")
+    if found:
+        return found[0], text if eq else None
+    if token[:1] != "-" or token == "-" or " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None  # no option's form, a space in it, or a negative number
+    return None, None
+
+
+def _read(row, text):
+    """The value ``text`` (None for a flag) gives the option ``row``; a
+    ValueError says why it gives none."""
+    kind = row[2]
+    if kind is None:
+        if text is not None:
+            raise ValueError(f"ignored explicit argument {text!r}")
+        return True
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+    if kind is str or isinstance(kind, tuple):
+        return text
     try:
-        return args.handler(args)
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+    if kind is not int and value < kind:
+        raise ValueError(f"must be at least {kind}, got {value}")
+    return value
+
+
+def _help(command):
+    """The help of ``command`` (None: of htc); its first line is the usage."""
+    _, text, names, rows = _COMMANDS[command]
+    words = ["usage: htc", *filter(None, [command]), "[-h]"]
+    for name, attribute, kind, default, _ in rows:
+        if kind is not None:
+            name += f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {attribute.upper()}"
+        words.append(name if default is ... else f"[{name}]")
+    words += names if command else [f"{{{','.join(filter(None, _COMMANDS))}}} ..."]
+    lines = "".join(f"  {row[0]:<15} {row[4]}\n" for row in (_HELP, *rows))
+    return f"{' '.join(words)}\n\n{text.strip()}\n\n{lines}"
+
+
+def _fail(command, message):
+    """Write the usage of ``command`` and ``message`` to stderr, and exit 1."""
+    usage = _help(command).partition("\n")[0]
+    sys.stderr.write(f"{usage}\n{' '.join(filter(None, ['htc', command]))}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def main(argv=None) -> int:
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    try:
+        return handler(args)
     except BudgetError as exc:
         print(f"htc: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
