@@ -53,6 +53,21 @@ def test_assignment_caches_are_bounded_and_report_their_size():
         assert info.maxsize is not None and info.currsize <= info.maxsize, name
 
 
+def test_cli_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """The parser is the module-level table ``cli._COMMANDS``: a run reads
+    argv against it, leaves it as it was, and renders no usage text."""
+    table, text = cli._COMMANDS, repr(cli._COMMANDS)
+    rendered = []
+    monkeypatch.setattr(cli, "_help", lambda command: rendered.append(command) or "")
+    f = tmp_path / "p.lc"
+    f.write_text("#bool p. p.\n")
+    assert cli.main(["solve", str(f)]) == 0
+    assert cli.main(["solve", str(f), "--ht"]) == 0
+    capsys.readouterr()
+    assert cli._COMMANDS is table and repr(cli._COMMANDS) == text
+    assert rendered == []
+
+
 def install_tracer(monkeypatch):
     """A ``spans.Tracer`` installed as a traced benchmark pass installs it;
     every module attribute it rebinds is restored when the test ends."""
