@@ -1,20 +1,18 @@
-"""Valuation-level helpers that only the tests use.
+"""The tests' one brute-force oracle, and the other helpers only the tests use.
 
-The engine works on value tuples and definedness masks and builds
-``Valuation`` objects only where models leave it.  The helpers below read
-single terms, atoms and expressions at an interpretation ``<h, t>`` of
-Valuations, list the h below a t, bring a linear constraint to its normal
-form (constant right-hand side), test HT validity, read certificates by
-walking every row's models below t, and compare HT models as sets of
-(mask, t) pairs; the test modules import them from here.  ``eval_term``,
-``eval_atom`` and ``expr_value`` apply the then/else/U rule of conditional
-terms and sum the picked terms under h themselves, so a test of them
-against the engine checks that rule.  Each condition, its own conditional
-terms desugared away, is read with ``satisfies``, which compiles it through
-the engine's comparison compiler: the views are independent of the engine
-in the branch rule and the summing, not in reading conditions.
+``ref_sat`` reads a desugared formula at an interpretation <h, t> of
+Valuations straight from the definitions, with no sharing, no memoization
+and nothing of the engine's evaluator, so a bug in the engine's shortcuts
+cannot hide in both; ``ref_branch`` is the one place of the then/else/U rule.
+On them stand a theory's HT models, stable models, projected stable models
+under a context, supportedness and model table, by enumerating every <h, t>,
+and the views ``eval_term``, ``eval_atom`` and ``expr_value``, which desugar
+the conditions they read.  The rest brings a linear constraint to its normal
+form, tests HT validity, reads certificates by walking every row's models
+below t, and compares HT models as sets of (mask, t) pairs.
 """
 
+from htc import transforms
 from htc.errors import TransformError
 from htc.semantics import (
     Interpretation,
@@ -24,12 +22,14 @@ from htc.semantics import (
     _order,
     _positions,
     _restrict,
+    enumerate_valuations,
     ht_models,
-    satisfies,
 )
 from htc.syntax import (
+    TRUE,
     And,
     BoolAtom,
+    Bot,
     Comparison,
     Const,
     ConditionalTerm,
@@ -41,11 +41,13 @@ from htc.syntax import (
     Scaled,
     U,
     Undefined,
-    _desugar_expr_conditions,
     const_expr,
+    desugar_comparisons,
+    desugar_theory,
     make_theory,
     negated_term,
 )
+from htc.transforms import theory_formulas
 
 # --------------------------------------------------------------------------
 # The h below a t
@@ -65,61 +67,185 @@ def proper_subvaluations(t: Valuation):
 
 
 # --------------------------------------------------------------------------
-# Terms, atoms and expressions at <h, t>
+# Desugared formulas, conditional terms and expressions at <h, t>
+
+
+def ref_sat(h: Valuation, t: Valuation, phi) -> bool:
+    """<h, t> satisfies the desugared formula phi."""
+    if isinstance(phi, Bot):
+        return False
+    if isinstance(phi, BoolAtom):
+        return h.get(phi.name) == TRUE
+    if isinstance(phi, Comparison):
+        assert phi.rel == "<="
+        a = ref_expr_value(h, t, phi.lhs)
+        b = ref_expr_value(h, t, phi.rhs)
+        return a is not U and b is not U and a <= b
+    if isinstance(phi, And):
+        return ref_sat(h, t, phi.lhs) and ref_sat(h, t, phi.rhs)
+    if isinstance(phi, Or):
+        return ref_sat(h, t, phi.lhs) or ref_sat(h, t, phi.rhs)
+    if isinstance(phi, Implies):
+        for w in (h, t):
+            if ref_sat(w, t, phi.lhs) and not ref_sat(w, t, phi.rhs):
+                return False
+        return True
+    raise TypeError(phi)
+
+
+def ref_branch(h: Valuation, t: Valuation, term: ConditionalTerm):
+    """The branch a conditional term with a desugared condition takes at
+    <h, t>: then when its condition holds at <h, t>, U when it holds only at
+    <t, t>, else otherwise."""
+    if ref_sat(h, t, term.condition):
+        return term.then_term
+    if ref_sat(t, t, term.condition):
+        return U
+    return term.else_term
+
+
+def ref_expr_value(h: Valuation, t: Valuation, e: LinearExpr):
+    """Value under h of the expression, its conditions desugared, unfolded
+    at <h, t>; U when some term it picks is undefined."""
+    total = 0
+    for item in e.items:
+        if type(item) is ConditionalTerm:
+            item = ref_branch(h, t, item)
+        if type(item) is Const:
+            total += item.value
+        elif type(item) is Scaled and type(x := h.get(item.var)) is int:
+            total += item.coeff * x
+        else:
+            return U
+    return total
+
+
+# --------------------------------------------------------------------------
+# Models, supportedness and tables by enumerating every <h, t>
+
+
+def _holds(formulas, h, t) -> bool:
+    return all(ref_sat(h, t, f) for f in formulas)
+
+
+def ref_ht_models(theory):
+    """Every pair <h, t> over the spec, h included in t, that satisfies the
+    theory, in enumeration order of t and then h."""
+    theory = desugar_theory(theory)
+    formulas = theory_formulas(theory)
+    return [
+        Interpretation(h, t)
+        for t in enumerate_valuations(theory.spec)
+        for h in subvaluations(t)
+        if _holds(formulas, h, t)
+    ]
+
+
+def ref_stable_models(theory):
+    """Every total t over the spec that satisfies the theory and has no
+    proper h below it that does, in enumeration order."""
+    theory = desugar_theory(theory)
+    formulas = theory_formulas(theory)
+    return [
+        t
+        for t in enumerate_valuations(theory.spec)
+        if _holds(formulas, t, t)
+        and not any(_holds(formulas, h, t) for h in proper_subvaluations(t))
+    ]
+
+
+def ref_projected_stable(theory, names, context=()) -> set:
+    """The stable models of the theory with the formulas ``context`` added,
+    each as the tuple of its values of ``names``, None where undefined."""
+    extended = make_theory(theory.spec, theory.statements + tuple(context))
+    return {tuple(v.get(x) for x in names) for v in ref_stable_models(extended)}
+
+
+def ref_table(theory):
+    """Each total t over the whole product, with the proper h below it."""
+    theory = desugar_theory(theory)
+    formulas = theory_formulas(theory)
+    return [
+        (t, {h for h in proper_subvaluations(t) if _holds(formulas, h, t)})
+        for t in enumerate_valuations(theory.spec)
+        if _holds(formulas, t, t)
+    ]
+
+
+def ref_is_supported(t: Valuation, program) -> bool:
+    """Every variable the program declares and t defines has a rule with an
+    assignment to it whose bounds enclose its value, no satisfied assignment
+    to another variable in the same head, and a body that t satisfies."""
+    declared = set(program.spec.variables())
+    program = desugar_theory(program)
+
+    def holds(phi):
+        return ref_sat(t, t, phi)
+
+    def supports(rule, a, x):
+        lo = ref_expr_value(t, t, a.lower)
+        hi = ref_expr_value(t, t, a.upper)
+        d = t.get(x)
+        return (
+            a.target == x
+            and isinstance(d, int)
+            and lo is not U
+            and hi is not U
+            and lo <= d <= hi
+            and not any(holds(transforms.assignment_formula(o)) for o in rule.head if o.target != x)
+            and all(holds(b) for b in rule.pos_body)
+            and not any(holds(b) for b in rule.neg_body)
+        )
+
+    return all(
+        any(supports(rule, a, x) for rule in program.rules for a in rule.head)
+        for x in t.names()
+        if x in declared
+    )
+
+
+def projections(names):
+    """Every non-empty subset of ``names``, in name order."""
+    return [
+        tuple(n for j, n in enumerate(names) if k >> j & 1) for k in range(1, 1 << len(names))
+    ]
+
+
+# --------------------------------------------------------------------------
+# Views: terms, atoms and expressions whose conditions may carry surface
+# relations, at <h, t>
 
 
 def eval_term(h: Valuation, t: Valuation, term):
-    """Unfold one term at <h, t>: linear terms pass through, conditional terms
-    pick then/else/undefined.  Conditions may still carry surface relations."""
+    """Unfold one term at <h, t>: linear terms pass through, a conditional
+    term, its condition desugared, takes the branch ``ref_branch`` gives."""
     if isinstance(term, (Const, Scaled, Undefined)):
         return term
     if isinstance(term, ConditionalTerm):
-        return _pick_branches(h, t, LinearExpr((term,))).items[0]
+        cond = desugar_comparisons(term.condition)
+        return ref_branch(h, t, ConditionalTerm(term.then_term, term.else_term, cond))
     raise TypeError(f"not a term: {term!r}")
+
+
+def _unfold(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
+    return LinearExpr(tuple(eval_term(h, t, item) for item in e.items))
 
 
 def eval_atom(h: Valuation, t: Valuation, atom):
     """Replace every conditional term in the atom by its evaluation at <h, t>."""
     if isinstance(atom, Comparison):
-        lhs = _pick_branches(h, t, atom.lhs)
-        return Comparison(lhs, atom.rel, _pick_branches(h, t, atom.rhs))
+        return Comparison(_unfold(h, t, atom.lhs), atom.rel, _unfold(h, t, atom.rhs))
     if isinstance(atom, Defined):
-        return Defined(_pick_branches(h, t, atom.arg))
+        return Defined(_unfold(h, t, atom.arg))
     if isinstance(atom, BoolAtom):
         return atom
     raise TypeError(f"not a constraint atom: {atom!r}")
 
 
-def _pick_branches(h: Valuation, t: Valuation, e: LinearExpr) -> LinearExpr:
-    """e with its conditions desugared and each conditional term replaced by
-    the branch it takes at <h, t>: then when its condition holds at <h, t>,
-    U when it holds only at <t, t>, else otherwise."""
-    items = []
-    for item in _desugar_expr_conditions(e).items:
-        if type(item) is ConditionalTerm:
-            cond = item.condition
-            if satisfies(Interpretation(h, t), cond):
-                item = item.then_term
-            elif satisfies(Interpretation(t, t), cond):
-                item = U
-            else:
-                item = item.else_term
-        items.append(item)
-    return LinearExpr(tuple(items))
-
-
 def expr_value(h: Valuation, t: Valuation, e: LinearExpr):
     """Value under h of the expression unfolded at <h, t>, the sum of the
     terms its conditional terms pick there; U when some term is undefined."""
-    total = 0
-    for item in _pick_branches(h, t, e).items:
-        if type(item) is Const:
-            total += item.value
-        elif type(item) is Scaled and type(h.get(item.var)) is int:
-            total += item.coeff * h.get(item.var)
-        else:
-            return U
-    return total
+    return ref_expr_value(h, t, _unfold(h, t, e))
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,9 @@ On seeded pairs over ``DEFAULT_SUITE_SPEC`` and under every non-empty
 projection, each witness is re-checked without the table walk that found it:
 
 - an HT witness <h, t> satisfies every statement of exactly one side, by
-  ``satisfies`` on the desugared formulas;
+  the brute-force oracle of ``reference`` on the desugared formulas;
 - a stable witness is a projected stable model of exactly one side, by the
-  reference evaluator of ``test_reference_semantics``;
+  same oracle;
 - a strong witness's context, added to both sides, makes
   ``stable_equivalent`` say "different".
 
@@ -32,12 +32,11 @@ from htc.checker import (
     stable_equivalent,
     strong_equivalent,
 )
-from htc.semantics import satisfies
 from htc.syntax import desugar_theory, make_theory
 from htc.transforms import theory_formulas
 
 from test_checker import statement_variants
-from test_reference_semantics import projections, ref_stable_models
+from reference import projections, ref_sat, ref_stable_models
 
 SPEC = DEFAULT_SUITE_SPEC
 NAMES = SPEC.variables()
@@ -78,7 +77,7 @@ def broken_checks(a, b, counts) -> list:
         counts["HT"] += 1
         i = ht.witness.interpretation
         formulas = [theory_formulas(desugar_theory(x)) for x in (a, b)]
-        if not one_side(ht.witness, *[all(satisfies(i, f) for f in fs) for fs in formulas]):
+        if not one_side(ht.witness, *[all(ref_sat(i.h, i.t, f) for f in fs) for fs in formulas]):
             broken.append("HT witness")
     models = [ref_stable_models(x) for x in (a, b)]
     strong = {}

@@ -6,8 +6,9 @@ top-level function or class is referenced in the package or used by the
 tests or the benchmark, so dead code cannot hide behind a public name;
 importing the command line loads no process-pool machinery, and a serial
 solve through it loads no dataclasses and no argparse; and the tests'
-reference views apply the branch rule and sum the terms without the
-engine's comparison compiler."""
+brute-force oracle reads no part of the engine's evaluator or its
+desugaring of conditions, and the test modules import it from
+``reference``, not from a test module."""
 
 import ast
 import os
@@ -150,13 +151,21 @@ def test_an_unused_public_name_is_reported():
     assert unreferenced_public_names(sources, outside) == [("a.py", "dead")]
 
 
-def test_the_oracle_views_apply_the_branch_rule_themselves():
-    # eval_term, eval_atom and expr_value apply the then/else/U rule and sum
-    # the terms themselves; built on the engine's comparison compiler they
-    # would agree with it by construction.  Conditions still go through
-    # satisfies, and so through that compiler, which this check cannot see
+def test_the_oracle_reads_no_engine_evaluator():
+    # the oracle reads formulas, conditions and sums itself: built on the
+    # engine's compiler, its satisfaction or its desugaring of conditions,
+    # it would agree with the engine by construction; and the test modules
+    # take it from reference alone, not from a test module
     names = imported_or_read((ROOT / "tests" / "reference.py").read_text())
-    assert names.isdisjoint({"_compile_le", "_term_code", "_code_mask"})
+    engine = {"satisfies", "_compile", "_compile_le", "_term_code", "_code_mask", "_satisfied"}
+    assert names.isdisjoint(engine | {"total_models", "_desugar_expr_conditions"})
+    importers = [
+        p.name
+        for p in (ROOT / "tests").glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "test_reference_semantics"
+    ]
+    assert importers == []
 
 
 def loaded_by_the_command_line(modules, argv=None) -> str:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from htc import semantics
 from htc.cli import main
 from htc.errors import BudgetError
 from htc.parser import parse_theory
@@ -54,6 +55,7 @@ from htc.syntax import (
     var_expr,
 )
 
+from mutants import mutate
 from reference import eval_atom, eval_term, expr_value, proper_subvaluations, subvaluations
 
 SPEC = DomainSpec.make({"x": (0, 9), "y": (0, 9)}, ["p"])
@@ -177,6 +179,30 @@ class TestInterpretation:
             Interpretation(val(x=1), Valuation())
 
 
+def unfolding_mismatches() -> list:
+    """(seed, h, t) for each of 40 seeded comparisons, one conditional term
+    added, and each <h, t> at which ``satisfies`` differs on the atom and on
+    what ``eval_atom`` unfolds it to at <h, t>, read at <h, h>."""
+    from htc.checker import _gen_core_atom, gen_conditional_term
+
+    spec = DomainSpec.make({"x": (0, 2), "y": (0, 2)}, ["p"])
+    bad = []
+    for i in range(40):
+        rng = random.Random(7_000_003 + i)
+        tau = gen_conditional_term(rng, spec)
+        tau = ConditionalTerm(tau.then_term, tau.else_term, desugar_comparisons(tau.condition))
+        base = _gen_core_atom(rng, spec)
+        if not isinstance(base, Comparison):
+            continue
+        atom = Comparison(LinearExpr(base.lhs.items + (tau,)), "<=", base.rhs)
+        for t in enumerate_valuations(spec):
+            for h in subvaluations(t):
+                unfolded = eval_atom(h, t, atom)
+                if satisfies(Interpretation(h, t), atom) != satisfies(total(h), unfolded):
+                    bad.append((i, h, t))
+    return bad
+
+
 class TestSatisfies:
     def test_running_example_positive(self):
         assert satisfies(total(val(x=7, y=0)), DIFF)
@@ -188,25 +214,26 @@ class TestSatisfies:
         assert satisfies(Interpretation(Valuation(), val(x=1)), TOP)
 
     def test_atom_agrees_with_eval_then_denote(self):
-        import random
+        assert unfolding_mismatches() == []
 
-        from htc.checker import _gen_core_atom, gen_conditional_term
-
-        spec = DomainSpec.make({"x": (0, 2), "y": (0, 2)}, ["p"])
-        for i in range(40):
-            rng = random.Random(7_000_003 + i)
-            tau = gen_conditional_term(rng, spec)
-            tau = ConditionalTerm(
-                tau.then_term, tau.else_term, desugar_comparisons(tau.condition)
-            )
-            base = _gen_core_atom(rng, spec)
-            if not isinstance(base, Comparison):
-                continue
-            atom = Comparison(LinearExpr(base.lhs.items + (tau,)), "<=", base.rhs)
-            for t in enumerate_valuations(spec):
-                for h in subvaluations(t):
-                    i_ht = Interpretation(h, t)
-                    assert satisfies(i_ht, atom) == satisfies(total(h), eval_atom(h, t, atom))
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            # a Boolean atom true at <t, t> holds at every h
+            ("_compile", "need = (1 << i, ())", "need = (0, ())"),
+            # a comparison with no conditional term, as every condition is,
+            # asks nothing of h
+            ("_compile_le", "need = fixed_mask, ()", "need = 0, ()"),
+        ],
+        ids=["bool-atom", "comparison"],
+    )
+    def test_unfolding_check_fails_when_a_condition_asks_nothing_of_h(
+        self, monkeypatch, name, old, new
+    ):
+        # eval_atom reads conditions by the oracle, so a fault in how the
+        # engine compiles a condition shows on the engine's side alone
+        mutate(monkeypatch, semantics, name, old, new)
+        assert unfolding_mismatches() != []
 
     @pytest.mark.parametrize(
         "phi",

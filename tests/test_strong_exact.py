@@ -34,7 +34,7 @@ from htc.syntax import (
 )
 from htc.transforms import eliminate_conditionals
 
-from test_reference_semantics import ref_stable_models
+from reference import ref_projected_stable
 
 
 def every_delta_k(spec, names):
@@ -57,18 +57,11 @@ def every_delta_k(spec, names):
                 )
 
 
-def projected_stable(thy, names, ctx):
-    """The stable models of ``thy`` with the context ``ctx`` added,
-    projected onto ``names``, by the reference evaluator."""
-    extended = make_theory(thy.spec, thy.statements + tuple(ctx))
-    return {v.project(names) for v in ref_stable_models(extended)}
-
-
 def separated_by(a, b, names, contexts):
     """Some context of ``contexts`` (or the empty one) gives ``a`` and ``b``
     different stable models projected onto ``names``, by brute force."""
     return any(
-        projected_stable(a, names, ctx) != projected_stable(b, names, ctx)
+        ref_projected_stable(a, names, ctx) != ref_projected_stable(b, names, ctx)
         for ctx in ((), *contexts)
     )
 
