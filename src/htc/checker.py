@@ -7,10 +7,10 @@ stable models agree under every added context theory over V.  The strong
 check is exact, though it quantifies over all contexts: by locality, t is
 stable in a theory plus a context over V exactly when <t|V, t|V> satisfies
 the context and no H in K(t), the h|V of the proper h below t that satisfy
-the theory, does.  So the minimal sets K(t) of the rows over each T
-(``_certificates``) decide every context, and where they differ the
-context Delta_K that fails exactly at the H of one side's K tells the
-sides apart (Eiter, Tompits and Woltran, IJCAI 2005).  With V all the
+the theory (a truth table of 2**|V| bits), does.  So the minimal K(t) of the
+rows over each T (``_certificates``) decide every context, and where they
+differ the context Delta_K that fails exactly at the H of one side's K tells
+the sides apart (Eiter, Tompits and Woltran, IJCAI 2005).  With V all the
 variables this is HT equivalence (Lifschitz, Pearce and Valverde, 2001).
 ``strong_equiv_sampled`` reads the same certificates under the empty
 context and then under each context of a given family (it stays for the
@@ -66,6 +66,7 @@ from .semantics import (
     _holds_at,
     _ht_difference,
     _interpretation,
+    _ones,
     _order,
     _pool_map,
     _positions,
@@ -308,10 +309,10 @@ def _separating_context(spec, names, T, left, right):
     side, K = next(
         (side, K)
         for side, mine, other in (("left-only", left, right), ("right-only", right, left))
-        for K in sorted(mine, key=sorted)
-        if not any(k <= K for k in other)
+        for K in sorted(mine, key=_ones)
+        if not any(k & ~K == 0 for k in other)
     )
-    return side, tuple(implication(H) for H in sorted(K))
+    return side, tuple(map(implication, _ones(K)))
 
 
 def strong_equiv_sampled(

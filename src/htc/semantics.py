@@ -79,9 +79,9 @@ the first t where they differ, a table that ends first lacking that t;
 ``_stable_rows(rows)`` lists the t with no proper submask that satisfies
 their reduct, for ``stable_models`` and the checker's stable comparison;
 and ``_certificates(table, names)`` reads the masks below each t projected
-onto ``names``, for the checker's strong comparisons (Eiter, Tompits and
-Woltran, IJCAI 2005), which read stability under any context over
-``names`` off them alone, with ``_projected_stable``.
+onto ``names``, as truth tables, for the checker's strong comparisons
+(Eiter, Tompits and Woltran, IJCAI 2005), which read stability under any
+context over ``names`` off them alone, with ``_projected_stable``.
 
 Below t, every model of a reduct contains its need and the least fixpoint
 of its clauses with one head, run from the need.  t is stable when the
@@ -94,9 +94,8 @@ above the fixpoint, stopping at the first that satisfies it, while
 ``_below`` walks them all.  The walk tests only the clauses open above
 the fixpoint, those with no head inside it (``_open``), and no mask when
 none is left.  Masks are walked in increasing order
-(``m = (m - full) & full``).  ``_certificates`` walks only the rows with
-an open clause: above the fixpoint of any other row every proper submask
-is a model, so its certificate has a closed form.
+(``m = (m - full) & full``).  ``_certificates`` walks no mask: it
+tables the models below t, 2**n bits for n positions, by bit patterns.
 
 Models stay value tuples through the readers and the checker, ordered by
 ``_order``: per position, undefined first, then the domain in order, which
@@ -120,7 +119,8 @@ interpretation count exceeds a budget (default 10**7).
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter, or_
 
 from .syntax import (
     And,
@@ -175,7 +175,10 @@ class Valuation(_Value):
 
     def get(self, name):
         """The value of ``name``, or None when undefined."""
-        return dict(self._pairs).get(name)
+        for n, v in self._pairs:
+            if n == name:
+                return v
+        return None
 
     def names(self) -> tuple:
         return tuple(n for n, _ in self._pairs)
@@ -607,26 +610,62 @@ def _ht_difference(rows_a, rows_b):
     return None
 
 
+def _ones(mask: int) -> list:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _dimensions(n: int) -> list:
+    """Per j < n, the truth table of bit j over the masks x < 2**n."""
+    every = (1 << (1 << n)) - 1
+    return [every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j)) for j in range(n)]
+
+
+def _span(low: int, full: int) -> int:
+    """The truth table of the masks from ``low`` up to ``full``, ``full`` left out."""
+    table = 1
+    for p in _ones(full & ~low):
+        table |= table << (1 << p)
+    return (table ^ 1 << (full & ~low)) << low
+
+
+def _table(reduct, where) -> int:
+    """The truth table of the masks that satisfy the reduct (-1 above them):
+    ``where`` maps a position to its table, -1 when every mask has it; absent, no mask has it."""
+
+    def every(mask):
+        out = -1
+        for p in _ones(mask):
+            out &= where.get(p, 0)
+        return out
+
+    clauses = (~every(body) | reduce(or_, map(every, heads), 0) for body, heads in reduct[1])
+    return reduce(and_, clauses, every(reduct[0]))
+
+
 def _certificates(table, names) -> dict:
     """T -> F(T) for the tabled theory and the projection ``names``.
 
     T is a row's value tuple t|V over ``names`` (sorted, all in the table's
     spec), and H a mask over ``names`` (bit i for ``names[i]``).  K(t) is
-    the set of h|V for the proper h below t that satisfy t's reduct, and
-    F(T) the minimal sets, by inclusion, among the K(t) of the rows with
-    t|V = T.  A row with T itself in K(t) is stable under no context over V
-    and is dropped.
+    the truth table (bit H set for each H in it) of the h|V for the proper
+    h below t that satisfy t's reduct, and F(T) the minimal K(t), by
+    inclusion, of the rows with t|V = T.  A row with T itself in K(t) is
+    stable under no context over V and is dropped.
 
-    With ``low`` the least model of t's reduct and ``free`` the positions
-    of t outside it, a reduct with no clause open above ``low`` holds at
-    every proper submask above ``low``.  Such a row is dropped when
-    ``free`` leaves V, since ``low`` joined with the part of ``free`` in V
-    gives T; otherwise K(t) is {low|V | s : s a proper submask of free}.
-    Every other row walks its models and stops at the first over T.
+    Above ``low``, the least model of t's reduct, every proper submask of t
+    is a model when no clause is open there: then T is in K(t) when some
+    position of t lies outside ``low`` and V, and K(t) is otherwise spread
+    from low|V.  Other rows table their models by their open clauses over
+    the names and the hidden positions (outside ``low`` and V), folded away.
     """
     spec, rows = table
     positions = _positions(spec, names)
-    keep = sum(1 << p for p in positions)
+    keep, width = sum(1 << p for p in positions), len(names)
     runs = {}  # p - i -> the positions p of names[i], a run of consecutive ones
     for i, p in enumerate(positions):
         runs[p - i] = runs.get(p - i, 0) | 1 << p
@@ -638,30 +677,29 @@ def _certificates(table, names) -> dict:
             bits |= (m & run) >> shift
         return bits
 
-    found = {}
-
-    def add(t, K):
-        found.setdefault(tuple([t[p] for p in positions]), set()).add(frozenset(K))
-
+    found, dims = {}, {}  # dims: n -> the dimensions' tables
     for t, reduct in rows:
         full, low = _full(t), _least_model(reduct)
         free, clauses = full & ~low, _open(reduct, low)
-        if clauses:  # the walk
-            K, top = set(), full & keep
-            for m in _submodels(clauses, full, low):
-                if m & keep == top:
-                    break
-                K.add(m & keep)
-            else:
-                add(t, map(over_names, K))
-        elif not free & ~keep:  # the closed form
-            base, free = over_names(low), over_names(free)
-            add(t, [base | s for s in _submasks(free) if s != free])
+        top = over_names(full)
+        if clauses:
+            hidden = _ones(free & ~keep)
+            tables = dims.get(n := width + len(hidden)) or dims.setdefault(n, _dimensions(n))
+            where = dict.fromkeys(_ones(low & ~keep), -1) | dict(zip(positions + hidden, tables))
+            K = _span(over_names(low), top | (1 << n) - (1 << width)) & _table((0, clauses), where)
+            for d in reversed(range(width, n)):  # fold each hidden dimension away
+                K = (K | K >> (1 << d)) & (1 << (1 << d)) - 1
+        elif free & ~keep:  # low with free|V is a proper model over T
+            continue
+        else:
+            K = _span(over_names(low), top)
+        if not K >> top & 1:
+            found.setdefault(tuple([t[p] for p in positions]), []).append(K)
     families = {}
     for T, sets in found.items():
         minimal = []
-        for K in sorted(sets, key=len):
-            if not any(k <= K for k in minimal):
+        for K in sorted(sets, key=int.bit_count):
+            if not any(k & ~K == 0 for k in minimal):
                 minimal.append(K)
         families[T] = frozenset(minimal)
     return families
@@ -676,14 +714,15 @@ def _projected_stable(families, names, context=()) -> set:
     """The projected stable models, as value tuples over ``names``, of the
     theory whose certificates over ``names`` are ``families`` with the
     desugared ``context`` formulas over ``names`` added: the T whose <T, T>
-    satisfies the context and whose F(T) has some K at every H of which the
-    context's reduct at T fails."""
+    satisfies the context and whose F(T) has some K that meets no H of the
+    context's table at T, the H at which its reduct holds."""
     at, _ = _compile(conj(context), _Index(names))
-    out = set()
+    where, tables, out = dict(enumerate(_dimensions(len(names)))), {}, set()
     for T, family in families.items():
-        reduct = at(T)
-        if reduct is not False and any(all(not _satisfied(reduct, H) for H in K) for K in family):
-            out.add(T)
+        if (reduct := at(T)) is not False:
+            C = tables.get(reduct) or tables.setdefault(reduct, _table(reduct, where))
+            if any(K & C == 0 for K in family):
+                out.add(T)
     return out
 
 

@@ -9,7 +9,8 @@ under a context, supportedness and model table, by enumerating every <h, t>,
 and the views ``eval_term``, ``eval_atom`` and ``expr_value``, which desugar
 the conditions they read.  The rest brings a linear constraint to its normal
 form, tests HT validity, reads certificates by walking every row's models
-below t, and compares HT models as sets of (mask, t) pairs.
+below t (``decoded`` reads the engine's truth tables as the same sets), and
+compares HT models as sets of (mask, t) pairs.
 """
 
 from htc import transforms
@@ -349,6 +350,15 @@ def is_ht_tautology(phi, spec, budget=None) -> bool:
 
 # --------------------------------------------------------------------------
 # Certificates by the walk of every row
+
+
+def decoded(families) -> dict:
+    """The engine's certificates as ``certificates`` gives them: each K,
+    a truth table with bit H set for each mask H in it, as the set of its H."""
+    return {
+        T: frozenset(frozenset(H for H in range(K.bit_length()) if K >> H & 1) for K in family)
+        for T, family in families.items()
+    }
 
 
 def certificates(table, names) -> dict:

@@ -233,17 +233,19 @@ class TestDifferentialGate:
         # the family above is Horn; contexts with "or" and "not" have
         # reducts with disjunctive heads, tested at each H, and the tabled
         # reduct of p | q keeps one open above its least model, which the
-        # certificate reader hands to its mask walk
-        walks = []
-        submodels = semantics._submodels
+        # certificate reader hands to its table builder
+        items = disjunctive_context_items()
+        assert context_mismatches(items) == []
+        tabled, table = [], semantics._table
 
-        def counted(clauses, full, low):
-            walks.append(clauses)
-            return submodels(clauses, full, low)
+        def counted(reduct, where):
+            tabled.append(reduct[1])
+            return table(reduct, where)
 
-        monkeypatch.setattr(semantics, "_submodels", counted)
-        assert context_mismatches(disjunctive_context_items()) == []
-        assert any(len(heads) > 1 for clauses in walks for _, heads in clauses)
+        monkeypatch.setattr(semantics, "_table", counted)
+        for core, _ in items:
+            _certificates(*_run([core], None, 1), core.spec.variables())
+        assert any(len(heads) > 1 for clauses in tabled for _, heads in clauses)
 
     def test_context_gate_fails_when_the_h_test_is_skipped(self, monkeypatch):
         # a T is kept only when the context fails at every H of some K in
@@ -405,7 +407,8 @@ def certificate_mismatches(corpus):
         rows = list(rows)
         table = spec, rows
         for names in projections(SPEC.variables()):
-            if _certificates(table, names) != reference.certificates(table, names):
+            engine = reference.decoded(semantics._certificates(table, names))
+            if engine != reference.certificates(table, names):
                 bad.append((i, names))
             keep = sum(1 << p for p in _positions(spec, names))
             for t, reduct in rows:
@@ -459,6 +462,22 @@ class TestReductGate:
         # and the walk stopping at a model over T
         bad, dropped = certificate_mismatches(reduct_corpus()[::4])
         assert bad == [] and dropped >= 100, (bad[:5], dropped)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # each hidden dimension left in K(t) instead of folded away
+            ("reversed(range(width, n))", "()"),
+            # a row with a proper model over T kept
+            ("if not K >> top & 1:", "if True:"),
+        ],
+        ids=["no-fold", "no-drop"],
+    )
+    def test_certificate_gate_fails_on_a_faulty_table(self, monkeypatch, old, new):
+        corpus = reduct_corpus()[::40]
+        assert certificate_mismatches(corpus)[0] == []
+        mutate(monkeypatch, semantics, "_certificates", old, new)
+        assert certificate_mismatches(corpus)[0] != []
 
     def test_ht_check_agrees_with_the_pair_sets(self):
         bad, different = ht_witness_mismatches(reduct_corpus())

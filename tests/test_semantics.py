@@ -170,6 +170,11 @@ class TestValuation:
                 Valuation({"p": bad})
         assert Valuation({"p": TRUE, "x": -1}).items() == (("p", TRUE), ("x", -1))
 
+    def test_get_reads_each_pair(self):
+        v = Valuation({"p": TRUE, "x": 0, "z": -2})
+        assert [v.get(n) for n in ("p", "x", "y", "z")] == [TRUE, 0, None, -2]
+        assert v.get("p") is TRUE and Valuation().get("x") is None
+
 
 class TestInterpretation:
     def test_h_must_be_included_in_t(self):
