@@ -542,11 +542,10 @@ def _gen_core_formula(rng, spec):
 
 
 def _unpersistent(spec, rows):
-    """The detail of the first pair (m, t) of the rows ``(t, reduct)`` over
-    the spec whose m satisfies the reduct while t's full mask does not;
-    None when there is none."""
-    for t, reduct in rows:
-        full = _full(t)
+    """The detail of the first pair (m, t) of the rows ``(t, full,
+    reduct)`` over the spec whose m satisfies the reduct while t's full mask
+    does not; None when there is none."""
+    for t, full, reduct in rows:
         if not _satisfied(reduct, full):
             for m in _submasks(full):
                 if _satisfied(reduct, m):
@@ -562,9 +561,9 @@ def _persistence_law(phi, spec):
 def _negation_law(phi, spec):
     index = _Index(spec.variables())
     at, neg_at = _compile(phi, index)[0], _compile(Not(phi), index)[0]
-    for t, _ in total_models(spec, ()):
-        neg, fails = neg_at(t), not _satisfied(at(t), _full(t))
-        for m in _submasks(_full(t)):
+    for t, full, _ in total_models(spec, ()):
+        neg, fails = neg_at(t), not _satisfied(at(t), full)
+        for m in _submasks(full):
             if _satisfied(neg, m) != fails:
                 detail = _ht_interpretation(spec.variables(), t, m).to_json()
                 return {"formula": pretty_print(phi), "detail": detail}
@@ -596,7 +595,8 @@ def _denotation_law(atoms, spec):
     in the denotation of a condition-free atom when <v, v> satisfies it."""
     atom, cond_atom, s2 = atoms
     names = spec.variables()
-    index, worlds = _Index(names), [t for t, _ in total_models(spec, ())]
+    index, rows = _Index(names), list(total_models(spec, ()))
+    worlds = [t for t, _, _ in rows]
 
     def member(a):
         at, _ = _compile(a, index)
@@ -608,8 +608,8 @@ def _denotation_law(atoms, spec):
 
     holds = member(atom)
     # condition 1: monotonicity
-    for t in worlds:
-        for v in (_restrict(t, m) for m in _submasks(_full(t))):
+    for t, full, _ in rows:
+        for v in (_restrict(t, m) for m in _submasks(full)):
             if holds(v) and not holds(t):
                 return violation(atom, 1, v)
     # condition 2: substituting a variable by its value

@@ -63,13 +63,15 @@ earlier position, the search comes back to it with the values it reads
 unchanged; such a formula keeps its reduct per value of those positions
 and runs once per value.
 
-Those pairs are the rows ``(t, reduct)`` of a model table, and at one job
+With t's full mask, set bit by bit as the search assigns each position,
+those are the rows ``(t, full, reduct)`` of a model table, and at one job
 ``_run`` hands each reader the search itself: no table is held, and a
 reader that stops early stops it.  With several jobs the workers list the
-subtrees, one per value prefix of the leading variables, on one process
-pool (``_scan``) and ``_run`` concatenates them in prefix order.  Four
-readers answer every question from the rows, each in one forward pass:
-``_below(reduct, t)`` lists the masks of the proper h below t that
+subtrees, one per value prefix of the leading variables (whose mask each
+starts from), on one process pool (``_scan``) and ``_run`` concatenates
+them in prefix order.  Four readers answer every question from the rows,
+each in one forward pass:
+``_below(reduct, full)`` lists the masks of the proper h below t that
 satisfy the reduct, for ``ht_models``;
 ``_ht_difference(rows_a, rows_b)``, the one HT reader, gives the checker's
 HT verdict and witness: two tables of one spec have the same HT models when
@@ -90,12 +92,12 @@ or else when the fixpoint is.  Otherwise, when every clause has at most
 one head (the reduct is Horn), the fixpoint is itself a proper model and t
 is not stable; only a reduct with disjunctive heads (as in
 ``a := 1 ; b := 1``) makes the stability test walk the proper submasks
-above the fixpoint, stopping at the first that satisfies it, while
-``_below`` walks them all.  The walk tests only the clauses open above
-the fixpoint, those with no head inside it (``_open``), and no mask when
-none is left.  Masks are walked in increasing order
-(``m = (m - full) & full``).  ``_certificates`` walks no mask: it
-tables the models below t, 2**n bits for n positions, by bit patterns.
+above the fixpoint in increasing order (``m = (m - full) & full``), up to
+the first that satisfies the clauses open there, those with no head
+inside the fixpoint (``_open``).  ``_below`` and ``_certificates`` test no
+mask one by one: they table the models of the open clauses by bit patterns
+(``_table``), 2**n bits for n free positions; bit x of ``_below``'s table
+stands for the x-th submask of the free positions, in increasing order.
 
 Models stay value tuples through the readers and the checker, ordered by
 ``_order``: per position, undefined first, then the domain in order, which
@@ -526,14 +528,14 @@ def total_models(spec: DomainSpec, formulas, prefix=()):
             # the search reaches the level again with the same values read
             at = _reducts_kept(at, reads)
         due[max(level + 1, start)].append(at)
-    choices = [(None,) + spec.domain_values(x) for x in names]
+    choices = [spec.domain_values(x) for x in names]
     t = list(prefix) + [None] * (len(names) - start)
-    return _extend(due, choices, t, start, 0, ())
+    return _extend(due, choices, t, start, _full(prefix), 0, ())
 
 
-def _extend(due, choices, t, k, need, rest):
-    """The search below the partial t whose positions < k are set; not a
-    closure over itself, whose cycle would keep a dropped search alive."""
+def _extend(due, choices, t, k, full, need, rest):
+    """The search below the partial t whose positions < k are set (``full``
+    those defined); not a closure, whose cycle would keep a dropped search alive."""
     for at in due[k]:
         reduct = at(t)
         if reduct is False:
@@ -541,11 +543,14 @@ def _extend(due, choices, t, k, need, rest):
         need |= reduct[0]
         rest += reduct[1]
     if k == len(t):
-        yield tuple(t), (need, rest)
+        yield tuple(t), full, (need, rest)
         return
+    t[k] = None
+    yield from _extend(due, choices, t, k + 1, full, need, rest)
+    full |= 1 << k
     for v in choices[k]:
         t[k] = v
-        yield from _extend(due, choices, t, k + 1, need, rest)
+        yield from _extend(due, choices, t, k + 1, full, need, rest)
 
 
 def _least_model(reduct) -> int:
@@ -590,11 +595,18 @@ def _proper_model(reduct, full: int):
     return next(_submodels(_open(reduct, low), full, low), None)
 
 
-def _below(reduct, t):
-    """The masks of the proper h below t that satisfy the reduct, in
-    increasing order."""
-    low = _least_model(reduct)
-    return _submodels(_open(reduct, low), _full(t), low)
+def _below(reduct, full: int):
+    """The masks of the proper h below the t of full mask ``full`` that
+    satisfy the reduct, in increasing order: the x-th submask of the free
+    positions for each bit x of the table of the clauses open there."""
+    if reduct[0] == full or (low := _least_model(reduct)) == full:
+        return ()
+    free, clauses = full & ~low, _open(reduct, low)
+    if not clauses:
+        return _submodels(clauses, full, low)
+    table = _table((0, clauses), positions := _ones(free), low, {})
+    bits = bin(table & (1 << (1 << len(positions)) - 1) - 1)[:1:-1]  # t's own mask left out
+    return [low | s for s in itertools.compress(_submasks(free), map("1".__eq__, bits))]
 
 
 def _ht_difference(rows_a, rows_b):
@@ -602,11 +614,11 @@ def _ht_difference(rows_a, rows_b):
     in order, below each the same masks (listed only where the reducts
     differ).  Else the first t, by ``_order``, where they differ, and the
     masks of each side's models <h, t>, t's own included; none without t."""
-    for (ta, ra), (tb, rb) in itertools.zip_longest(rows_a, rows_b, fillvalue=(None, None)):
-        if ta != tb or ra != rb and list(_below(ra, ta)) != list(_below(rb, tb)):
+    for (ta, fa, ra), (tb, fb, rb) in itertools.zip_longest(rows_a, rows_b, fillvalue=(None,) * 3):
+        if ta != tb or ra != rb and list(_below(ra, fa)) != list(_below(rb, fb)):
             t = min([u for u in (ta, tb) if u is not None], key=_order)
-            rows = (ta, ra), (tb, rb)
-            return t, *[{*_below(r, t), _full(t)} if u == t else set() for u, r in rows]
+            rows = (ta, fa, ra), (tb, fb, rb)
+            return t, *[{*_below(r, f), f} if u == t else set() for u, f, r in rows]
     return None
 
 
@@ -619,12 +631,6 @@ def _ones(mask: int) -> list:
     return out
 
 
-def _dimensions(n: int) -> list:
-    """Per j < n, the truth table of bit j over the masks x < 2**n."""
-    every = (1 << (1 << n)) - 1
-    return [every // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j)) for j in range(n)]
-
-
 def _span(low: int, full: int) -> int:
     """The truth table of the masks from ``low`` up to ``full``, ``full`` left out."""
     table = 1
@@ -633,9 +639,14 @@ def _span(low: int, full: int) -> int:
     return (table ^ 1 << (full & ~low)) << low
 
 
-def _table(reduct, where) -> int:
-    """The truth table of the masks that satisfy the reduct (-1 above them):
-    ``where`` maps a position to its table, -1 when every mask has it; absent, no mask has it."""
+def _table(reduct, positions, always: int, dims: dict) -> int:
+    """The truth table of the masks x that satisfy the reduct (-1 above them),
+    bit i of x standing for ``positions[i]``, every x with the bits of ``always``
+    and none with another; ``dims`` keeps, per n, the tables of the bits i < n."""
+    if (n := len(positions)) not in dims:  # per i < n, the table of bit i over x < 2**n
+        m = (1 << (1 << n)) - 1
+        dims[n] = [m // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i)) for i in range(n)]
+    where = dict.fromkeys(_ones(always), -1) | dict(zip(positions, dims[n]))
 
     def every(mask):
         out = -1
@@ -678,15 +689,14 @@ def _certificates(table, names) -> dict:
         return bits
 
     found, dims = {}, {}  # dims: n -> the dimensions' tables
-    for t, reduct in rows:
-        full, low = _full(t), _least_model(reduct)
+    for t, full, reduct in rows:
+        low = _least_model(reduct)
         free, clauses = full & ~low, _open(reduct, low)
         top = over_names(full)
         if clauses:
-            hidden = _ones(free & ~keep)
-            tables = dims.get(n := width + len(hidden)) or dims.setdefault(n, _dimensions(n))
-            where = dict.fromkeys(_ones(low & ~keep), -1) | dict(zip(positions + hidden, tables))
-            K = _span(over_names(low), top | (1 << n) - (1 << width)) & _table((0, clauses), where)
+            n = width + len(hidden := _ones(free & ~keep))
+            K = _table((0, clauses), positions + hidden, low & ~keep, dims)
+            K &= _span(over_names(low), top | (1 << n) - (1 << width))
             for d in reversed(range(width, n)):  # fold each hidden dimension away
                 K = (K | K >> (1 << d)) & (1 << (1 << d)) - 1
         elif free & ~keep:  # low with free|V is a proper model over T
@@ -717,10 +727,10 @@ def _projected_stable(families, names, context=()) -> set:
     satisfies the context and whose F(T) has some K that meets no H of the
     context's table at T, the H at which its reduct holds."""
     at, _ = _compile(conj(context), _Index(names))
-    where, tables, out = dict(enumerate(_dimensions(len(names)))), {}, set()
+    positions, dims, tables, out = range(len(names)), {}, {}, set()
     for T, family in families.items():
         if (reduct := at(T)) is not False:
-            C = tables.get(reduct) or tables.setdefault(reduct, _table(reduct, where))
+            C = tables.get(reduct) or tables.setdefault(reduct, _table(reduct, positions, 0, dims))
             if any(K & C == 0 for K in family):
                 out.add(T)
     return out
@@ -729,7 +739,7 @@ def _projected_stable(families, names, context=()) -> set:
 def _stable_rows(rows) -> list:
     """The stable models of a table's rows, in table order: the t whose full
     mask is minimal for their reduct."""
-    return [t for t, reduct in rows if _proper_model(reduct, _full(t)) is None]
+    return [t for t, full, reduct in rows if _proper_model(reduct, full) is None]
 
 
 def _scan(spec, formulas, prefix):
@@ -803,10 +813,10 @@ def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     [(spec, rows)] = _run([desugar_theory(theory)], budget, jobs)
     names = spec.variables()
     out = []
-    for t, reduct in rows:
+    for t, full, reduct in rows:
         tv = _valuation(names, t)
         bits = [1 << i for i, v in enumerate(t) if v is not None]  # one per pair of tv
-        for m in _below(reduct, t):
+        for m in _below(reduct, full):
             h = Valuation._sorted(tuple(itertools.compress(tv._pairs, map(m.__and__, bits))))
             out.append(_interpretation(h, tv))
         out.append(_interpretation(tv, tv))

@@ -380,10 +380,10 @@ def certificates(table, names) -> dict:
         return sum(1 << i for i, p in enumerate(positions) if m >> p & 1)
 
     found = {}
-    for t, reduct in rows:
-        top = _full(t) & keep
+    for t, full, reduct in rows:
+        top = full & keep
         K = set()
-        for m in _below(reduct, t):
+        for m in _below(reduct, full):
             if m & keep == top:
                 break
             K.add(m & keep)
@@ -406,7 +406,7 @@ def certificates(table, names) -> dict:
 
 def ht_pairs(rows) -> set:
     """The (mask, t) pairs of a table's rows, each <t, t> included."""
-    return {(m, t) for t, reduct in rows for m in (*_below(reduct, t), _full(t))}
+    return {(m, t) for t, full, reduct in rows for m in (*_below(reduct, full), full)}
 
 
 def first_pair_only(rows_a, rows_b):

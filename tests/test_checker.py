@@ -164,7 +164,7 @@ class TestStableEquivalent:
         argv = ["check", str(ycond), str(delta), "--stable", "--project", "y", "--strong"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "equal"
-        assert reducts == [reduct for _, rows in tables for _, reduct in rows]
+        assert reducts == [reduct for _, rows in tables for _, _, reduct in rows]
 
 
 class TestStrongEquivalence:
@@ -465,7 +465,7 @@ class TestRowWiseHTComparison:
                 t, ma, mb = difference
                 assert t == min({u for _, u in pa ^ pb}, key=_order)
                 assert (ma, mb) == ({m for m, u in pa if u == t}, {m for m, u in pb if u == t})
-            same_t = [t for t, _ in ra] == [t for t, _ in rb]
+            same_t = [t for t, _, _ in ra] == [t for t, _, _ in rb]
             kind = (equal, same_t, ra == rb)
             kinds[kind] = kinds.get(kind, 0) + 1
         # equal tables, some with the same reducts and some with reducts
@@ -495,8 +495,8 @@ class TestRowWiseHTComparison:
             # missing row is the difference, with no masks on the short side
             for k in range(0, len(ra), 7):
                 pairs += [(ra, ra[:k]), (ra[:k], ra)]
-                t, reduct = ra[k]
-                masks = {*_below(reduct, t), _full(t)}
+                t, full, reduct = ra[k]
+                masks = {*_below(reduct, full), _full(t)}
                 assert _ht_difference(ra, ra[:k]) == (t, masks, set())
                 assert _ht_difference(ra[:k], ra) == (t, set(), masks)
                 prefixes += 1
@@ -647,7 +647,7 @@ class TestSuites:
             if theories[0] != cores[0]:
                 raise ValueError("engine crash")
             # three different tables: the unfoldings differ from the core
-            return [(None, [((k,), (0, ()))]) for k in range(len(theories))]
+            return [(None, [((k,), 1, (0, ()))]) for k in range(len(theories))]
 
         monkeypatch.setattr(chk, "_run", crashing_run)
         with pytest.raises(ValueError, match="engine crash"):

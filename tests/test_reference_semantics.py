@@ -31,7 +31,6 @@ from htc.parser import parse_theory, pretty_print
 from htc.semantics import (
     Interpretation,
     Valuation,
-    _below,
     _certificates,
     _compile,
     _full,
@@ -42,7 +41,9 @@ from htc.semantics import (
     _prefixes,
     _restrict,
     _run,
+    _satisfied,
     _stable_rows,
+    _submasks,
     _valuation,
     enumerate_valuations,
     ht_models,
@@ -170,13 +171,12 @@ def small_corpus():
 def context_mismatches(items):
     """The (theory, context) pairs, the empty context first for each
     theory, under which the projected stable models that
-    ``_projected_stable`` reads off the theory's certificates over all its
-    variables differ from the reference's."""
+    ``_projected_stable`` reads off the theory's certificates over the
+    item's names differ from the reference's."""
     bad = []
-    for core, contexts in items:
-        names = core.spec.variables()
+    for core, names, contexts in items:
         [table] = _run([core], None, 1)
-        families = _certificates(table, names)
+        families = semantics._certificates(table, names)
         for ctx in ((), *contexts):
             expected = ref_projected_stable(core, names, ctx)
             if semantics._projected_stable(families, names, ctx) != expected:
@@ -184,24 +184,36 @@ def context_mismatches(items):
     return bad
 
 
+def restricted(spec, names):
+    """The spec's declarations of ``names`` alone."""
+    return DomainSpec(
+        tuple(v for v in spec.int_vars if v[0] in names),
+        tuple(b for b in spec.bool_vars if b in names),
+    )
+
+
 def disjunctive_context_items():
-    """Theories, each with contexts drawn with "or" and "not"."""
+    """(theory, names, contexts over the names) with contexts drawn with
+    "or" and "not": each theory over all its variables, and then over all
+    but one, which leaves the positions of that one hidden in its rows."""
     corpus = conditional_corpus(8) + program_corpus(6) + aggregate_corpus()
     items = []
     for i, thy in enumerate(corpus):
         core = desugar_theory(thy)
-        rng = random.Random(47_000_003 + i)
-        contexts = [
-            (desugar_comparisons(gen_formula(rng, core.spec, conditional_budget=[0])),)
-            for _ in range(7)
-        ]
-        items.append((core, contexts))
+        every, k = core.spec.variables(), i % len(core.spec.variables())
+        for seed, names in ((47_000_003, every), (48_000_003, every[:k] + every[k + 1 :])):
+            rng, spec = random.Random(seed + i), restricted(core.spec, names)
+            contexts = [
+                (desugar_comparisons(gen_formula(rng, spec, conditional_budget=[0])),)
+                for _ in range(7)
+            ]
+            items.append((core, names, contexts))
     p, q = BoolAtom("p"), BoolAtom("q")
     two = DomainSpec.make({}, ["p", "q"])
-    items.append((make_theory(two, []), [(Or(p, q),)]))
+    items.append((make_theory(two, []), ("p", "q"), [(Or(p, q),)]))
     # at T = {p, q} the disjunction leaves K = {{p}, {q}}, both failing the
     # context, so {p, q} is stable under it
-    items.append((make_theory(two, [Or(p, q)]), [(Implies(p, q), Implies(q, p))]))
+    items.append((make_theory(two, [Or(p, q)]), ("p", "q"), [(Implies(p, q), Implies(q, p))]))
     return items
 
 
@@ -226,7 +238,7 @@ class TestDifferentialGate:
         for thy in corpus:
             core = desugar_theory(thy)
             assert stable_models(core) == ref_stable_models(core)
-            items.append((core, context_family(core.spec)))
+            items.append((core, core.spec.variables(), context_family(core.spec)))
         assert context_mismatches(items) == []
 
     def test_checker_table_under_contexts_with_disjunctions(self, monkeypatch):
@@ -238,14 +250,21 @@ class TestDifferentialGate:
         assert context_mismatches(items) == []
         tabled, table = [], semantics._table
 
-        def counted(reduct, where):
+        def counted(reduct, *where):
             tabled.append(reduct[1])
-            return table(reduct, where)
+            return table(reduct, *where)
 
         monkeypatch.setattr(semantics, "_table", counted)
-        for core, _ in items:
-            _certificates(*_run([core], None, 1), core.spec.variables())
+        for core, names, _ in items:
+            _certificates(*_run([core], None, 1), names)
         assert any(len(heads) > 1 for clauses in tabled for _, heads in clauses)
+
+    def test_context_gate_fails_when_hidden_dimensions_are_not_folded(self, monkeypatch):
+        # the certificate gate's no-fold mutant: the items over all but one
+        # variable have hidden positions, which it leaves in each K(t)
+        items = disjunctive_context_items()
+        mutate(monkeypatch, semantics, "_certificates", "reversed(range(width, n))", "()")
+        assert context_mismatches(items) != []
 
     def test_context_gate_fails_when_the_h_test_is_skipped(self, monkeypatch):
         # a T is kept only when the context fails at every H of some K in
@@ -324,9 +343,9 @@ def valuation_table(names, rows):
     return [
         (
             _valuation(names, t),
-            {_valuation(names, _restrict(t, m)) for m in _below(reduct, t)},
+            {_valuation(names, _restrict(t, m)) for m in semantics._below(reduct, full)},
         )
-        for t, reduct in rows
+        for t, full, reduct in rows
     ]
 
 
@@ -343,9 +362,11 @@ class TestPrunedSearch:
             formulas = theory_formulas(core_thy)
             for jobs in (1, 2, 3):
                 found = [
-                    t for p in _prefixes(spec, jobs) for t, _ in total_models(spec, formulas, p)
+                    row for p in _prefixes(spec, jobs) for row in total_models(spec, formulas, p)
                 ]
-                assert [_valuation(names, t) for t in found] == [t for t, _ in expected]
+                # each prefix seeds the mask of the positions it defines
+                assert all(full == _full(t) for t, full, _ in found)
+                assert [_valuation(names, t) for t, _, _ in found] == [t for t, _ in expected]
                 [(_, rows)] = _run([core_thy], None, jobs)
                 assert valuation_table(names, rows) == expected, jobs
                 assert stable_models(thy, jobs=jobs) == ref_stable_models(thy)
@@ -378,16 +399,17 @@ def reduct_corpus(n=600, seed=46_000_003):
 def reduct_mismatches(corpus, jobs=1):
     """Positions of the theories whose stable models or ``_below`` rows
     differ from the reference; the masks below each t must also come in
-    increasing order."""
+    increasing order, and each row's full mask must be t's."""
     bad = []
     cores = [desugar_theory(thy) for thy in corpus]
     for i, (thy, table) in enumerate(zip(corpus, _run(cores, None, jobs))):
         spec, rows = table
         rows = list(rows)
         names = spec.variables()
-        below = [list(_below(reduct, t)) for t, reduct in rows]
+        below = [list(semantics._below(reduct, full)) for _, full, reduct in rows]
         if (
-            [_valuation(names, t) for t in _stable_rows(rows)] != ref_stable_models(thy)
+            any(full != _full(t) for t, full, _ in rows)
+            or [_valuation(names, t) for t in _stable_rows(rows)] != ref_stable_models(thy)
             or valuation_table(names, rows) != ref_table(thy)
             or any(masks != sorted(masks) for masks in below)
         ):
@@ -411,9 +433,9 @@ def certificate_mismatches(corpus):
             if engine != reference.certificates(table, names):
                 bad.append((i, names))
             keep = sum(1 << p for p in _positions(spec, names))
-            for t, reduct in rows:
+            for _, full, reduct in rows:
                 low = _least_model(reduct)
-                dropped += not _open(reduct, low) and bool(_full(t) & ~low & ~keep)
+                dropped += not _open(reduct, low) and bool(full & ~low & ~keep)
     return bad, dropped
 
 
@@ -440,6 +462,46 @@ def ht_witness_mismatches(corpus):
     return bad, different
 
 
+def walked_below(reduct, full):
+    """The proper submasks of ``full`` that satisfy the reduct, tested one
+    at a time in increasing order."""
+    return [m for m in _submasks(full) if m != full and _satisfied(reduct, m)]
+
+
+def wide_rows(n=12, seed=49_000_003):
+    """Seeded rows (full, reduct) with 12 or 13 free positions: ``full``
+    has 14 of 18 positions, the need one of them, and a Horn clause may add
+    another; a constraint reaches outside ``full``, and disjunctive clauses,
+    some with a head that reaches outside too, make the rest.  ``full``
+    satisfies each reduct, as t's mask does."""
+    rows = []
+    for i in range(n):
+        rng = random.Random(seed + i)
+        inside = rng.sample(range(18), 14)
+        outside = [p for p in range(18) if p not in inside]
+
+        def some(k, pool=inside):
+            return sum(1 << p for p in rng.sample(pool, k))
+
+        need = some(1)
+        clauses = [
+            (need | some(rng.randint(0, 1)), (some(1),)),
+            (some(1) | some(1, outside), ()),
+        ]
+        for _ in range(rng.randint(2, 6)):
+            heads = [some(rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.3:
+                heads.append(some(1) | some(1, outside))
+            clauses.append((some(rng.randint(0, 2)), tuple(heads)))
+        rows.append((sum(1 << p for p in inside), (need, tuple(clauses))))
+    return rows
+
+
+def below_mismatches(rows):
+    """The rows (full, reduct) whose ``_below`` masks differ from the walk's."""
+    return [(f, r) for f, r in rows if list(semantics._below(r, f)) != walked_below(r, f)]
+
+
 def load_bench_inputs():
     """``perfbench/inputs.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
@@ -450,6 +512,36 @@ def load_bench_inputs():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+class TestBelowGate:
+    def test_below_agrees_with_the_walk(self):
+        # the corpora's rows, of which a few hundred table open clauses,
+        # and wide rows whose tables have 2**12 bits and more
+        rows = []
+        for thy in small_corpus() + prune_corpus() + reduct_corpus():
+            [(_, table)] = _run([desugar_theory(thy)], None, 1)
+            rows += [(full, reduct) for _, full, reduct in table]
+        tabled = sum(r[0] != full and bool(_open(r, _least_model(r))) for full, r in rows)
+        wide = wide_rows()
+        assert all((full & ~_least_model(r)).bit_count() >= 12 for full, r in wide)
+        assert below_mismatches(rows + wide) == [] and tabled >= 200, tabled
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # t's own mask left in the table
+            ("(1 << (1 << len(positions)) - 1) - 1", "(1 << (1 << len(positions))) - 1"),
+            # the table's bits decoded onto all of t's positions, not the free ones
+            ("compress(_submasks(free)", "compress(_submasks(full)"),
+        ],
+        ids=["own-mask", "decoded-on-full"],
+    )
+    def test_below_gate_fails_on_a_faulty_table(self, monkeypatch, old, new):
+        rows = wide_rows()
+        assert below_mismatches(rows) == []
+        mutate(monkeypatch, semantics, "_below", old, new)
+        assert below_mismatches(rows) != []
 
 
 class TestReductGate:
@@ -534,7 +626,8 @@ class TestReductGate:
         stable = [_valuation(spec.variables(), t) for t in _stable_rows(rows)]
         assert {tuple(sorted(v.to_json().items())) for v in stable} == inp.expect
         assert len(rows) == rows_expected and len(calls) == fixpoints
-        assert calls == [reduct for t, reduct in rows if reduct[0] != _full(t)]
+        assert all(full == _full(t) for t, full, _ in rows)
+        assert calls == [reduct for t, _, reduct in rows if reduct[0] != _full(t)]
 
     def test_gate_fails_when_a_then_branch_drops_its_condition(self, monkeypatch):
         # at <h, t> a then-branch taken at t also needs its condition at h
@@ -558,8 +651,8 @@ class TestReductGate:
 
         def horn(join):
             def read(spec, formulas, prefix=()):
-                for t, (need, rest) in search(spec, formulas, prefix):
-                    yield t, (need, tuple((b, join(h)) for b, h in rest))
+                for t, full, (need, rest) in search(spec, formulas, prefix):
+                    yield t, full, (need, tuple((b, join(h)) for b, h in rest))
 
             return read
 

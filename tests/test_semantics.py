@@ -310,7 +310,7 @@ class TestEnumeration:
             vals = list(enumerate_valuations(spec))
             keys = [valuation_key(spec, v) for v in vals]
             assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
-            worlds = [t for t, _ in total_models(spec, ())]
+            worlds = [t for t, _, _ in total_models(spec, ())]
             assert [_valuation(names, t) for t in worlds] == vals
             assert [_order(t) for t in worlds] == keys
         assert names == ("A", "__min0", "b", "p", "q") and len(vals) == 5 * 6 * 4 * 2 * 2
