@@ -71,8 +71,8 @@ subtrees, one per value prefix of the leading variables (whose mask each
 starts from), on one process pool (``_scan``) and ``_run`` concatenates
 them in prefix order.  Four readers answer every question from the rows,
 each in one forward pass:
-``_below(reduct, full)`` lists the masks of the proper h below t that
-satisfy the reduct, for ``ht_models``;
+``_below(reduct, full, dims)`` lists the masks of the proper h below t
+that satisfy the reduct, for ``ht_models``;
 ``_ht_difference(rows_a, rows_b)``, the one HT reader, gives the checker's
 HT verdict and witness: two tables of one spec have the same HT models when
 they list the same t in order and, at each t, either the same reduct or
@@ -575,36 +575,35 @@ def _open(reduct, low: int) -> tuple:
 
 def _submodels(clauses, full: int, low: int):
     """The proper submasks of ``full`` above ``low`` that satisfy the open
-    ``clauses`` of a reduct whose least model is ``low``, in increasing
-    order; with no clause left, every one of them, untested."""
-    free = full & ~low
-    if not clauses:
-        return (low | s for s in _submasks(free) if s != free)
-    kept = 0, clauses
+    ``clauses`` of a reduct whose least model is ``low``, in increasing order."""
+    free, kept = full & ~low, (0, clauses)
     return (low | s for s in _submasks(free) if s != free and _satisfied(kept, low | s))
+
+
+def _floor(reduct, full: int):
+    """The least model of the reduct, which ``full`` satisfies; None when it
+    is ``full`` itself, as when the facts alone define all of t."""
+    if reduct[0] != full and (low := _least_model(reduct)) != full:
+        return low
+    return None
 
 
 def _proper_model(reduct, full: int):
     """A proper submask of ``full`` that satisfies the reduct, which ``full``
     satisfies; None when there is none, that is when ``full`` is minimal."""
-    # the facts alone may define all of t, with no fixpoint to run
-    if reduct[0] == full or (low := _least_model(reduct)) == full:
-        return None
-    if all(len(heads) < 2 for _, heads in reduct[1]):
+    if (low := _floor(reduct, full)) is None or all(len(heads) < 2 for _, heads in reduct[1]):
         return low  # Horn: low is its least model
     return next(_submodels(_open(reduct, low), full, low), None)
 
 
-def _below(reduct, full: int):
+def _below(reduct, full: int, dims: dict):
     """The masks of the proper h below the t of full mask ``full`` that
     satisfy the reduct, in increasing order: the x-th submask of the free
-    positions for each bit x of the table of the clauses open there."""
-    if reduct[0] == full or (low := _least_model(reduct)) == full:
-        return ()
-    free, clauses = full & ~low, _open(reduct, low)
-    if not clauses:
-        return _submodels(clauses, full, low)
-    table = _table((0, clauses), positions := _ones(free), low, {})
+    positions for each bit x of the table of the clauses open there;
+    ``dims`` as for ``_table``."""
+    if (low := _floor(reduct, full)) is None:
+        return []
+    table = _table((0, _open(reduct, low)), positions := _ones(free := full & ~low), low, dims)
     bits = bin(table & (1 << (1 << len(positions)) - 1) - 1)[:1:-1]  # t's own mask left out
     return [low | s for s in itertools.compress(_submasks(free), map("1".__eq__, bits))]
 
@@ -614,11 +613,12 @@ def _ht_difference(rows_a, rows_b):
     in order, below each the same masks (listed only where the reducts
     differ).  Else the first t, by ``_order``, where they differ, and the
     masks of each side's models <h, t>, t's own included; none without t."""
+    dims = {}
     for (ta, fa, ra), (tb, fb, rb) in itertools.zip_longest(rows_a, rows_b, fillvalue=(None,) * 3):
-        if ta != tb or ra != rb and list(_below(ra, fa)) != list(_below(rb, fb)):
+        if ta != tb or ra != rb and _below(ra, fa, dims) != _below(rb, fb, dims):
             t = min([u for u in (ta, tb) if u is not None], key=_order)
             rows = (ta, fa, ra), (tb, fb, rb)
-            return t, *[{*_below(r, f), f} if u == t else set() for u, f, r in rows]
+            return t, *[{*_below(r, f, dims), f} if u == t else set() for u, f, r in rows]
     return None
 
 
@@ -812,11 +812,11 @@ def ht_models(theory: Theory, budget=None, jobs=1) -> list:
     """All interpretations <h, t> over the spec satisfying every statement."""
     [(spec, rows)] = _run([desugar_theory(theory)], budget, jobs)
     names = spec.variables()
-    out = []
+    out, dims = [], {}
     for t, full, reduct in rows:
         tv = _valuation(names, t)
         bits = [1 << i for i, v in enumerate(t) if v is not None]  # one per pair of tv
-        for m in _below(reduct, full):
+        for m in _below(reduct, full, dims):
             h = Valuation._sorted(tuple(itertools.compress(tv._pairs, map(m.__and__, bits))))
             out.append(_interpretation(h, tv))
         out.append(_interpretation(tv, tv))

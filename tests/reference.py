@@ -18,11 +18,10 @@ from htc.errors import TransformError
 from htc.semantics import (
     Interpretation,
     Valuation,
-    _below,
-    _full,
     _order,
     _positions,
     _restrict,
+    _submasks,
     enumerate_valuations,
     ht_models,
 )
@@ -65,6 +64,19 @@ def proper_subvaluations(t: Valuation):
     n = len(pairs)
     for mask in range((1 << n) - 1):
         yield Valuation(pairs[i] for i in range(n) if mask >> i & 1)
+
+
+def walked_below(reduct, full):
+    """The proper submasks of ``full`` that satisfy the reduct (the need,
+    and a head of each clause whose body they have), tested one at a time
+    in increasing order, with no fixpoint and no truth table."""
+    need, rest = reduct
+
+    def holds(m):
+        clauses = (body & ~m or any(h & ~m == 0 for h in heads) for body, heads in rest)
+        return need & ~m == 0 and all(clauses)
+
+    return (m for m in _submasks(full) if m != full and holds(m))
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +395,7 @@ def certificates(table, names) -> dict:
     for t, full, reduct in rows:
         top = full & keep
         K = set()
-        for m in _below(reduct, full):
+        for m in walked_below(reduct, full):
             if m & keep == top:
                 break
             K.add(m & keep)
@@ -406,7 +418,7 @@ def certificates(table, names) -> dict:
 
 def ht_pairs(rows) -> set:
     """The (mask, t) pairs of a table's rows, each <t, t> included."""
-    return {(m, t) for t, full, reduct in rows for m in (*_below(reduct, full), full)}
+    return {(m, t) for t, full, reduct in rows for m in (*walked_below(reduct, full), full)}
 
 
 def first_pair_only(rows_a, rows_b):

@@ -496,7 +496,7 @@ class TestRowWiseHTComparison:
             for k in range(0, len(ra), 7):
                 pairs += [(ra, ra[:k]), (ra[:k], ra)]
                 t, full, reduct = ra[k]
-                masks = {*_below(reduct, full), _full(t)}
+                masks = {*_below(reduct, full, {}), _full(t)}
                 assert _ht_difference(ra, ra[:k]) == (t, masks, set())
                 assert _ht_difference(ra[:k], ra) == (t, set(), masks)
                 prefixes += 1

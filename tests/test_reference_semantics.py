@@ -41,9 +41,7 @@ from htc.semantics import (
     _prefixes,
     _restrict,
     _run,
-    _satisfied,
     _stable_rows,
-    _submasks,
     _valuation,
     enumerate_valuations,
     ht_models,
@@ -81,6 +79,7 @@ from reference import (
     ref_stable_models,
     ref_table,
     subvaluations,
+    walked_below,
 )
 
 SPEC = DEFAULT_SUITE_SPEC
@@ -339,11 +338,12 @@ def prune_corpus(n=6, seed=45_000_003):
 
 def valuation_table(names, rows):
     """Table rows as ``ref_table`` gives them: each t with the set of the h
-    whose masks ``_below`` reads off its reduct."""
+    whose masks ``_below`` reads off its reduct, with one ``dims`` for all."""
+    dims = {}
     return [
         (
             _valuation(names, t),
-            {_valuation(names, _restrict(t, m)) for m in semantics._below(reduct, full)},
+            {_valuation(names, _restrict(t, m)) for m in semantics._below(reduct, full, dims)},
         )
         for t, full, reduct in rows
     ]
@@ -406,7 +406,8 @@ def reduct_mismatches(corpus, jobs=1):
         spec, rows = table
         rows = list(rows)
         names = spec.variables()
-        below = [list(semantics._below(reduct, full)) for _, full, reduct in rows]
+        dims = {}
+        below = [semantics._below(reduct, full, dims) for _, full, reduct in rows]
         if (
             any(full != _full(t) for t, full, _ in rows)
             or [_valuation(names, t) for t in _stable_rows(rows)] != ref_stable_models(thy)
@@ -462,12 +463,6 @@ def ht_witness_mismatches(corpus):
     return bad, different
 
 
-def walked_below(reduct, full):
-    """The proper submasks of ``full`` that satisfy the reduct, tested one
-    at a time in increasing order."""
-    return [m for m in _submasks(full) if m != full and _satisfied(reduct, m)]
-
-
 def wide_rows(n=12, seed=49_000_003):
     """Seeded rows (full, reduct) with 12 or 13 free positions: ``full``
     has 14 of 18 positions, the need one of them, and a Horn clause may add
@@ -498,8 +493,10 @@ def wide_rows(n=12, seed=49_000_003):
 
 
 def below_mismatches(rows):
-    """The rows (full, reduct) whose ``_below`` masks differ from the walk's."""
-    return [(f, r) for f, r in rows if list(semantics._below(r, f)) != walked_below(r, f)]
+    """The rows (full, reduct) whose ``_below`` masks, read with one ``dims``
+    for all rows, differ from the walk's."""
+    dims = {}
+    return [(f, r) for f, r in rows if semantics._below(r, f, dims) != list(walked_below(r, f))]
 
 
 def load_bench_inputs():
@@ -570,6 +567,20 @@ class TestReductGate:
         assert certificate_mismatches(corpus)[0] == []
         mutate(monkeypatch, semantics, "_certificates", old, new)
         assert certificate_mismatches(corpus)[0] != []
+
+    def test_gates_fail_on_a_faulty_kernel(self, monkeypatch):
+        # the oracle walks every submask itself, so a fault in the truth
+        # table that _below and _certificates share, each clause's heads
+        # read as a conjunction, reaches the certificate and HT gates
+        corpus = reduct_corpus()
+
+        def mismatches():
+            return certificate_mismatches(corpus[::4])[0], ht_witness_mismatches(corpus)[0]
+
+        assert mismatches() == ([], [])
+        old, new = "reduce(or_, map(every, heads), 0)", "reduce(and_, map(every, heads), -1)"
+        mutate(monkeypatch, semantics, "_table", old, new)
+        assert all(mismatches()), mismatches()
 
     def test_ht_check_agrees_with_the_pair_sets(self):
         bad, different = ht_witness_mismatches(reduct_corpus())
